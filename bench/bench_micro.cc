@@ -35,7 +35,15 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
-void BM_FlowRebalance(benchmark::State& state) {
+// Start + cancel of one churn flow against `flows` permanent background
+// flows. Each background flow crosses two of 50 resources, which couples
+// all of them into one component of the flow–resource graph. The churn
+// flow either has a resource of its own, so each StartFlow/CancelFlow
+// re-solves only its one-flow component (the common case: CPU bursts and
+// local disk I/O), or also crosses a background resource, so each one
+// re-solves every background flow (the worst case: a transfer through a
+// saturated switch).
+void FlowChurn(benchmark::State& state, bool coupled) {
   const int64_t flows = state.range(0);
   SimEngine engine;
   FlowNetwork net(&engine);
@@ -52,14 +60,22 @@ void BM_FlowRebalance(benchmark::State& state) {
     net.StartFlow(std::move(spec));
   }
   ResourceId churn = net.AddResource("churn", 10.0);
+  std::vector<ResourceId> path = {churn};
+  if (coupled) path.push_back(resources[0]);
   for (auto _ : state) {
-    // Each StartFlow triggers a full rebalance over all active flows.
-    FlowId id = net.StartFlow({{churn}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+    FlowId id = net.StartFlow({path, kInfiniteDemand, kNoRateCap, 1.0, {}});
     net.CancelFlow(id);
   }
   state.SetItemsProcessed(state.iterations() * 2);  // two rebalances each
 }
+
+void BM_FlowRebalance(benchmark::State& state) { FlowChurn(state, false); }
 BENCHMARK(BM_FlowRebalance)->Arg(100)->Arg(600);
+
+void BM_FlowRebalanceCoupled(benchmark::State& state) {
+  FlowChurn(state, true);
+}
+BENCHMARK(BM_FlowRebalanceCoupled)->Arg(100)->Arg(600);
 
 void BM_JsonParseTrapline(benchmark::State& state) {
   GeneratedWorkload workload = MakeTraplineWorkflow(RnaSeqWorkloadOptions{});

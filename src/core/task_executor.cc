@@ -237,8 +237,9 @@ void TaskExecutor::StartInvoke(std::shared_ptr<Attempt> attempt) {
   // Node heterogeneity: faster nodes burn through core-seconds quicker.
   double speed = cluster_->node(attempt->node).speed_factor;
   if (speed > 0.0) work /= speed;
+  // A profile registered with max_threads <= 0 still runs on one thread.
   double threads = static_cast<double>(
-      std::min(profile.max_threads, std::max(attempt->vcores, 1)));
+      std::max(1, std::min(profile.max_threads, attempt->vcores)));
   double scratch_mb = profile.scratch_mb_per_input_mb * input_mb;
 
   FlowSpec spec;

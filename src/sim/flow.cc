@@ -12,6 +12,39 @@ namespace {
 constexpr double kDemandEpsilon = 1e-7;
 // Rates below this are treated as starvation (no completion scheduled).
 constexpr double kRateEpsilon = 1e-12;
+
+// Sorts (FlowId, index) pairs by id. Large components use an LSD radix
+// sort over the ids' offsets from the smallest, byte by byte: linear
+// where std::sort's unpredictable compares dominated the solve.
+void SortById(std::vector<std::pair<FlowId, uint32_t>>* v,
+              std::vector<std::pair<FlowId, uint32_t>>* tmp) {
+  if (v->size() < 32) {
+    std::sort(v->begin(), v->end());
+    return;
+  }
+  auto [lo, hi] = std::minmax_element(v->begin(), v->end());
+  FlowId base = lo->first;
+  auto span = static_cast<uint64_t>(hi->first - base);
+  tmp->resize(v->size());
+  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += 8) {
+    size_t start[257] = {};
+    for (const auto& e : *v) {
+      ++start[((static_cast<uint64_t>(e.first - base) >> shift) & 0xff) + 1];
+    }
+    for (size_t b = 1; b < 257; ++b) start[b] += start[b - 1];
+    for (const auto& e : *v) {
+      (*tmp)[start[(static_cast<uint64_t>(e.first - base) >> shift) & 0xff]++] =
+          e;
+    }
+    v->swap(*tmp);
+  }
+}
+
+// Removes one occurrence of `slot` from an adjacency list.
+void EraseSlot(std::vector<uint32_t>* adj, uint32_t slot) {
+  *std::find(adj->begin(), adj->end(), slot) = adj->back();
+  adj->pop_back();
+}
 }  // namespace
 
 ResourceId FlowNetwork::AddResource(std::string name, double capacity) {
@@ -25,9 +58,10 @@ ResourceId FlowNetwork::AddResource(std::string name, double capacity) {
 
 void FlowNetwork::SetCapacity(ResourceId id, double capacity) {
   HIWAY_CHECK(id >= 0 && static_cast<size_t>(id) < resources_.size());
+  HIWAY_CHECK(capacity >= 0.0);
   Settle();
   resources_[static_cast<size_t>(id)].capacity = capacity;
-  Rebalance();
+  Rebalance({&id, 1});
 }
 
 double FlowNetwork::Capacity(ResourceId id) const {
@@ -43,47 +77,55 @@ const std::string& FlowNetwork::ResourceName(ResourceId id) const {
 FlowId FlowNetwork::StartFlow(FlowSpec spec) {
   HIWAY_CHECK(!spec.resources.empty());
   HIWAY_CHECK(spec.demand >= 0.0);
+  // A finite flow with a zero cap would never complete.
+  HIWAY_CHECK(!std::isfinite(spec.demand) || spec.rate_cap > 0.0);
   Settle();
   HIWAY_CHECK(spec.weight > 0.0);
-  FlowId id = next_flow_id_++;
-  Flow flow;
-  flow.resources = std::move(spec.resources);
-  for (ResourceId r : flow.resources) {
+  for (ResourceId r : spec.resources) {
     HIWAY_CHECK(r >= 0 && static_cast<size_t>(r) < resources_.size());
   }
+  auto slot = static_cast<uint32_t>(flows_.size());
+  Flow& flow = flows_.emplace_back();
+  flow.id = next_flow_id_++;
+  flow.resources = std::move(spec.resources);
   flow.remaining = spec.demand;
   flow.rate_cap = spec.rate_cap;
   flow.weight = spec.weight;
   flow.on_complete = std::move(spec.on_complete);
-  flows_.emplace(id, std::move(flow));
-  Rebalance();
-  return id;
+  slot_of_.emplace(flow.id, slot);
+  for (ResourceId r : flow.resources) {
+    resources_[static_cast<size_t>(r)].flows.push_back(slot);
+  }
+  Rebalance(flow.resources);
+  return flow.id;
 }
 
 void FlowNetwork::CancelFlow(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return;
   Settle();
-  flows_.erase(it);
-  Rebalance();
+  uint32_t slot = it->second;
+  touched_.assign(flows_[slot].resources.begin(),
+                  flows_[slot].resources.end());
+  RemoveFlow(slot);
+  Rebalance(touched_);
 }
 
-bool FlowNetwork::IsActive(FlowId id) const {
-  return flows_.find(id) != flows_.end();
-}
+bool FlowNetwork::IsActive(FlowId id) const { return slot_of_.contains(id); }
 
 double FlowNetwork::RemainingDemand(FlowId id) const {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return 0.0;
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return 0.0;
+  const Flow& flow = flows_[it->second];
   // Account for progress since the last settle without mutating state.
   double dt = engine_->Now() - last_update_;
-  double progressed = it->second.remaining - it->second.rate * dt;
+  double progressed = flow.remaining - flow.rate * dt;
   return std::max(progressed, 0.0);
 }
 
 double FlowNetwork::CurrentRate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  auto it = slot_of_.find(id);
+  return it == slot_of_.end() ? 0.0 : flows_[it->second].rate;
 }
 
 void FlowNetwork::Settle() {
@@ -91,7 +133,7 @@ void FlowNetwork::Settle() {
   double dt = now - last_update_;
   if (dt < 0.0) dt = 0.0;
   if (dt > 0.0) {
-    for (auto& [id, flow] : flows_) {
+    for (Flow& flow : flows_) {
       if (std::isfinite(flow.remaining)) {
         flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
       }
@@ -104,100 +146,158 @@ void FlowNetwork::Settle() {
   last_update_ = now;
 }
 
-void FlowNetwork::Rebalance() {
+void FlowNetwork::RemoveFlow(uint32_t slot) {
+  for (ResourceId r : flows_[slot].resources) {
+    EraseSlot(&resources_[static_cast<size_t>(r)].flows, slot);
+  }
+  slot_of_.erase(flows_[slot].id);
+  auto last = static_cast<uint32_t>(flows_.size() - 1);
+  if (slot != last) {
+    // Move the last flow into the hole and relabel its adjacency entries.
+    Flow& moved = flows_[last];
+    for (ResourceId r : moved.resources) {
+      auto& adj = resources_[static_cast<size_t>(r)].flows;
+      *std::find(adj.begin(), adj.end(), last) = slot;
+    }
+    slot_of_[moved.id] = slot;
+    flows_[slot] = std::move(moved);
+  }
+  flows_.pop_back();
+}
+
+void FlowNetwork::Rebalance(std::span<const ResourceId> seeds) {
+  // --- Collect the component(s) of the flow–resource graph reachable
+  // from the seeds. Flows outside it share no resource with it, so their
+  // max-min rates cannot change. ---
+  ++walk_;
+  comp_res_.clear();
+  fill_flows_.clear();
+  fill_res_index_.clear();
+  order_.clear();
+  auto visit = [this](ResourceId r) {
+    Resource& res = resources_[static_cast<size_t>(r)];
+    if (res.visit != walk_) {
+      res.visit = walk_;
+      res.local = static_cast<uint32_t>(comp_res_.size());
+      comp_res_.push_back(r);
+    }
+    return res.local;
+  };
+  for (ResourceId r : seeds) visit(r);
+  for (size_t i = 0; i < comp_res_.size(); ++i) {
+    for (uint32_t slot : resources_[static_cast<size_t>(comp_res_[i])].flows) {
+      Flow& f = flows_[slot];
+      if (f.visit == walk_) continue;
+      f.visit = walk_;
+      auto first = static_cast<uint32_t>(fill_res_index_.size());
+      for (ResourceId r : f.resources) fill_res_index_.push_back(visit(r));
+      order_.emplace_back(f.id, static_cast<uint32_t>(fill_flows_.size()));
+      fill_flows_.push_back({slot, first,
+                             static_cast<uint32_t>(f.resources.size()),
+                             f.weight, f.rate_cap, f.rate_cap / f.weight,
+                             0.0});
+    }
+  }
+  // FlowId order fixes the order of every floating-point accumulation
+  // below, so a scoped solve reproduces a global solve bit for bit.
+  SortById(&order_, &order_tmp_);
+
+  fill_res_.resize(comp_res_.size());
+  for (size_t k = 0; k < comp_res_.size(); ++k) {
+    fill_res_[k] = {resources_[static_cast<size_t>(comp_res_[k])].capacity,
+                    0.0, 0, 0.0, 0.0};
+  }
+  unfrozen_.clear();
+  for (const auto& [id, idx] : order_) {
+    const FillFlow& ff = fill_flows_[idx];
+    for (uint32_t j = 0; j < ff.num_res; ++j) {
+      FillResource& st = fill_res_[fill_res_index_[ff.first_res + j]];
+      st.unfrozen_weight += ff.weight;
+      ++st.unfrozen_count;
+    }
+    unfrozen_.push_back(idx);
+  }
+  freeze_.resize(unfrozen_.size());
+
   // --- Weighted progressive-filling max-min fairness with rate caps. ---
   // All unfrozen flows rise together at rate `level * weight` until either
   // (a) some resource saturates — its flows freeze at the current level —
   // or (b) a flow reaches its cap (normalised level cap/weight) and
-  // freezes there. Repeats until every flow is frozen.
-  struct ResState {
-    double remaining_capacity;
-    double unfrozen_weight;
-    int unfrozen_count;
-  };
-  std::vector<ResState> rs(resources_.size());
-  for (size_t i = 0; i < resources_.size(); ++i) {
-    rs[i] = {resources_[i].capacity, 0.0, 0};
-  }
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& [id, flow] : flows_) {
-    flow.rate = 0.0;
-    unfrozen.push_back(&flow);
-    for (ResourceId r : flow.resources) {
-      rs[static_cast<size_t>(r)].unfrozen_weight += flow.weight;
-      ++rs[static_cast<size_t>(r)].unfrozen_count;
-    }
-  }
-
-  while (!unfrozen.empty()) {
+  // freezes there. Repeats until every flow is frozen. The unfrozen flows
+  // are unfrozen_[begin, end), in FlowId order.
+  size_t begin = 0;
+  const size_t end = unfrozen_.size();
+  while (begin < end) {
     // Normalised level at which the tightest resource saturates.
     double min_res_level = std::numeric_limits<double>::infinity();
-    for (const auto& r : rs) {
-      if (r.unfrozen_count > 0) {
-        min_res_level =
-            std::min(min_res_level,
-                     std::max(0.0, r.remaining_capacity) / r.unfrozen_weight);
+    for (FillResource& st : fill_res_) {
+      if (st.unfrozen_count > 0) {
+        st.level = std::max(0.0, st.remaining_capacity) / st.unfrozen_weight;
+        min_res_level = std::min(min_res_level, st.level);
       }
     }
     // Normalised level at which the most constrained flow caps out.
     double min_cap_level = std::numeric_limits<double>::infinity();
-    for (const Flow* f : unfrozen) {
-      min_cap_level = std::min(min_cap_level, f->rate_cap / f->weight);
+    for (size_t i = begin; i < end; ++i) {
+      min_cap_level = std::min(min_cap_level, fill_flows_[unfrozen_[i]].cap_level);
     }
     double level = std::min(min_res_level, min_cap_level);
     if (!std::isfinite(level)) level = 0.0;
 
-    std::vector<size_t> to_freeze;
-    for (size_t i = 0; i < unfrozen.size(); ++i) {
-      Flow* f = unfrozen[i];
-      bool freeze = f->rate_cap / f->weight <= level + kRateEpsilon;
-      if (!freeze) {
-        for (ResourceId r : f->resources) {
-          const auto& st = rs[static_cast<size_t>(r)];
-          double res_level =
-              std::max(0.0, st.remaining_capacity) / st.unfrozen_weight;
-          if (res_level <= level + kRateEpsilon) {
-            freeze = true;
-            break;
-          }
-        }
+    // A flow freezes if its cap or one of its resources binds at `level`.
+    const double threshold = level + kRateEpsilon;
+    bool any = false;
+    for (size_t i = begin; i < end; ++i) {
+      const FillFlow& ff = fill_flows_[unfrozen_[i]];
+      bool freeze = ff.cap_level <= threshold;
+      for (uint32_t j = 0; !freeze && j < ff.num_res; ++j) {
+        freeze = fill_res_[fill_res_index_[ff.first_res + j]].level <= threshold;
       }
-      if (freeze) to_freeze.push_back(i);
+      freeze_[i] = freeze;
+      any = any || freeze;
     }
-    if (to_freeze.empty()) {
+    if (!any) {
       // Numerical corner: force progress by freezing everything at level.
-      for (size_t i = 0; i < unfrozen.size(); ++i) to_freeze.push_back(i);
+      std::fill(freeze_.begin() + static_cast<ptrdiff_t>(begin),
+                freeze_.end(), uint8_t{1});
     }
 
-    // Apply freezes (reverse order keeps indices valid on erase).
-    for (auto it = to_freeze.rbegin(); it != to_freeze.rend(); ++it) {
-      Flow* f = unfrozen[*it];
-      double rate = std::min(level * f->weight, f->rate_cap);
-      f->rate = rate;
-      for (ResourceId r : f->resources) {
-        auto& st = rs[static_cast<size_t>(r)];
-        st.remaining_capacity -= rate;
-        st.unfrozen_weight -= f->weight;
+    // Apply freezes in reverse FlowId order, compacting the survivors
+    // stably toward the back of the range.
+    size_t keep = end;
+    for (size_t i = end; i-- > begin;) {
+      uint32_t idx = unfrozen_[i];
+      if (!freeze_[i]) {
+        unfrozen_[--keep] = idx;
+        continue;
+      }
+      FillFlow& ff = fill_flows_[idx];
+      ff.rate = std::min(level * ff.weight, ff.rate_cap);
+      for (uint32_t j = 0; j < ff.num_res; ++j) {
+        FillResource& st = fill_res_[fill_res_index_[ff.first_res + j]];
+        st.remaining_capacity -= ff.rate;
+        st.unfrozen_weight -= ff.weight;
         --st.unfrozen_count;
       }
-      unfrozen.erase(unfrozen.begin() + static_cast<ptrdiff_t>(*it));
     }
+    begin = keep;
   }
 
-  // Refresh per-resource instantaneous accounting.
-  for (auto& res : resources_) {
-    res.current_rate = 0.0;
-    res.active_count = 0;
-  }
-  for (const auto& [id, flow] : flows_) {
-    for (ResourceId r : flow.resources) {
-      auto& res = resources_[static_cast<size_t>(r)];
-      res.current_rate += flow.rate;
-      ++res.active_count;
+  // Publish the rates and refresh the component's instantaneous
+  // accounting (sums in FlowId order, as a global refresh would).
+  for (const auto& [id, idx] : order_) {
+    const FillFlow& ff = fill_flows_[idx];
+    flows_[ff.slot].rate = ff.rate;
+    for (uint32_t j = 0; j < ff.num_res; ++j) {
+      FillResource& st = fill_res_[fill_res_index_[ff.first_res + j]];
+      st.rate_sum += ff.rate;
+      ++st.unfrozen_count;
     }
   }
-  for (auto& res : resources_) {
+  for (size_t k = 0; k < comp_res_.size(); ++k) {
+    Resource& res = resources_[static_cast<size_t>(comp_res_[k])];
+    res.current_rate = fill_res_[k].rate_sum;
+    res.active_count = fill_res_[k].unfrozen_count;
     res.peak_rate = std::max(res.peak_rate, res.current_rate);
   }
 
@@ -207,7 +307,7 @@ void FlowNetwork::Rebalance() {
     has_pending_event_ = false;
   }
   double next_dt = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (!std::isfinite(flow.remaining)) continue;
     if (flow.remaining <= kDemandEpsilon) {
       next_dt = 0.0;
@@ -227,22 +327,30 @@ void FlowNetwork::Rebalance() {
 void FlowNetwork::OnCompletionEvent() {
   has_pending_event_ = false;
   Settle();
-  // Collect finished flows first so that callbacks observe a consistent
-  // network (they frequently start follow-up flows).
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (std::isfinite(it->second.remaining) &&
-        it->second.remaining <= kDemandEpsilon) {
-      if (it->second.on_complete) {
-        callbacks.push_back(std::move(it->second.on_complete));
-      }
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  // Remove finished flows before running callbacks so that they observe a
+  // consistent network (they frequently start follow-up flows); callbacks
+  // run in FlowId order.
+  done_.clear();
+  for (const Flow& flow : flows_) {
+    if (std::isfinite(flow.remaining) && flow.remaining <= kDemandEpsilon) {
+      done_.push_back(flow.id);
     }
   }
-  Rebalance();
+  std::sort(done_.begin(), done_.end());
+  touched_.clear();
+  for (FlowId id : done_) {
+    uint32_t slot = slot_of_.at(id);
+    Flow& flow = flows_[slot];
+    if (flow.on_complete) callbacks_.push_back(std::move(flow.on_complete));
+    touched_.insert(touched_.end(), flow.resources.begin(),
+                    flow.resources.end());
+    RemoveFlow(slot);
+  }
+  Rebalance(touched_);
+  std::vector<std::function<void()>> callbacks = std::move(callbacks_);
   for (auto& cb : callbacks) cb();
+  callbacks.clear();
+  callbacks_ = std::move(callbacks);
 }
 
 ResourceStats FlowNetwork::Stats(ResourceId id) const {

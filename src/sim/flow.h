@@ -11,16 +11,24 @@
 // This model reproduces the contention phenomena the Hi-WAY paper's
 // evaluation rests on: a saturated 1 GbE switch (Fig. 4), a shared EBS
 // volume (Fig. 8), and stress-process interference (Fig. 9).
+//
+// A max-min fair allocation decomposes over the connected components of
+// the flow–resource graph, so every change (start, cancel, completion,
+// capacity change) re-solves only the component(s) containing the
+// resources it touched (docs/simulator-model.md, "Scoped re-solves").
 
 #ifndef HIWAY_SIM_FLOW_H_
 #define HIWAY_SIM_FLOW_H_
 
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/flat_hash.h"
 #include "src/common/status.h"
 #include "src/sim/engine.h"
 
@@ -81,7 +89,8 @@ class FlowNetwork {
   double Capacity(ResourceId id) const;
   const std::string& ResourceName(ResourceId id) const;
 
-  /// Starts a flow; rates of all flows are re-balanced immediately.
+  /// Starts a flow; rates of the flows it now shares resources with
+  /// (transitively) are re-balanced immediately.
   FlowId StartFlow(FlowSpec spec);
 
   /// Cancels an in-flight flow without invoking its completion callback.
@@ -117,29 +126,73 @@ class FlowNetwork {
     double peak_rate = 0.0;
     double current_rate = 0.0;    // sum of flow rates at `last_update`
     int active_count = 0;         // flows crossing this resource
+    // Adjacency: slots of the flows crossing this resource, one entry per
+    // crossing (unordered; the solver sorts by FlowId).
+    std::vector<uint32_t> flows;
+    // Solver scratch: walk stamp and index into `fill_res_`.
+    uint64_t visit = 0;
+    uint32_t local = 0;
   };
 
   struct Flow {
-    std::vector<ResourceId> resources;
+    FlowId id = 0;
     double remaining = 0.0;
+    double rate = 0.0;
     double rate_cap = kNoRateCap;
     double weight = 1.0;
-    double rate = 0.0;
+    uint64_t visit = 0;  // walk stamp
+    std::vector<ResourceId> resources;
     std::function<void()> on_complete;
+  };
+
+  // Per-call solver state, kept in members so their storage is reused.
+  struct FillFlow {
+    uint32_t slot;
+    uint32_t first_res;  // range in `fill_res_index_`
+    uint32_t num_res;
+    double weight;
+    double rate_cap;
+    double cap_level;  // rate_cap / weight
+    double rate;
+  };
+  struct FillResource {
+    double remaining_capacity;
+    double unfrozen_weight;
+    int unfrozen_count;  // after filling: flows crossing it
+    double level;        // saturation level this round, if unfrozen_count > 0
+    double rate_sum;
   };
 
   /// Advances all flow progress / statistics to engine_->Now().
   void Settle();
 
-  /// Recomputes max-min fair rates and (re)schedules the next completion.
-  void Rebalance();
+  /// Recomputes max-min fair rates on the component(s) containing `seeds`
+  /// and (re)schedules the next completion.
+  void Rebalance(std::span<const ResourceId> seeds);
+
+  /// Removes the flow in `slot` from dense storage and the adjacency.
+  void RemoveFlow(uint32_t slot);
 
   /// Event handler: completes every flow whose demand has been delivered.
   void OnCompletionEvent();
 
   SimEngine* engine_;
   std::vector<Resource> resources_;
-  std::map<FlowId, Flow> flows_;
+  // Dense flow storage: active flows occupy slots [0, flows_.size()).
+  std::vector<Flow> flows_;
+  FlatHashMap<FlowId, uint32_t> slot_of_;
+  uint64_t walk_ = 0;
+  std::vector<ResourceId> comp_res_;
+  std::vector<FillFlow> fill_flows_;
+  std::vector<std::pair<FlowId, uint32_t>> order_;  // (id, fill_flows_ index)
+  std::vector<std::pair<FlowId, uint32_t>> order_tmp_;
+  std::vector<FillResource> fill_res_;
+  std::vector<uint32_t> fill_res_index_;
+  std::vector<uint32_t> unfrozen_;
+  std::vector<uint8_t> freeze_;
+  std::vector<ResourceId> touched_;
+  std::vector<FlowId> done_;
+  std::vector<std::function<void()>> callbacks_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0.0;
   SimTime stats_start_ = 0.0;

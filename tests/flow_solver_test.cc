@@ -1,0 +1,203 @@
+// Property test: FlowNetwork's scoped (per-component) max-min solver
+// against the global reference solver in flow_oracle.h.
+//
+// Seeded random networks (1–40 resources, flows over 1–5 resources with
+// finite and infinite rate caps, weights and demands) are driven through
+// starts, cancels, capacity changes and completions. After every engine
+// event each active flow's CurrentRate must equal the oracle's rate for the
+// same active set, exactly or within 1e-12 relative.
+//
+// Known divergence: the global solver raises one shared level across all
+// components, and a flow freezes once its bottleneck is within
+// kRateEpsilon (1e-12) of that level. If component B would saturate at a
+// level within kRateEpsilon above component A's, the global solver
+// freezes B's flows at A's level while the scoped solver uses B's own.
+// The rates then differ by at most kRateEpsilon x weight — inside the
+// tolerance for the levels generated here (EpsilonTieIsTheKnownDivergence
+// pins a concrete case).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <map>
+#include <memory>
+
+#include "src/common/random.h"
+#include "src/common/strings.h"
+#include "src/sim/flow.h"
+#include "tests/flow_oracle.h"
+
+namespace hiway {
+namespace {
+
+bool SameRate(double got, double want) {
+  if (got == want) return true;
+  return std::fabs(got - want) <=
+         1e-12 * std::max(std::fabs(got), std::fabs(want));
+}
+
+struct Harness {
+  SimEngine engine;
+  FlowNetwork net{&engine};
+  Rng rng;
+  std::vector<ResourceId> resources;
+  std::map<FlowId, OracleFlow> active;  // the model: flows in flight
+  int checks = 0;
+  int exact = 0;
+
+  explicit Harness(uint64_t seed) : rng(seed) {}
+
+  double RandomCapacity() {
+    double u = rng.NextDouble();
+    if (u < 0.05) return kInfiniteDemand;  // an unconstrained resource
+    if (u < 0.10) return 0.0;              // a dead device
+    if (u < 0.30) return static_cast<double>(1 + rng.UniformInt(100));
+    return rng.Uniform(1.0, 1000.0);
+  }
+
+  void StartRandomFlow() {
+    OracleFlow f;
+    size_t hops = 1 + rng.UniformInt(5);
+    for (size_t i = 0; i < hops; ++i) {
+      // With replacement: a flow may cross the same resource twice.
+      f.resources.push_back(resources[rng.UniformInt(resources.size())]);
+    }
+    double u = rng.NextDouble();
+    if (u < 0.5) {
+      f.rate_cap = kNoRateCap;
+    } else if (u < 0.7) {
+      f.rate_cap = static_cast<double>(1 + rng.UniformInt(8));
+    } else {
+      f.rate_cap = rng.Uniform(0.1, 500.0);
+    }
+    f.weight = rng.NextDouble() < 0.5 ? 1.0 : rng.Uniform(0.25, 8.0);
+    FlowSpec spec;
+    spec.resources = f.resources;
+    spec.demand = rng.NextDouble() < 0.3 ? kInfiniteDemand
+                                         : rng.Uniform(1.0, 2000.0);
+    spec.rate_cap = f.rate_cap;
+    spec.weight = f.weight;
+    auto id = std::make_shared<FlowId>(0);
+    bool chain = rng.NextDouble() < 0.3;
+    spec.on_complete = [this, id, chain] {
+      ASSERT_EQ(active.erase(*id), 1u);
+      // Completion callbacks often start follow-up work.
+      if (chain) StartRandomFlow();
+    };
+    *id = net.StartFlow(std::move(spec));
+    active.emplace(*id, std::move(f));
+  }
+
+  void CancelRandomFlow() {
+    if (active.empty()) return;
+    auto it = active.begin();
+    std::advance(it, static_cast<long>(rng.UniformInt(active.size())));
+    net.CancelFlow(it->first);
+    active.erase(it);
+  }
+
+  void Check() {
+    ASSERT_EQ(net.active_flows(), active.size());
+    std::vector<double> capacities;
+    for (ResourceId r : resources) capacities.push_back(net.Capacity(r));
+    std::map<FlowId, double> want = GlobalMaxMinRates(capacities, active);
+    for (const auto& [id, rate] : want) {
+      ASSERT_TRUE(net.IsActive(id)) << "flow " << id;
+      double got = net.CurrentRate(id);
+      ASSERT_TRUE(SameRate(got, rate))
+          << "flow " << id << ": scoped " << got << " vs global " << rate
+          << " at t=" << engine.Now();
+      ++checks;
+      if (got == rate) ++exact;
+    }
+  }
+};
+
+class FlowSolverOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowSolverOracleTest, ScopedRatesMatchGlobalSolver) {
+  Harness h(static_cast<uint64_t>(GetParam()) * 104729 + 17);
+  size_t num_resources = 1 + h.rng.UniformInt(40);
+  for (size_t i = 0; i < num_resources; ++i) {
+    h.resources.push_back(h.net.AddResource(
+        StrFormat("r%d", static_cast<int>(i)), h.RandomCapacity()));
+  }
+  // Actions are engine events at random times, interleaved with the
+  // network's own completion events.
+  const int kActions = 120;
+  for (int i = 0; i < kActions; ++i) {
+    double at = h.rng.Uniform(0.0, 50.0);
+    double u = h.rng.NextDouble();
+    if (u < 0.6) {
+      h.engine.ScheduleAt(at, [&h] { h.StartRandomFlow(); });
+    } else if (u < 0.85) {
+      h.engine.ScheduleAt(at, [&h] { h.CancelRandomFlow(); });
+    } else {
+      h.engine.ScheduleAt(at, [&h] {
+        ResourceId r = h.resources[h.rng.UniformInt(h.resources.size())];
+        h.net.SetCapacity(r, h.RandomCapacity());
+      });
+    }
+  }
+  h.engine.RunUntilPredicate([&h] {
+    h.Check();
+    return ::testing::Test::HasFatalFailure();
+  });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // Infinite and starved flows outlive the event queue; cancel them one
+  // by one, checking the survivors each time.
+  while (!h.active.empty()) {
+    h.CancelRandomFlow();
+    h.Check();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  EXPECT_GT(h.checks, 0);
+  // Ties within kRateEpsilon are vanishingly rare for these inputs.
+  EXPECT_GE(h.exact, h.checks - h.checks / 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowSolverOracleTest,
+                         ::testing::Range(0, 200));
+
+TEST(FlowSolverTest, EpsilonTieIsTheKnownDivergence) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  const double kTie = 1.0 + 5e-13;  // within kRateEpsilon of 1.0
+  ResourceId a = net.AddResource("a", 1.0);
+  ResourceId b = net.AddResource("b", kTie);
+  FlowId fa = net.StartFlow({{a}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  FlowId fb = net.StartFlow({{b}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  std::map<FlowId, OracleFlow> flows = {{fa, {{a}}}, {fb, {{b}}}};
+  std::map<FlowId, double> global = GlobalMaxMinRates({1.0, kTie}, flows);
+  // The global solver freezes b's flow at a's level; the scoped solver
+  // gives it b's full capacity.
+  EXPECT_EQ(global[fb], 1.0);
+  EXPECT_EQ(net.CurrentRate(fb), kTie);
+  EXPECT_EQ(net.CurrentRate(fa), global[fa]);
+  EXPECT_TRUE(SameRate(net.CurrentRate(fb), global[fb]));
+}
+
+TEST(FlowSolverTest, CancelSplitsComponent) {
+  // A bridging flow couples two resources; once it leaves, each side is
+  // re-solved on its own.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ResourceId a = net.AddResource("a", 10.0);
+  ResourceId b = net.AddResource("b", 30.0);
+  FlowId fa = net.StartFlow({{a}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  FlowId fb = net.StartFlow({{b}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  FlowId bridge =
+      net.StartFlow({{a, b}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  EXPECT_DOUBLE_EQ(net.CurrentRate(fa), 5.0);
+  EXPECT_DOUBLE_EQ(net.CurrentRate(bridge), 5.0);
+  EXPECT_DOUBLE_EQ(net.CurrentRate(fb), 25.0);
+  net.CancelFlow(bridge);
+  EXPECT_DOUBLE_EQ(net.CurrentRate(fa), 10.0);
+  EXPECT_DOUBLE_EQ(net.CurrentRate(fb), 30.0);
+  EXPECT_EQ(net.active_flows(), 2u);
+}
+
+}  // namespace
+}  // namespace hiway

@@ -231,6 +231,27 @@ TEST(FlowTest, CapacityChangeMidFlight) {
   EXPECT_NEAR(t, 6.0, 1e-6);
 }
 
+// A finite flow capped at rate 0 would never complete and no completion
+// event would ever be scheduled: a silent hang, so it is rejected.
+TEST(FlowDeathTest, ZeroRateCapOnFiniteFlowIsRejected) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ResourceId r = net.AddResource("cpu", 4.0);
+  EXPECT_DEATH(net.StartFlow({{r}, 10.0, 0.0, 1.0, {}}), "rate_cap");
+  // Permanent background flows may idle at a zero cap.
+  net.StartFlow({{r}, kInfiniteDemand, 0.0, 1.0, {}});
+  EXPECT_EQ(net.active_flows(), 1u);
+}
+
+TEST(FlowDeathTest, NegativeCapacityIsRejected) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ResourceId r = net.AddResource("r", 100.0);
+  EXPECT_DEATH(net.SetCapacity(r, -1.0), "capacity");
+  net.SetCapacity(r, 0.0);
+  EXPECT_EQ(net.Capacity(r), 0.0);
+}
+
 TEST(FlowTest, StatsTrackUtilisation) {
   SimEngine engine;
   FlowNetwork net(&engine);

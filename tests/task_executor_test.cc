@@ -100,6 +100,27 @@ TEST(TaskExecutorTest, ThreadCapAndContainerSizeGovernComputeRate) {
   EXPECT_NEAR(makespan, 5.0 + 0.1 + 0.1, 0.25);
 }
 
+// A registered profile with max_threads <= 0 used to yield a CPU flow
+// capped at rate 0 that never completed; it now runs single-threaded.
+TEST(TaskExecutorTest, NonPositiveMaxThreadsRunsOnOneThread) {
+  for (int threads : {0, -3}) {
+    ExecRig rig;
+    rig.tools.Register(FixedTool("broken", 10.0, threads));
+    ASSERT_TRUE(rig.dfs->IngestFile("/in", 1 << 20, NodeId{0}).ok());
+    bool done = false;
+    double makespan = 0.0;
+    rig.executor->Execute(SimpleTask("broken", {"/in"}, "/out"), 0, 4,
+                          [&](TaskAttemptOutcome o) {
+                            EXPECT_TRUE(o.result.status.ok());
+                            makespan = o.result.Makespan();
+                            done = true;
+                          });
+    rig.engine.Run();
+    ASSERT_TRUE(done) << "max_threads=" << threads;
+    EXPECT_NEAR(makespan, 10.0, 0.1) << "max_threads=" << threads;
+  }
+}
+
 TEST(TaskExecutorTest, SlowNodesTakeProportionallyLonger) {
   ExecRig slow(2, /*speed_factor_node0=*/0.5);
   slow.tools.Register(FixedTool("tool", 10.0));
