@@ -7,8 +7,9 @@
 // point, so the RM carries a sustained pending backlog — the workload
 // the incremental allocation pass exists for.
 //
-// Every grid point runs under allocation_mode=incremental and again
-// under "full-scan" (the pre-refactor O(pending) scan per allocation).
+// Every grid point runs in mode "incremental" (the RM's production pass
+// engine) and again in mode "full-scan" (the reference oracle from
+// tests/oracles/rm_oracle.h: an O(pending) re-score per allocation).
 // Three gates:
 //   1. schedule-identical: the (app, node, vcores, time) allocation
 //      stream fingerprint matches between modes on every point;
@@ -35,6 +36,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
 #include "src/yarn/yarn.h"
+#include "tests/oracles/rm_oracle.h"
 
 namespace hiway {
 namespace {
@@ -112,9 +114,9 @@ Result<PointResult> RunPoint(int nodes, int workflows,
   node.memory_mb = 8192.0;
   Cluster cluster(&engine, &net, ClusterSpec::Uniform(nodes, node, 1000.0));
   YarnOptions options;
-  options.scheduler = "fair";
-  options.allocation_mode = mode;
+  options.scheduler = RmPolicy::kFair;
   ResourceManager rm(&cluster, options);
+  if (mode == "full-scan") RmOracle::UseFullScanPass(&rm);
   for (int q = 0; q < kQueues; ++q) {
     RmQueueConfig config;
     config.name = StrFormat("q%d", q);

@@ -90,15 +90,9 @@ void PrintUsage() {
       "multi-tenant service mode (many AMs in one deployment):\n"
       "  --service                run all --workflow flags concurrently\n"
       "                           through the WorkflowService gateway\n"
-      "  --rm-scheduler NAME      fifo | capacity | fair (default fifo)\n"
-      "  --allocation-mode MODE   incremental (default) | full-scan: the\n"
-      "                           RM allocation-pass implementation\n"
-      "                           (docs/scaling.md; full-scan is the\n"
-      "                           pre-refactor O(apps) reference pass)\n"
-      "  --heartbeat-batch S      coalesce all AM->RM heartbeats into one\n"
-      "                           service sweep every S seconds (default\n"
-      "                           0 = per-AM heartbeat loops; shifts\n"
-      "                           heartbeat timing, see docs/scaling.md)\n"
+      "  --rm-scheduler NAME      RM policy: fifo | capacity | fair\n"
+      "                           (default fifo; same as -a\n"
+      "                           yarn/scheduler=NAME, in either mode)\n"
       "  --queue NAME             submit subsequent --workflow flags to\n"
       "                           this service queue (default 'default')\n"
       "  --queue-config NAME=G,M,AMS,BACKLOG\n"
@@ -197,8 +191,6 @@ struct CliOptions {
   bool verbose = false;
   // Service mode.
   bool service = false;
-  std::string rm_scheduler = "fifo";
-  double heartbeat_batch = 0.0;
   std::vector<ServiceQueueOptions> queue_configs;
   std::string faults;
   bool footprint_admission = false;
@@ -258,20 +250,10 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       HIWAY_RETURN_IF_ERROR(ParseInt64(v).status());
       options.attributes["yarn/max_preempt_per_round"] = v;
     } else if (arg == "--rm-scheduler") {
-      HIWAY_ASSIGN_OR_RETURN(options.rm_scheduler,
-                             need_value(i, "--rm-scheduler"));
-    } else if (arg == "--allocation-mode") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--allocation-mode"));
-      if (v != "incremental" && v != "full-scan") {
-        return Status::InvalidArgument(
-            "--allocation-mode must be 'incremental' or 'full-scan'");
-      }
-      options.attributes["yarn/allocation_mode"] = v;
-    } else if (arg == "--heartbeat-batch") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--heartbeat-batch"));
-      HIWAY_ASSIGN_OR_RETURN(options.heartbeat_batch, ParseDouble(v));
+      // One decision in both modes: the deployment's RM policy. The
+      // hadoop::install recipe parses it (unknown names fail there).
+      HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--rm-scheduler"));
+      options.attributes["yarn/scheduler"] = v;
     } else if (arg == "--queue") {
       HIWAY_ASSIGN_OR_RETURN(current_queue, need_value(i, "--queue"));
     } else if (arg == "--queue-config") {
@@ -563,11 +545,10 @@ Result<int> RunService(const CliOptions& cli) {
                          ConvergeDeployment(cli));
 
   WorkflowServiceOptions service_options;
-  service_options.rm_scheduler = cli.rm_scheduler;
+  service_options.rm_scheduler = ToString(d->rm->policy());
   service_options.queues = cli.queue_configs;
   service_options.base_seed = cli.seed;
   service_options.default_policy = cli.policy;
-  service_options.heartbeat_batch = cli.heartbeat_batch;
   service_options.footprint_admission = cli.footprint_admission;
   // Queues referenced by --queue but never configured get the defaults.
   for (const CliWorkflow& wf : cli.workflows) {
@@ -609,7 +590,7 @@ Result<int> RunService(const CliOptions& cli) {
 
   std::printf(
       "hiway: service mode, %zu workflow(s), rm scheduler '%s', %d nodes\n",
-      cli.workflows.size(), cli.rm_scheduler.c_str(),
+      cli.workflows.size(), ToString(d->rm->policy()),
       d->cluster->num_nodes());
   if (!injector.armed().empty()) {
     std::printf("hiway: faults armed: %s\n", cli.faults.c_str());
@@ -667,7 +648,7 @@ Result<int> RunService(const CliOptions& cli) {
     }
   }
   std::printf("\nqueues (RM scheduler '%s'):\n",
-              d->rm->scheduler_name().c_str());
+              ToString(d->rm->policy()));
   for (const QueueLoadSummary& q : SummarizeQueues(*d->rm)) {
     std::printf("  %-12s apps=%d allocations=%lld mean-wait=%s "
                 "p95-wait=%s\n",

@@ -163,9 +163,12 @@ Recipe HadoopInstallRecipe() {
     HIWAY_ASSIGN_OR_RETURN(
         yarn_opts.allocation_delay_s,
         AttrDouble(attrs, "yarn/allocation_delay_s", 0.5, 0.0, 1e9));
-    yarn_opts.scheduler = Attr(attrs, "yarn/scheduler", "fifo");
-    yarn_opts.allocation_mode =
-        Attr(attrs, "yarn/allocation_mode", "incremental");
+    auto policy = ParseRmPolicy(Attr(attrs, "yarn/scheduler", "fifo"));
+    if (!policy.ok()) {
+      return Status::InvalidArgument("attribute yarn/scheduler: " +
+                                     policy.status().message());
+    }
+    yarn_opts.scheduler = *policy;
     yarn_opts.preemption = Attr(attrs, "yarn/preemption", "false") == "true";
     HIWAY_ASSIGN_OR_RETURN(
         yarn_opts.preemption_grace_s,

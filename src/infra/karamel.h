@@ -125,8 +125,9 @@ class Karamel {
 ///   dfs/replication (3), dfs/block_mb (128), dfs/capacity_mb (0 =
 ///   unlimited; N > 0 caps raw replica-weighted DFS bytes at N MiB —
 ///   see docs/storage-model.md), yarn/allocation_delay_s (0.5),
-///   yarn/scheduler ("fifo"), yarn/allocation_mode ("incremental";
-///   "full-scan" selects the pre-refactor pass — see docs/scaling.md),
+///   yarn/scheduler ("fifo"; "capacity" or "fair" — any other name is
+///   an InvalidArgument error), yarn/preemption ("false"),
+///   yarn/preemption_grace_s (5), yarn/max_preempt_per_round (2),
 ///   obs/tracing ("off"; "on" enables the deployment tracer — see
 ///   docs/observability.md)
 Recipe HadoopInstallRecipe();

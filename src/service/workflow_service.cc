@@ -8,7 +8,6 @@
 #include "src/common/strings.h"
 #include "src/gc/footprint.h"
 #include "src/sim/fault_injector.h"
-#include "src/yarn/rm_scheduler.h"
 
 namespace hiway {
 
@@ -29,8 +28,8 @@ Result<std::unique_ptr<WorkflowService>> WorkflowService::Create(
   if (deployment == nullptr || deployment->rm == nullptr) {
     return Status::InvalidArgument("service needs a converged deployment");
   }
-  HIWAY_ASSIGN_OR_RETURN(std::unique_ptr<RmScheduler> rm_scheduler,
-                         MakeRmScheduler(options.rm_scheduler));
+  HIWAY_ASSIGN_OR_RETURN(RmPolicy rm_policy,
+                         ParseRmPolicy(options.rm_scheduler));
   if (options.queues.empty()) {
     options.queues.push_back(ServiceQueueOptions{});
   }
@@ -53,7 +52,7 @@ Result<std::unique_ptr<WorkflowService>> WorkflowService::Create(
     service->running_[q.rm.name] = 0;
     service->counters_[q.rm.name];
   }
-  deployment->rm->SetRmScheduler(std::move(rm_scheduler));
+  deployment->rm->SetPolicy(rm_policy);
   // AM failover: the RM tells the service whenever it declares an
   // application failed (node loss under the AM, heartbeat timeout,
   // injected kill) so a replacement attempt can be launched.
@@ -312,7 +311,6 @@ bool WorkflowService::TryStart(SubmissionId id) {
   HiWayOptions hiway = sub.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
-  if (options_.heartbeat_batch > 0.0) hiway.am_heartbeat_s = 0.0;
   sub.am = std::make_unique<HiWayAm>(
       deployment_->cluster.get(), deployment_->rm.get(),
       deployment_->dfs.get(), &deployment_->tools,
@@ -334,7 +332,6 @@ bool WorkflowService::TryStart(SubmissionId id) {
         deployment_->rm->RegisterAppFootprint(sub.am->app(),
                                               sub.admission_bytes);
       }
-      ScheduleHeartbeatBatch();
     }
     return true;
   }
@@ -491,7 +488,6 @@ void WorkflowService::TryRecover(SubmissionId id) {
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
   hiway.am_attempt = rec.am_attempts + 1;
-  if (options_.heartbeat_batch > 0.0) hiway.am_heartbeat_s = 0.0;
   sub.am = std::make_unique<HiWayAm>(
       deployment_->cluster.get(), deployment_->rm.get(),
       deployment_->dfs.get(), &deployment_->tools,
@@ -537,7 +533,6 @@ void WorkflowService::TryRecover(SubmissionId id) {
         deployment_->rm->RegisterAppFootprint(sub.am->app(),
                                               sub.admission_bytes);
       }
-      ScheduleHeartbeatBatch();
     }
     return;
   }
@@ -738,28 +733,6 @@ void WorkflowService::Reap() {
     subs_.erase(id);
   }
   reap_list_.clear();
-}
-
-void WorkflowService::ScheduleHeartbeatBatch() {
-  if (options_.heartbeat_batch <= 0.0 || heartbeat_scheduled_) return;
-  if (app_of_.empty()) return;
-  heartbeat_scheduled_ = true;
-  deployment_->engine.ScheduleAfter(options_.heartbeat_batch, [this] {
-    heartbeat_scheduled_ = false;
-    // One sweep over the live AMs, ascending application id. Crashed
-    // attempts stay mapped until the RM declares them failed, and a
-    // crashed AM's process is exactly what must NOT heartbeat — skip it
-    // so the RM's liveness timeout still fires.
-    for (const auto& [app, id] : app_of_) {
-      auto it = subs_.find(id);
-      if (it == subs_.end() || it->second.am == nullptr ||
-          it->second.am->crashed()) {
-        continue;
-      }
-      deployment_->rm->AmHeartbeat(app);
-    }
-    ScheduleHeartbeatBatch();
-  });
 }
 
 Status WorkflowService::RunToCompletion() {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <set>
 
 namespace hiway {
 
@@ -27,114 +25,6 @@ bool RmTenancyView::WithinMaxShare(const std::string& queue,
   double cap_memory = cfg.max_share * total_memory_mb;
   return used.vcores + r.vcores <= cap_vcores + 1e-9 &&
          used.memory_mb + r.memory_mb <= cap_memory + 1e-9;
-}
-
-namespace {
-
-/// Arrival order: byte-for-byte the original single-tenant RM behaviour.
-class FifoRmScheduler : public RmScheduler {
- public:
-  std::string name() const override { return "fifo"; }
-  RmStrategyKind kind() const override { return RmStrategyKind::kFifo; }
-  int SelectNext(const std::vector<RmCandidate>& eligible,
-                 const RmTenancyView& view) override {
-    (void)view;
-    return eligible.empty() ? -1 : 0;
-  }
-};
-
-/// Hierarchical queues with guaranteed and maximum shares: the queue
-/// furthest below its guarantee goes first; requests that would push a
-/// queue past its maximum share are not offered capacity this pass.
-class CapacityRmScheduler : public RmScheduler {
- public:
-  std::string name() const override { return "capacity"; }
-  RmStrategyKind kind() const override { return RmStrategyKind::kCapacity; }
-  int SelectNext(const std::vector<RmCandidate>& eligible,
-                 const RmTenancyView& view) override {
-    int best = -1;
-    double best_pressure = std::numeric_limits<double>::infinity();
-    const std::string* best_queue = nullptr;
-    std::set<std::string> seen;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      const RmCandidate& c = eligible[i];
-      if (!view.WithinMaxShare(*c.queue, *c.request)) continue;
-      // Only each queue's first (oldest) candidate competes; later ones
-      // inherit FIFO order within their queue.
-      if (!seen.insert(*c.queue).second) continue;
-      ResourceUsage used;
-      auto qs_it = view.queue_stats->find(*c.queue);
-      if (qs_it != view.queue_stats->end()) used = qs_it->second.usage;
-      double guaranteed = 1.0;
-      auto cfg_it = view.queue_configs->find(*c.queue);
-      if (cfg_it != view.queue_configs->end()) {
-        guaranteed = cfg_it->second.guaranteed_share;
-      }
-      if (guaranteed <= 0.0) guaranteed = 1e-9;
-      double pressure = view.DominantShare(used) / guaranteed;
-      if (pressure < best_pressure ||
-          (pressure == best_pressure && best_queue != nullptr &&
-           *c.queue < *best_queue)) {
-        best_pressure = pressure;
-        best = static_cast<int>(i);
-        best_queue = c.queue;
-      }
-    }
-    return best;
-  }
-};
-
-/// Dominant-resource fairness across applications: the app with the
-/// smallest weighted dominant share is served first (Ghodsi et al.,
-/// NSDI'11). Queue maximum shares still cap aggregate usage.
-class FairRmScheduler : public RmScheduler {
- public:
-  std::string name() const override { return "fair"; }
-  RmStrategyKind kind() const override { return RmStrategyKind::kFair; }
-  int SelectNext(const std::vector<RmCandidate>& eligible,
-                 const RmTenancyView& view) override {
-    int best = -1;
-    double best_share = std::numeric_limits<double>::infinity();
-    ApplicationId best_app = -1;
-    std::set<ApplicationId> seen;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      const RmCandidate& c = eligible[i];
-      if (!view.WithinMaxShare(*c.queue, *c.request)) continue;
-      // Only each app's oldest candidate competes (FIFO within app).
-      if (!seen.insert(c.app).second) continue;
-      ResourceUsage used;
-      auto as_it = view.app_stats->find(c.app);
-      if (as_it != view.app_stats->end()) used = as_it->second.usage;
-      double weight = 1.0;
-      auto cfg_it = view.queue_configs->find(*c.queue);
-      if (cfg_it != view.queue_configs->end()) {
-        weight = cfg_it->second.weight;
-      }
-      if (weight <= 0.0) weight = 1e-9;
-      double share = view.DominantShare(used) / weight;
-      if (share < best_share ||
-          (share == best_share && c.app < best_app)) {
-        best_share = share;
-        best = static_cast<int>(i);
-        best_app = c.app;
-      }
-    }
-    return best;
-  }
-};
-
-}  // namespace
-
-Result<std::unique_ptr<RmScheduler>> MakeRmScheduler(
-    const std::string& name) {
-  if (name == "fifo") return std::unique_ptr<RmScheduler>(
-      std::make_unique<FifoRmScheduler>());
-  if (name == "capacity") return std::unique_ptr<RmScheduler>(
-      std::make_unique<CapacityRmScheduler>());
-  if (name == "fair") return std::unique_ptr<RmScheduler>(
-      std::make_unique<FairRmScheduler>());
-  return Status::InvalidArgument(
-      "unknown RM scheduler '" + name + "' (want fifo | capacity | fair)");
 }
 
 std::vector<ContainerId> SelectPreemptionVictims(
@@ -212,18 +102,6 @@ std::vector<ContainerId> SelectPreemptionVictims(
     pool.erase(pool.begin() + static_cast<ptrdiff_t>(best));
   }
   return victims;
-}
-
-double JainFairnessIndex(const std::vector<double>& xs) {
-  if (xs.empty()) return 1.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (double x : xs) {
-    sum += x;
-    sum_sq += x * x;
-  }
-  if (sum_sq <= 0.0) return 1.0;
-  return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
 }
 
 }  // namespace hiway

@@ -1,53 +1,46 @@
-// Pluggable ResourceManager scheduling strategies (the counterpart of
-// YARN's FifoScheduler / CapacityScheduler / FairScheduler).
+// Scoring rules of the ResourceManager's closed set of policies (the
+// counterpart of YARN's FifoScheduler / CapacityScheduler /
+// FairScheduler), plus preemption victim selection.
 //
-// The RM's allocation pass is a loop: the strategy picks which pending
-// request to try next, the RM attempts the placement (locality preference,
-// strict placement, blacklists — shared across all strategies), and the
-// strategy is consulted again with the shrunken candidate set. Three
-// implementations:
+// An allocation pass repeatedly picks the pending request to try next,
+// attempts the placement (locality preference, strict placement,
+// blacklists — shared by all policies), and picks again. RmPolicy
+// (src/yarn/yarn.h) selects the order:
 //
 //  * fifo     — arrival order; byte-for-byte the seed RM behaviour.
 //  * capacity — hierarchical queues with guaranteed and maximum shares:
-//               the queue furthest below its guarantee is served first,
-//               and no queue may exceed its maximum share.
+//               the queue furthest below its guarantee (smallest
+//               dominant share / guaranteed share, ties to the smaller
+//               queue name) is served first, FIFO within a queue, and no
+//               queue may exceed its maximum share.
 //  * fair     — dominant-resource fairness (DRF, Ghodsi et al.) across
-//               applications: the app with the smallest weighted dominant
-//               share of (vcores, memory) is served first. Queue maximum
-//               shares are still enforced.
+//               applications: the app with the smallest dominant share /
+//               queue weight (ties to the smaller app id) is served
+//               first, FIFO within an app. Queue maximum shares are still
+//               enforced.
+//
+// Each policy has one implementation, a pass engine in yarn.cc (FifoPass,
+// GroupedPass). The naive re-score-every-pick loop they are checked
+// against is the test oracle in tests/oracles/rm_oracle.h.
 
 #ifndef HIWAY_YARN_RM_SCHEDULER_H_
 #define HIWAY_YARN_RM_SCHEDULER_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/flat_hash.h"
-#include "src/common/result.h"
 #include "src/yarn/yarn.h"
 
 namespace hiway {
 
-/// One pending request offered to the strategy.
-struct RmCandidate {
-  /// Position in the allocation pass's slot table (opaque to strategies;
-  /// returned by the RM untouched so it can find the slot again).
-  size_t slot = 0;
-  ApplicationId app = -1;
-  const std::string* queue = nullptr;
-  const ContainerRequest* request = nullptr;
-  /// Virtual time the request entered the RM queue.
-  double submitted_at = 0.0;
-};
-
-/// Read-only multi-tenancy state the RM exposes to strategies. All maps
-/// are owned by the RM and live for the duration of the SelectNext call.
-/// The per-tenant stats are flat-hash maps (unordered iteration, stable
-/// references; see src/common/flat_hash.h) — strategies that need a
-/// deterministic order over them must sort, as SelectPreemptionVictims
-/// does via its std::map working copy.
+/// Read-only multi-tenancy state the RM scores policies and preemption
+/// against. All maps are owned by the RM. The per-tenant stats are
+/// flat-hash maps (unordered iteration, stable references; see
+/// src/common/flat_hash.h) — code that needs a deterministic order over
+/// them must sort, as SelectPreemptionVictims does via its std::map
+/// working copy.
 struct RmTenancyView {
   int total_vcores = 0;
   double total_memory_mb = 0.0;
@@ -64,35 +57,6 @@ struct RmTenancyView {
   bool WithinMaxShare(const std::string& queue,
                       const ContainerRequest& r) const;
 };
-
-/// Which built-in policy a strategy implements. The RM's allocation pass
-/// uses this to dispatch to an incremental engine that reproduces the
-/// strategy's SelectNext order without materialising and re-scoring the
-/// full candidate list per pick (docs/scaling.md). kCustom — the default
-/// for out-of-tree strategies — falls back to the generic SelectNext
-/// loop, which stays correct at any scale, just O(pending²) per pass.
-enum class RmStrategyKind { kFifo, kCapacity, kFair, kCustom };
-
-class RmScheduler {
- public:
-  virtual ~RmScheduler() = default;
-  virtual std::string name() const = 0;
-
-  /// Declares which built-in policy this strategy implements so the RM
-  /// may run its incremental equivalent. Only override when SelectNext
-  /// is order-identical to that built-in.
-  virtual RmStrategyKind kind() const { return RmStrategyKind::kCustom; }
-
-  /// Returns the index into `eligible` of the request the RM should try
-  /// to place next, or -1 to end the pass. The RM removes the chosen
-  /// candidate from the eligible set whether or not placement succeeds,
-  /// so every pass terminates.
-  virtual int SelectNext(const std::vector<RmCandidate>& eligible,
-                         const RmTenancyView& view) = 0;
-};
-
-/// Builds a strategy by name: "fifo" | "capacity" | "fair".
-Result<std::unique_ptr<RmScheduler>> MakeRmScheduler(const std::string& name);
 
 /// One running container offered as a potential preemption victim, with
 /// the queue its application is charged to (resolved by the RM).
@@ -120,11 +84,6 @@ std::vector<ContainerId> SelectPreemptionVictims(
     const std::vector<PreemptionCandidate>& candidates,
     const RmTenancyView& view, const std::string& starved_queue,
     const ResourceUsage& needed, int max_victims);
-
-/// Jain's fairness index over non-negative values: (Σx)² / (n·Σx²).
-/// 1.0 = perfectly fair; 1/n = one tenant holds everything. Returns 1.0
-/// for empty or all-zero input (no contention to be unfair about).
-double JainFairnessIndex(const std::vector<double>& xs);
 
 }  // namespace hiway
 

@@ -23,19 +23,22 @@ const char* ToString(ContainerLossReason reason) {
   return "unknown";
 }
 
-namespace {
-
-/// Dominant share of `u` against live cluster capacity.
-double Dominant(const ResourceUsage& u, int total_vcores,
-                double total_memory_mb) {
-  double cores = total_vcores > 0
-                     ? static_cast<double>(u.vcores) / total_vcores
-                     : 0.0;
-  double mem = total_memory_mb > 0.0 ? u.memory_mb / total_memory_mb : 0.0;
-  return std::max(cores, mem);
+Result<RmPolicy> ParseRmPolicy(const std::string& name) {
+  if (name == "fifo") return RmPolicy::kFifo;
+  if (name == "capacity") return RmPolicy::kCapacity;
+  if (name == "fair") return RmPolicy::kFair;
+  return Status::InvalidArgument("unknown RM scheduler '" + name +
+                                 "' (want fifo | capacity | fair)");
 }
 
-}  // namespace
+const char* ToString(RmPolicy policy) {
+  switch (policy) {
+    case RmPolicy::kFifo: return "fifo";
+    case RmPolicy::kCapacity: return "capacity";
+    case RmPolicy::kFair: return "fair";
+  }
+  return "unknown";
+}
 
 ResourceManager::ResourceManager(Cluster* cluster, YarnOptions options)
     : cluster_(cluster), options_(std::move(options)) {
@@ -49,19 +52,9 @@ ResourceManager::ResourceManager(Cluster* cluster, YarnOptions options)
     IndexNode(n);
   }
   queue_configs_["default"] = RmQueueConfig{};
-  auto scheduler = MakeRmScheduler(options_.scheduler);
-  HIWAY_CHECK(scheduler.ok());
-  scheduler_ = std::move(*scheduler);
-  scheduler_name_ = scheduler_->name();
 }
 
 ResourceManager::~ResourceManager() = default;
-
-void ResourceManager::SetRmScheduler(std::unique_ptr<RmScheduler> scheduler) {
-  HIWAY_CHECK(scheduler != nullptr);
-  scheduler_name_ = scheduler->name();
-  scheduler_ = std::move(scheduler);
-}
 
 void ResourceManager::ConfigureQueue(const RmQueueConfig& config) {
   queue_configs_[config.name] = config;
@@ -684,73 +677,41 @@ std::vector<ApplicationId> ResourceManager::KnownApplications() const {
 
 // ---- Fairness accounting ------------------------------------------------
 
-bool ResourceManager::ContendedFairness(double* jain) const {
-  // Demand-satisfaction ratio per active application: how much of its
-  // demanded dominant share (allocated + queued) the app actually holds.
-  // Fairness is only meaningful while >= 2 applications have demand and
-  // at least one of them is backlogged. Computed from scratch, in
-  // ascending app id (the exact arithmetic the incremental aggregates
-  // are rebuilt to and tested against).
-  std::vector<ApplicationId> ids;
-  ids.reserve(apps_.size());
-  for (const auto& [app, state] : apps_) {
-    if (state.active) ids.push_back(app);
-  }
-  std::sort(ids.begin(), ids.end());
-  std::vector<double> xs;
-  bool backlogged = false;
-  for (ApplicationId app : ids) {
-    auto it = app_stats_.find(app);
-    if (it == app_stats_.end()) continue;
-    double alloc = Dominant(it->second.usage, total_vcores_,
-                            total_memory_mb_);
-    double pend = Dominant(it->second.pending, total_vcores_,
-                           total_memory_mb_);
-    if (alloc + pend <= 0.0) continue;
-    if (it->second.pending_requests > 0) backlogged = true;
-    xs.push_back(alloc / (alloc + pend));
-  }
-  if (xs.size() < 2 || !backlogged) return false;
-  *jain = JainFairnessIndex(xs);
-  return true;
+RmTenancyView ResourceManager::TenancyView() const {
+  RmTenancyView view;
+  view.total_vcores = total_vcores_;
+  view.total_memory_mb = total_memory_mb_;
+  view.app_stats = &app_stats_;
+  view.queue_stats = &queue_stats_;
+  view.queue_configs = &queue_configs_;
+  return view;
 }
 
-double ResourceManager::InstantFairness() const {
-  double jain = 1.0;
-  return ContendedFairness(&jain) ? jain : 1.0;
+ResourceManager::FairCell ResourceManager::FairnessCellOf(
+    ApplicationId app) const {
+  // Demand-satisfaction ratio: how much of its demanded dominant share
+  // (allocated + queued) the app actually holds.
+  FairCell cell;
+  auto as = app_stats_.find(app);
+  if (as == app_stats_.end()) return cell;
+  RmTenancyView view = TenancyView();
+  double alloc = view.DominantShare(as->second.usage);
+  double pend = view.DominantShare(as->second.pending);
+  if (alloc + pend <= 0.0) return cell;
+  cell.x = alloc / (alloc + pend);
+  cell.x2 = cell.x * cell.x;
+  cell.included = true;
+  cell.backlogged = as->second.pending_requests > 0;
+  return cell;
 }
 
 void ResourceManager::FairnessTouch(ApplicationId app) {
   auto it = apps_.find(app);
   if (it == apps_.end() || !it->second.active) return;
   AppState& st = it->second;
-  if (st.fair_included) {
-    fairness_agg_.sum_x -= st.fair_x;
-    fairness_agg_.sum_x2 -= st.fair_x2;
-    --fairness_agg_.n;
-    if (st.fair_backlogged) --fairness_agg_.backlogged;
-  }
-  st.fair_x = 0.0;
-  st.fair_x2 = 0.0;
-  st.fair_included = false;
-  st.fair_backlogged = false;
-  auto as = app_stats_.find(app);
-  if (as != app_stats_.end()) {
-    double alloc = Dominant(as->second.usage, total_vcores_,
-                            total_memory_mb_);
-    double pend = Dominant(as->second.pending, total_vcores_,
-                           total_memory_mb_);
-    if (alloc + pend > 0.0) {
-      st.fair_x = alloc / (alloc + pend);
-      st.fair_x2 = st.fair_x * st.fair_x;
-      st.fair_included = true;
-      st.fair_backlogged = as->second.pending_requests > 0;
-      fairness_agg_.sum_x += st.fair_x;
-      fairness_agg_.sum_x2 += st.fair_x2;
-      ++fairness_agg_.n;
-      if (st.fair_backlogged) ++fairness_agg_.backlogged;
-    }
-  }
+  if (st.fair.included) fairness_agg_.Remove(st.fair);
+  st.fair = FairnessCellOf(app);
+  if (st.fair.included) fairness_agg_.Add(st.fair);
   // The +=/-= running sums accumulate rounding error; periodically snap
   // them back to the from-scratch values.
   if (++fairness_touches_ % 4096 == 0) FairnessRebuild();
@@ -760,18 +721,13 @@ void ResourceManager::FairnessDrop(ApplicationId app) {
   auto it = apps_.find(app);
   if (it == apps_.end()) return;
   AppState& st = it->second;
-  if (!st.fair_included) return;
-  fairness_agg_.sum_x -= st.fair_x;
-  fairness_agg_.sum_x2 -= st.fair_x2;
-  --fairness_agg_.n;
-  if (st.fair_backlogged) --fairness_agg_.backlogged;
-  st.fair_x = 0.0;
-  st.fair_x2 = 0.0;
-  st.fair_included = false;
-  st.fair_backlogged = false;
+  if (st.fair.included) fairness_agg_.Remove(st.fair);
+  st.fair = FairCell{};
 }
 
 void ResourceManager::FairnessRebuild() {
+  // Ascending app id: the same summation order as the from-scratch
+  // reference index.
   fairness_agg_ = FairnessAgg{};
   std::vector<ApplicationId> ids;
   ids.reserve(apps_.size());
@@ -781,25 +737,8 @@ void ResourceManager::FairnessRebuild() {
   std::sort(ids.begin(), ids.end());
   for (ApplicationId app : ids) {
     AppState& st = apps_.at(app);
-    st.fair_x = 0.0;
-    st.fair_x2 = 0.0;
-    st.fair_included = false;
-    st.fair_backlogged = false;
-    auto as = app_stats_.find(app);
-    if (as == app_stats_.end()) continue;
-    double alloc = Dominant(as->second.usage, total_vcores_,
-                            total_memory_mb_);
-    double pend = Dominant(as->second.pending, total_vcores_,
-                           total_memory_mb_);
-    if (alloc + pend <= 0.0) continue;
-    st.fair_x = alloc / (alloc + pend);
-    st.fair_x2 = st.fair_x * st.fair_x;
-    st.fair_included = true;
-    st.fair_backlogged = as->second.pending_requests > 0;
-    fairness_agg_.sum_x += st.fair_x;
-    fairness_agg_.sum_x2 += st.fair_x2;
-    ++fairness_agg_.n;
-    if (st.fair_backlogged) ++fairness_agg_.backlogged;
+    st.fair = FairnessCellOf(app);
+    if (st.fair.included) fairness_agg_.Add(st.fair);
   }
 }
 
@@ -808,13 +747,8 @@ void ResourceManager::AccrueFairness() {
   double dt = now - fairness_last_;
   fairness_last_ = now;
   if (dt <= 0.0) return;
-  if (fairness_agg_.n < 2 || fairness_agg_.backlogged <= 0) return;
-  double jain =
-      fairness_agg_.sum_x2 <= 0.0
-          ? 1.0
-          : (fairness_agg_.sum_x * fairness_agg_.sum_x) /
-                (static_cast<double>(fairness_agg_.n) * fairness_agg_.sum_x2);
-  fairness_integral_ += jain * dt;
+  if (!fairness_agg_.contended()) return;
+  fairness_integral_ += fairness_agg_.Jain() * dt;
   fairness_time_ += dt;
 }
 
@@ -823,14 +757,8 @@ double ResourceManager::TimeAveragedFairness() const {
   double integral = fairness_integral_;
   double time = fairness_time_;
   double dt = cluster_->engine()->Now() - fairness_last_;
-  if (dt > 0.0 && fairness_agg_.n >= 2 && fairness_agg_.backlogged > 0) {
-    double jain =
-        fairness_agg_.sum_x2 <= 0.0
-            ? 1.0
-            : (fairness_agg_.sum_x * fairness_agg_.sum_x) /
-                  (static_cast<double>(fairness_agg_.n) *
-                   fairness_agg_.sum_x2);
-    integral += jain * dt;
+  if (dt > 0.0 && fairness_agg_.contended()) {
+    integral += fairness_agg_.Jain() * dt;
     time += dt;
   }
   return time > 0.0 ? integral / time : 1.0;
@@ -935,47 +863,8 @@ void ResourceManager::CommitAllocation(PassSlot& s, NodeId chosen,
       0.0, [cb, copy, cookie] { cb->OnContainerAllocated(copy, cookie); });
 }
 
-void ResourceManager::FullScanPass(std::vector<PassSlot>& slots,
-                                   const RmTenancyView& view,
-                                   bool scan_placement,
-                                   int* pass_allocations) {
-  // The generic strategy loop: rebuild the eligible candidate list and
-  // let SelectNext re-score it for every pick. O(pending²) per pass —
-  // correct for arbitrary strategies, and (with scan placement) the
-  // pre-refactor baseline the incremental engines are gated against.
-  std::vector<RmCandidate> eligible;
-  while (true) {
-    eligible.clear();
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const PassSlot& s = slots[i];
-      if (s.consumed || !s.eligible) continue;
-      RmCandidate c;
-      c.slot = i;
-      c.app = s.req.app;
-      c.queue = &app_stats_.at(s.req.app).queue;
-      c.request = &s.req.request;
-      c.submitted_at = s.req.submitted_at;
-      eligible.push_back(c);
-    }
-    if (eligible.empty()) break;
-    int pick = scheduler_->SelectNext(eligible, view);
-    if (pick < 0 || pick >= static_cast<int>(eligible.size())) break;
-    PassSlot& s = slots[eligible[static_cast<size_t>(pick)].slot];
-    NodeId chosen = scan_placement ? TryPlaceScan(s.req.request)
-                                   : TryPlace(s.req.request);
-    if (chosen == kInvalidNode) {
-      s.eligible = false;
-      continue;
-    }
-    CommitAllocation(s, chosen, pass_allocations);
-  }
-}
-
 void ResourceManager::FifoPass(std::vector<PassSlot>& slots,
                                int* pass_allocations) {
-  // FIFO always picks the first live slot, and a slot leaves the live
-  // set whether placement succeeds or fails — so one forward sweep makes
-  // exactly the legacy loop's decisions without rebuilding anything.
   for (PassSlot& s : slots) {
     if (s.consumed || !s.eligible) continue;
     NodeId chosen = TryPlace(s.req.request);
@@ -995,8 +884,8 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
   // within a group, candidates go in FIFO order; across groups, the
   // group with the smallest (score, key) wins, where the score depends
   // only on the group's own usage. So instead of re-scoring every
-  // pending request per pick (the FullScanPass), keep one cursor per
-  // group and a heap over group heads. Two facts keep this exact:
+  // pending request per pick, keep one cursor per group and a heap over
+  // group heads. Two facts keep this exact:
   //
   //  * usage only grows within a pass, so a candidate that fails
   //    WithinMaxShare now fails for the rest of the pass — cursor skips
@@ -1048,8 +937,8 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
   };
   auto score_of = [&](const Key& key, const Group& g) -> double {
     if constexpr (by_queue) {
-      // CapacityRmScheduler's pressure: queue dominant share over its
-      // guaranteed share.
+      // Capacity pressure: queue dominant share over its guaranteed
+      // share.
       ResourceUsage used;
       auto qs_it = queue_stats_.find(*g.queue);
       if (qs_it != queue_stats_.end()) used = qs_it->second.usage;
@@ -1061,8 +950,7 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
       if (guaranteed <= 0.0) guaranteed = 1e-9;
       return view.DominantShare(used) / guaranteed;
     } else {
-      // FairRmScheduler's share: app dominant share over its queue's
-      // weight.
+      // Fair (DRF) share: app dominant share over its queue's weight.
       ResourceUsage used;
       auto as_it = app_stats_.find(key);
       if (as_it != app_stats_.end()) used = as_it->second.usage;
@@ -1078,8 +966,8 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
     const Key* key;
     Group* group;
   };
-  // Min-heap on (score, key): ties go to the smaller key, matching the
-  // strategies' "< best_queue" / "< best_app" tie-breaks.
+  // Min-heap on (score, key): ties go to the smaller queue name / app
+  // id.
   struct Worse {
     bool operator()(const HeapEnt& a, const HeapEnt& b) const {
       if (a.score != b.score) return a.score > b.score;
@@ -1099,8 +987,8 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
     PassSlot& s = slots[static_cast<size_t>(idx)];
     NodeId chosen = TryPlace(s.req.request);
     if (chosen == kInvalidNode) {
-      // Same as the legacy loop: the slot leaves the pass, the group's
-      // next candidate competes at the unchanged score.
+      // The slot leaves the pass; the group's next candidate competes at
+      // the unchanged score.
       s.eligible = false;
       heap.push(e);
       continue;
@@ -1113,7 +1001,7 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
 void ResourceManager::AllocationPass() {
   auto wall_start = std::chrono::steady_clock::now();
   AccrueFairness();
-  // Snapshot the queue into a slot table. Each pass, the strategy picks
+  // Snapshot the queue into a slot table. Each pass, the policy picks
   // the next slot to try; a slot is consumed on success or becomes
   // ineligible for the rest of the pass on failure, so the loop always
   // terminates. Un-consumed requests return to the queue in their
@@ -1131,31 +1019,20 @@ void ResourceManager::AllocationPass() {
     }
   }
 
-  RmTenancyView view;
-  view.total_vcores = total_vcores_;
-  view.total_memory_mb = total_memory_mb_;
-  view.app_stats = &app_stats_;
-  view.queue_stats = &queue_stats_;
-  view.queue_configs = &queue_configs_;
-
+  RmTenancyView view = TenancyView();
   int pass_allocations = 0;
-  if (options_.allocation_mode == "full-scan") {
-    FullScanPass(slots, view, /*scan_placement=*/true, &pass_allocations);
+  if (pass_hook_) {
+    pass_hook_(slots, view, &pass_allocations);
   } else {
-    switch (scheduler_->kind()) {
-      case RmStrategyKind::kFifo:
+    switch (options_.scheduler) {
+      case RmPolicy::kFifo:
         FifoPass(slots, &pass_allocations);
         break;
-      case RmStrategyKind::kCapacity:
+      case RmPolicy::kCapacity:
         GroupedPass<std::string>(slots, view, &pass_allocations);
         break;
-      case RmStrategyKind::kFair:
+      case RmPolicy::kFair:
         GroupedPass<ApplicationId>(slots, view, &pass_allocations);
-        break;
-      case RmStrategyKind::kCustom:
-        // Unknown strategy: generic loop, but still indexed placement.
-        FullScanPass(slots, view, /*scan_placement=*/false,
-                     &pass_allocations);
         break;
     }
   }
@@ -1184,7 +1061,7 @@ bool ResourceManager::QueueStarved(const std::string& queue) const {
   if (qs_it == queue_stats_.end()) return false;
   const TenantStats& qs = qs_it->second;
   if (qs.pending_requests <= 0) return false;  // no unmet demand
-  return Dominant(qs.usage, total_vcores_, total_memory_mb_) + 1e-9 <
+  return TenancyView().DominantShare(qs.usage) + 1e-9 <
          cfg_it->second.guaranteed_share;
 }
 
@@ -1265,14 +1142,8 @@ int ResourceManager::PreemptFor(const std::string& starved, int budget) {
             [](const PreemptionCandidate& a, const PreemptionCandidate& b) {
               return a.container.id < b.container.id;
             });
-  RmTenancyView view;
-  view.total_vcores = total_vcores_;
-  view.total_memory_mb = total_memory_mb_;
-  view.app_stats = &app_stats_;
-  view.queue_stats = &queue_stats_;
-  view.queue_configs = &queue_configs_;
-  std::vector<ContainerId> victims =
-      SelectPreemptionVictims(candidates, view, starved, needed, budget);
+  std::vector<ContainerId> victims = SelectPreemptionVictims(
+      candidates, TenancyView(), starved, needed, budget);
   int killed = 0;
   for (ContainerId id : victims) {
     auto it = containers_.find(id);

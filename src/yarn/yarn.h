@@ -7,13 +7,14 @@
 // the paper): request container -> allocation callback -> launch work ->
 // release / failure notification — for MANY concurrent application
 // masters sharing one cluster (the paper's scalability pillar: one AM
-// per workflow). Which pending request is served first is delegated to a
-// pluggable RmScheduler strategy (src/yarn/rm_scheduler.h): FIFO
-// (default, the original single-tenant behaviour), a CapacityScheduler
-// with per-queue guaranteed/maximum shares, or a FairScheduler using
-// dominant-resource fairness. The RM additionally keeps per-application
-// and per-queue accounting (counters, allocated shares, request wait
-// times, a time-averaged Jain fairness index) for multi-tenant metrics.
+// per workflow). Which pending request is served first is one of a
+// closed set of RM policies (RmPolicy): FIFO (default, the original
+// single-tenant behaviour), a CapacityScheduler with per-queue
+// guaranteed/maximum shares, or a FairScheduler using dominant-resource
+// fairness. Each policy has exactly one implementation, an allocation
+// pass engine in yarn.cc. The RM additionally keeps per-application and
+// per-queue accounting (counters, allocated shares, request wait times,
+// a time-averaged Jain fairness index) for multi-tenant metrics.
 //
 // The hot path is built for thousands of concurrent applications on
 // thousands of nodes (docs/scaling.md): per-event lookups go through
@@ -22,10 +23,9 @@
 // fleet, the allocation pass keeps per-queue/per-app candidate groups in
 // a heap instead of re-scoring every pending request per pick, and the
 // Jain fairness accounting maintains incremental aggregates instead of
-// recomputing per-app shares on every state change. The pre-refactor
-// full-scan pass survives behind YarnOptions::allocation_mode so tests
-// and bench_scale can prove the incremental path schedule-identical and
-// measure the speedup.
+// recomputing per-app shares on every state change. The naive full-scan
+// pass and the from-scratch fairness index these are checked against
+// live in the test oracle library (tests/oracles/rm_oracle.h).
 
 #ifndef HIWAY_YARN_YARN_H_
 #define HIWAY_YARN_YARN_H_
@@ -34,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,8 +50,17 @@ using ApplicationId = int32_t;
 using ContainerId = int64_t;
 constexpr ContainerId kInvalidContainer = -1;
 
-class RmScheduler;
 struct RmTenancyView;
+class RmOracle;
+
+/// The RM's scheduling policy: which pending request an allocation pass
+/// serves first (src/yarn/rm_scheduler.h has the scoring rules).
+enum class RmPolicy { kFifo, kCapacity, kFair };
+
+/// Parses "fifo" | "capacity" | "fair"; any other name is InvalidArgument
+/// naming the token.
+Result<RmPolicy> ParseRmPolicy(const std::string& name);
+const char* ToString(RmPolicy policy);
 
 /// A leased slice of one node.
 struct Container {
@@ -213,16 +221,8 @@ struct YarnOptions {
   /// Latency between a request (or a release) and the allocation pass,
   /// modelling the NM/AM heartbeat cadence.
   double allocation_delay_s = 0.5;
-  /// NodeManager heartbeat period; only used for master-load accounting.
-  double nm_heartbeat_s = 1.0;
-  /// RM scheduling strategy: "fifo" (default) | "capacity" | "fair".
-  std::string scheduler = "fifo";
-  /// Allocation-pass engine (docs/scaling.md): "incremental" (default)
-  /// uses indexed placement, per-group candidate heaps, and single-sweep
-  /// FIFO; "full-scan" is the pre-refactor O(pending²·nodes) pass kept
-  /// for equivalence tests and as bench_scale's speedup baseline. Both
-  /// produce identical schedules.
-  std::string allocation_mode = "incremental";
+  /// RM scheduling policy.
+  RmPolicy scheduler = RmPolicy::kFifo;
   /// An application that has sent at least one AmHeartbeat() and then
   /// stays silent this long is declared failed (AM liveness tracking).
   /// Applications that never heartbeat are not monitored.
@@ -246,10 +246,10 @@ class ResourceManager {
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
-  /// Replaces the scheduling strategy (existing pending requests are
-  /// re-ordered by the new strategy from the next pass on).
-  void SetRmScheduler(std::unique_ptr<RmScheduler> scheduler);
-  const std::string& scheduler_name() const { return scheduler_name_; }
+  /// Switches the scheduling policy (existing pending requests are
+  /// re-ordered by the new policy from the next pass on).
+  void SetPolicy(RmPolicy policy) { options_.scheduler = policy; }
+  RmPolicy policy() const { return options_.scheduler; }
 
   /// Defines or reconfigures a queue. The "default" queue always exists
   /// (guaranteed = max = 1.0).
@@ -405,10 +405,6 @@ class ResourceManager {
   /// benches report. Maintained incrementally (O(1) per state change)
   /// with periodic exact rebuilds to bound floating-point drift.
   double TimeAveragedFairness() const;
-  /// The instantaneous index over the current state (diagnostics/tests).
-  /// Always computed from scratch — the reference the incremental
-  /// aggregates are checked against in tests.
-  double InstantFairness() const;
 
   /// Allocation passes executed so far, and the total host wall-clock
   /// time spent inside them (bench_scale's per-pass cost metric; the
@@ -428,6 +424,10 @@ class ResourceManager {
   Tracer* tracer() const { return tracer_; }
 
  private:
+  /// Test seam: the reference oracle (tests/oracles/rm_oracle.h) reads
+  /// private state and installs pass_hook_.
+  friend class RmOracle;
+
   struct NodeState {
     int free_vcores = 0;
     double free_memory_mb = 0.0;
@@ -449,6 +449,15 @@ class ResourceManager {
     ContainerRequest request;
     double submitted_at = 0.0;
   };
+  /// One application's fairness cell: its demand-satisfaction ratio
+  /// x = alloc / (alloc + pending) of dominant shares, and x². Not
+  /// `included` while the application demands nothing.
+  struct FairCell {
+    double x = 0.0;
+    double x2 = 0.0;
+    bool included = false;
+    bool backlogged = false;
+  };
   struct AppState {
     std::string name;
     AmCallbacks* callbacks = nullptr;
@@ -458,12 +467,8 @@ class ResourceManager {
     /// is then exempt from liveness monitoring).
     double last_heartbeat = -1.0;
     bool liveness_check_scheduled = false;
-    // -- Incremental fairness cell (this app's contribution to the
-    //    aggregate Jain sums; see FairnessTouch) --------------------------
-    double fair_x = 0.0;
-    double fair_x2 = 0.0;
-    bool fair_included = false;
-    bool fair_backlogged = false;
+    /// This app's contribution to the aggregate Jain sums (FairnessTouch).
+    FairCell fair;
   };
   /// One queued request inside an allocation pass's slot table. A slot is
   /// consumed on successful placement or marked ineligible for the rest
@@ -476,20 +481,14 @@ class ResourceManager {
   };
 
   /// Matches pending requests against free capacity in the order chosen
-  /// by the RmScheduler strategy; placement itself (locality preference,
-  /// strict placement, blacklists) is strategy-independent. Dispatches
-  /// to the incremental per-strategy engines, or to the legacy full-scan
-  /// loop (allocation_mode == "full-scan" or a custom strategy).
+  /// by the policy; placement itself (locality preference, strict
+  /// placement, blacklists) is policy-independent. Dispatches to the
+  /// policy's pass engine (or to pass_hook_ when a test installed one).
   void AllocationPass();
   void ScheduleAllocationPass();
 
-  /// Pre-refactor pass: re-builds the eligible candidate list and asks
-  /// the strategy to re-score it for every single pick. O(pending²) per
-  /// pass — kept as the equivalence baseline.
-  void FullScanPass(std::vector<PassSlot>& slots, const RmTenancyView& view,
-                    bool scan_placement, int* pass_allocations);
-  /// FIFO in one forward sweep (provably pick-identical to FullScanPass
-  /// with the fifo strategy).
+  /// FIFO in one forward sweep: the first live slot is tried next, and a
+  /// slot leaves the pass whether or not it is placed.
   void FifoPass(std::vector<PassSlot>& slots, int* pass_allocations);
   /// Capacity (Key = queue name) / fair (Key = application id) pass over
   /// per-group candidate lists with a lazy min-heap of group heads.
@@ -504,6 +503,9 @@ class ResourceManager {
   /// when preemption is enabled and a queue's grace period has expired —
   /// runs one bounded preemption round on its behalf.
   void UpdateStarvation();
+  /// Read-only view of the tenancy state for scoring and preemption.
+  RmTenancyView TenancyView() const;
+
   /// Kills up to `budget` task containers of over-guarantee queues so
   /// `starved` can reach its guarantee; returns the number killed.
   int PreemptFor(const std::string& starved, int budget);
@@ -514,7 +516,8 @@ class ResourceManager {
   /// rotating scan over the ordered open-node set, with O(1) rejection
   /// of requests no node can hold. Pick-identical to TryPlaceScan.
   NodeId TryPlace(const ContainerRequest& r);
-  /// Seed placement logic: rotating scan over the whole fleet.
+  /// Seed placement logic: rotating scan over the whole fleet (zero-size
+  /// requests, which the open-node index cannot serve).
   NodeId TryPlaceScan(const ContainerRequest& r);
 
   bool Fits(const NodeState& ns, const ContainerRequest& r) const {
@@ -544,9 +547,8 @@ class ResourceManager {
   TenantStats& QueueStatsOf(ApplicationId app);
   void AddPending(ApplicationId app, const ContainerRequest& r);
   void RemovePending(ApplicationId app, const ContainerRequest& r);
-  /// Computes the instantaneous Jain index over demand-satisfaction
-  /// ratios from scratch; returns false when the state is uncontended.
-  bool ContendedFairness(double* jain) const;
+  /// `app`'s current fairness cell (empty for apps without stats).
+  FairCell FairnessCellOf(ApplicationId app) const;
   /// Integrates the fairness index up to Now() from the incremental
   /// aggregates; call before any state change that affects shares or
   /// demand.
@@ -594,8 +596,6 @@ class ResourceManager {
   std::multiset<double> open_memory_;
 
   // -- Multi-tenancy state ------------------------------------------------
-  std::unique_ptr<RmScheduler> scheduler_;
-  std::string scheduler_name_ = "fifo";
   std::map<std::string, RmQueueConfig> queue_configs_;
   FlatHashMap<ApplicationId, TenantStats> app_stats_;
   FlatHashMap<std::string, TenantStats> queue_stats_;
@@ -621,11 +621,34 @@ class ResourceManager {
     double sum_x2 = 0.0;
     int n = 0;
     int backlogged = 0;
+
+    void Add(const FairCell& c) {
+      sum_x += c.x;
+      sum_x2 += c.x2;
+      ++n;
+      if (c.backlogged) ++backlogged;
+    }
+    void Remove(const FairCell& c) {
+      sum_x -= c.x;
+      sum_x2 -= c.x2;
+      --n;
+      if (c.backlogged) --backlogged;
+    }
+    bool contended() const { return n >= 2 && backlogged > 0; }
+    double Jain() const {
+      return sum_x2 <= 0.0
+                 ? 1.0
+                 : (sum_x * sum_x) / (static_cast<double>(n) * sum_x2);
+    }
   };
   FairnessAgg fairness_agg_;
   uint64_t fairness_touches_ = 0;
   uint64_t passes_ = 0;
   uint64_t pass_wall_ns_ = 0;
+  /// When set, runs instead of the policy's pass engine (test seam; see
+  /// RmOracle). Never set in production.
+  std::function<void(std::vector<PassSlot>&, const RmTenancyView&, int*)>
+      pass_hook_;
   Tracer* tracer_ = nullptr;
 };
 

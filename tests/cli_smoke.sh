@@ -42,4 +42,14 @@ if "$HIWAY_BIN" --workflow /nonexistent.cf 2> "$WORKDIR/err2.out"; then
 fi
 grep -q "cannot read" "$WORKDIR/err2.out"
 
+# An unknown RM policy, spelled as a flag or as an attribute, is an
+# InvalidArgument naming the token (exit 1), not an abort.
+for bad in "--rm-scheduler lottery" "-a yarn/scheduler=lottery"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" $bad 2> "$WORKDIR/err3.out" || rc=$?
+  test "$rc" -eq 1
+  grep -q "InvalidArgument.*'lottery'" "$WORKDIR/err3.out"
+done
+
 echo "cli smoke test passed"

@@ -1,5 +1,5 @@
 // Property test: FlowNetwork's scoped (per-component) max-min solver
-// against the global reference solver in flow_oracle.h.
+// against the global reference solver in oracles/flow_oracle.h.
 //
 // Seeded random networks (1–40 resources, flows over 1–5 resources with
 // finite and infinite rate caps, weights and demands) are driven through
@@ -27,7 +27,7 @@
 #include "src/common/random.h"
 #include "src/common/strings.h"
 #include "src/sim/flow.h"
-#include "tests/flow_oracle.h"
+#include "tests/oracles/flow_oracle.h"
 
 namespace hiway {
 namespace {

@@ -731,8 +731,10 @@ TEST(GcTest, AdmissionSerialisesOversubscribedBurst) {
   EXPECT_EQ((*service)->committed_footprint_bytes(), 30 * kMiB);
 
   ASSERT_TRUE((*service)->RunToCompletion().ok());
+  // Records() returns a copy: keep it alive while `recs` points into it.
+  std::vector<SubmissionRecord> records = (*service)->Records();
   std::vector<const SubmissionRecord*> recs;
-  for (const SubmissionRecord& rec : (*service)->Records()) {
+  for (const SubmissionRecord& rec : records) {
     EXPECT_EQ(rec.state, SubmissionState::kSucceeded)
         << rec.name << ": " << rec.report.status.ToString();
     recs.push_back(&rec);

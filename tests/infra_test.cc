@@ -231,6 +231,22 @@ TEST(KaramelAttrTest, BlockSizeShiftOverflowRejected) {
   EXPECT_NE(d.status().ToString().find("allowed range"), std::string::npos);
 }
 
+TEST(KaramelAttrTest, UnknownYarnSchedulerRejected) {
+  // crash_yarn_scheduler.txt: yarn/scheduler=lottery reached the RM
+  // constructor unparsed and tripped a HIWAY_CHECK abort there. The
+  // recipe now parses the policy and names the key and the token.
+  auto d = ConvergeHadoopWith("yarn/scheduler", "lottery");
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsInvalidArgument()) << d.status().ToString();
+  EXPECT_NE(d.status().ToString().find("yarn/scheduler"), std::string::npos)
+      << d.status().ToString();
+  EXPECT_NE(d.status().ToString().find("lottery"), std::string::npos);
+
+  auto fair = ConvergeHadoopWith("yarn/scheduler", "fair");
+  ASSERT_TRUE(fair.ok()) << fair.status().ToString();
+  EXPECT_EQ((*fair)->rm->policy(), RmPolicy::kFair);
+}
+
 TEST(KaramelAttrTest, MalformedAttributesNameKeyAndToken) {
   auto workers = ConvergeHadoopWith("cluster/workers", "many");
   ASSERT_FALSE(workers.ok());

@@ -8,8 +8,8 @@
 // for bit except where two components saturate within kRateEpsilon of each
 // other (see flow_solver_test.cc).
 
-#ifndef HIWAY_TESTS_FLOW_ORACLE_H_
-#define HIWAY_TESTS_FLOW_ORACLE_H_
+#ifndef HIWAY_TESTS_ORACLES_FLOW_ORACLE_H_
+#define HIWAY_TESTS_ORACLES_FLOW_ORACLE_H_
 
 #include <algorithm>
 #include <cmath>
@@ -108,4 +108,4 @@ inline std::map<FlowId, double> GlobalMaxMinRates(
 
 }  // namespace hiway
 
-#endif  // HIWAY_TESTS_FLOW_ORACLE_H_
+#endif  // HIWAY_TESTS_ORACLES_FLOW_ORACLE_H_

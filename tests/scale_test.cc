@@ -1,6 +1,7 @@
-// Scale-refactor coverage (docs/scaling.md): the incremental allocation
-// pass must be schedule-identical to the pre-refactor full scan under
-// randomized demand churn for every scheduler; the SimEngine's lazy
+// Scale-refactor coverage (docs/scaling.md): the RM's incremental
+// allocation pass must be schedule-identical to the full-scan reference
+// oracle (tests/oracles/rm_oracle.h) under randomized demand churn for
+// every policy, with and without preemption; the SimEngine's lazy
 // cancellation must compact without dropping or reordering live events;
 // FlatHashMap must keep references stable across growth and tombstone
 // churn; and a 1k-workflow admission burst must drain cleanly.
@@ -23,6 +24,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
 #include "src/yarn/yarn.h"
+#include "tests/oracles/rm_oracle.h"
 
 namespace hiway {
 namespace {
@@ -173,18 +175,22 @@ class StreamAm : public AmCallbacks {
     ContainerId id = container.id;
     engine->ScheduleAfter(duration, [this, id] { rm->ReleaseContainer(id); });
   }
-  void OnContainerLost(const Container& /*container*/,
-                       ContainerLossReason /*reason*/) override {}
+  void OnContainerLost(const Container& container,
+                       ContainerLossReason /*reason*/) override {
+    losses->push_back({container.app, container.node, container.vcores,
+                       container.memory_mb, engine->Now()});
+  }
 
   SimEngine* engine = nullptr;
   ResourceManager* rm = nullptr;
   std::vector<AllocationEvent>* stream = nullptr;
+  std::vector<AllocationEvent>* losses = nullptr;
   const std::vector<double>* durations = nullptr;
   size_t* next_duration = nullptr;
 };
 
 /// One scripted churn action, generated once and replayed identically
-/// against both allocation modes.
+/// against the production pass and the oracle.
 struct ChurnOp {
   enum Kind { kRegister, kSubmit, kUnregister, kKillNode } kind;
   double at = 0.0;
@@ -243,13 +249,16 @@ std::vector<ChurnOp> MakeChurnScript(uint32_t seed) {
 
 struct ChurnOutcome {
   std::vector<AllocationEvent> stream;
+  /// Node kills and (with preemption) kPreempted victims, in order.
+  std::vector<AllocationEvent> losses;
+  int64_t preempted = 0;
   std::vector<std::pair<int, double>> free_capacity;  // per alive node
   int pending = 0;
   double instant_fairness = 0.0;
   double time_averaged_fairness = 0.0;
 };
 
-ChurnOutcome RunChurn(const std::string& scheduler, const std::string& mode,
+ChurnOutcome RunChurn(RmPolicy policy, bool preemption, bool full_scan,
                       const std::vector<ChurnOp>& ops,
                       const std::vector<double>& durations) {
   SimEngine engine;
@@ -259,15 +268,19 @@ ChurnOutcome RunChurn(const std::string& scheduler, const std::string& mode,
   node.memory_mb = 4096.0;
   Cluster cluster(&engine, &net, ClusterSpec::Uniform(20, node, 1000.0));
   YarnOptions options;
-  options.scheduler = scheduler;
-  options.allocation_mode = mode;
+  options.scheduler = policy;
+  options.preemption = preemption;
+  // A short grace, so even capacity (which serves starved queues first)
+  // has episodes that outlast it and preempts.
+  options.preemption_grace_s = 1.0;
   ResourceManager rm(&cluster, options);
+  if (full_scan) RmOracle::UseFullScanPass(&rm);
   struct QueueSpec {
     const char* name;
     double guaranteed, max, weight;
   };
   // max_share < 1 on two queues so the incremental pass must reproduce
-  // the full scan's WithinMaxShare skips exactly.
+  // the oracle's WithinMaxShare skips exactly.
   for (const QueueSpec& q : {QueueSpec{"q0", 0.4, 0.6, 2.0},
                              QueueSpec{"q1", 0.3, 1.0, 1.0},
                              QueueSpec{"q2", 0.2, 0.5, 1.0},
@@ -289,6 +302,7 @@ ChurnOutcome RunChurn(const std::string& scheduler, const std::string& mode,
     am->engine = &engine;
     am->rm = &rm;
     am->stream = &outcome.stream;
+    am->losses = &outcome.losses;
     am->durations = &durations;
     am->next_duration = &next_duration;
   }
@@ -331,14 +345,19 @@ ChurnOutcome RunChurn(const std::string& scheduler, const std::string& mode,
     outcome.free_capacity.push_back({rm.free_vcores(n), rm.free_memory_mb(n)});
   }
   outcome.pending = rm.pending_requests();
-  outcome.instant_fairness = rm.InstantFairness();
+  outcome.preempted = rm.counters().preempted_containers;
+  outcome.instant_fairness = RmOracle::InstantFairness(rm);
   outcome.time_averaged_fairness = rm.TimeAveragedFairness();
   return outcome;
 }
 
-class ScaleEquivalenceTest : public ::testing::TestWithParam<std::string> {};
+/// (policy, preemption on?)
+class ScaleEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<RmPolicy, bool>> {};
 
-TEST_P(ScaleEquivalenceTest, IncrementalPassIsScheduleIdenticalToFullScan) {
+TEST_P(ScaleEquivalenceTest, IncrementalPassIsScheduleIdenticalToOracle) {
+  auto [policy, preemption] = GetParam();
+  int64_t preempted = 0;
   for (uint32_t seed : {1u, 17u, 4242u}) {
     std::mt19937 rng(seed ^ 0x5bd1e995u);
     std::vector<double> durations;
@@ -347,28 +366,46 @@ TEST_P(ScaleEquivalenceTest, IncrementalPassIsScheduleIdenticalToFullScan) {
     }
     std::vector<ChurnOp> ops = MakeChurnScript(seed);
     ChurnOutcome incremental =
-        RunChurn(GetParam(), "incremental", ops, durations);
-    ChurnOutcome full_scan = RunChurn(GetParam(), "full-scan", ops, durations);
+        RunChurn(policy, preemption, /*full_scan=*/false, ops, durations);
+    ChurnOutcome full_scan =
+        RunChurn(policy, preemption, /*full_scan=*/true, ops, durations);
 
     ASSERT_EQ(incremental.stream.size(), full_scan.stream.size())
-        << GetParam() << " seed " << seed;
+        << "seed " << seed;
     for (size_t i = 0; i < incremental.stream.size(); ++i) {
       ASSERT_TRUE(incremental.stream[i] == full_scan.stream[i])
-          << GetParam() << " seed " << seed << " allocation " << i;
+          << "seed " << seed << " allocation " << i;
     }
+    EXPECT_TRUE(incremental.losses == full_scan.losses) << "seed " << seed;
+    EXPECT_EQ(incremental.preempted, full_scan.preempted);
     EXPECT_EQ(incremental.free_capacity, full_scan.free_capacity);
     EXPECT_EQ(incremental.pending, full_scan.pending);
     // Same state reached through the same FairnessTouch choke points:
-    // the incremental aggregates must agree bit-for-bit across modes.
+    // the incremental aggregates must agree bit-for-bit across passes.
     EXPECT_EQ(incremental.instant_fairness, full_scan.instant_fairness);
     EXPECT_EQ(incremental.time_averaged_fairness,
               full_scan.time_averaged_fairness);
     EXPECT_GT(incremental.stream.size(), 100u);  // the script did real work
+    preempted += incremental.preempted;
+  }
+  // Preemption kills must actually interleave with the passes.
+  if (preemption) {
+    EXPECT_GT(preempted, 0);
+  } else {
+    EXPECT_EQ(preempted, 0);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSchedulers, ScaleEquivalenceTest,
-                         ::testing::Values("fifo", "capacity", "fair"));
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, ScaleEquivalenceTest,
+    ::testing::Combine(::testing::Values(RmPolicy::kFifo,
+                                         RmPolicy::kCapacity,
+                                         RmPolicy::kFair),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<RmPolicy, bool>>& info) {
+      return std::string(ToString(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_preemption" : "");
+    });
 
 // ---- 1k-workflow admission smoke -----------------------------------------
 
@@ -402,7 +439,7 @@ TEST(ScaleSmokeTest, ThousandConcurrentWorkflowsDrainCleanly) {
   node.memory_mb = 8192.0;
   Cluster cluster(&engine, &net, ClusterSpec::Uniform(200, node, 1000.0));
   YarnOptions options;
-  options.scheduler = "fair";
+  options.scheduler = RmPolicy::kFair;
   ResourceManager rm(&cluster, options);
 
   constexpr int kWorkflows = 1000;
@@ -433,7 +470,7 @@ TEST(ScaleSmokeTest, ThousandConcurrentWorkflowsDrainCleanly) {
   EXPECT_EQ(rm.pending_requests(), 0);
   EXPECT_EQ(rm.counters().allocations, kWorkflows * 4 + kWorkflows);
   EXPECT_GT(rm.allocation_passes(), 0u);
-  double jain = rm.InstantFairness();
+  double jain = RmOracle::InstantFairness(rm);
   EXPECT_GE(jain, 0.0);
   EXPECT_LE(jain, 1.0);
 }

@@ -245,7 +245,7 @@ TEST(ServiceTest, SingleSubmissionMatchesClientRun) {
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->state, SubmissionState::kSucceeded);
   EXPECT_EQ(rec->report.tasks_completed, direct->tasks_completed);
-  EXPECT_EQ((*service)->deployment()->rm->scheduler_name(), "fifo");
+  EXPECT_EQ((*service)->deployment()->rm->policy(), RmPolicy::kFifo);
 }
 
 // -- AM failover ----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <deque>
 
 #include "src/yarn/rm_scheduler.h"
+#include "tests/oracles/rm_oracle.h"
 
 namespace hiway {
 namespace {
@@ -410,7 +411,7 @@ struct MultiRig {
     cluster = std::make_unique<Cluster>(
         &engine, &net, ClusterSpec::Uniform(nodes, node, 1000.0));
     YarnOptions options;
-    options.scheduler = scheduler;
+    options.scheduler = *ParseRmPolicy(scheduler);
     rm = std::make_unique<ResourceManager>(cluster.get(), options);
     for (const RmQueueConfig& q : queues) rm->ConfigureQueue(q);
   }
@@ -613,7 +614,7 @@ TEST(YarnMultiAppTest, FairnessIndexReactsToContention) {
   ASSERT_EQ(rig.am_a.allocations.size(), 1u);
   rig.rm->SubmitRequest(rig.app_b, ContainerRequest{});
   rig.engine.RunUntil(rig.engine.Now() + 20.0);
-  double instant = rig.rm->InstantFairness();
+  double instant = RmOracle::InstantFairness(*rig.rm);
   EXPECT_LT(instant, 1.0);
   EXPECT_GT(instant, 0.0);
   EXPECT_LT(rig.rm->TimeAveragedFairness(), 1.0);
@@ -634,8 +635,17 @@ TEST(YarnMultiAppTest, QueueStatsAggregateTheirApplications) {
 }
 
 TEST(YarnMultiAppTest, UnknownSchedulerNameIsRejected) {
-  auto result = MakeRmScheduler("shortest-job-first");
+  auto result = ParseRmPolicy("shortest-job-first");
   EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_NE(result.status().ToString().find("shortest-job-first"),
+            std::string::npos)
+      << result.status().ToString();
+  for (RmPolicy policy :
+       {RmPolicy::kFifo, RmPolicy::kCapacity, RmPolicy::kFair}) {
+    auto round_trip = ParseRmPolicy(ToString(policy));
+    ASSERT_TRUE(round_trip.ok()) << ToString(policy);
+    EXPECT_EQ(*round_trip, policy);
+  }
 }
 
 // -- Container preemption (docs/scheduling-model.md) ------------------------
@@ -694,7 +704,7 @@ struct PreemptRig {
 
 YarnOptions PreemptionOptions(int max_per_round = 2) {
   YarnOptions options;
-  options.scheduler = "capacity";
+  options.scheduler = RmPolicy::kCapacity;
   options.preemption = true;
   options.preemption_grace_s = 1.0;
   options.max_preempt_per_round = max_per_round;
