@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the AM: event-queue throughput, fair-share rebalancing, JSON
 // parsing, HDFS locality queries, scheduler decisions, and the Cuneiform
-// sweep.
+// interpreter (the initial sweep and the completion loop).
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,46 @@ void BM_CuneiformSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * options.num_chunks);
 }
 BENCHMARK(BM_CuneiformSweep)->Arg(64)->Arg(512);
+
+// Every completion of the SNV pipeline (4 tasks per chunk), completed in
+// discovery order; only the OnTaskCompleted calls are timed, one item per
+// completion. With incremental sweeps the time per completion stays
+// roughly flat as the chunk count grows.
+void BM_CuneiformCompletions(benchmark::State& state) {
+  SnvWorkloadOptions options;
+  options.num_chunks = static_cast<int>(state.range(0));
+  GeneratedWorkload workload = MakeSnvCallingWorkflow(options);
+  int64_t completions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto source = CuneiformSource::Parse(workload.document);
+    auto initial = (*source)->Init();
+    std::deque<TaskSpec> queue(initial->begin(), initial->end());
+    state.ResumeTiming();
+    while (!queue.empty()) {
+      TaskSpec spec = std::move(queue.front());
+      queue.pop_front();
+      TaskResult result;
+      result.id = spec.id;
+      result.signature = spec.signature;
+      for (const OutputSpec& out : spec.outputs) {
+        result.produced_files.emplace_back(out.path, 64);
+      }
+      auto more = (*source)->OnTaskCompleted(result);
+      benchmark::DoNotOptimize(more);
+      queue.insert(queue.end(), more->begin(), more->end());
+      ++completions;
+    }
+    state.PauseTiming();
+    source->reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(completions);
+}
+BENCHMARK(BM_CuneiformCompletions)
+    ->Arg(288)
+    ->Arg(1152)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HeftScheduleBuild(benchmark::State& state) {
   const int tasks_n = static_cast<int>(state.range(0));

@@ -3,14 +3,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "src/common/json.h"
 #include "src/common/strings.h"
 #include "src/common/xml.h"
 #include "src/infra/karamel.h"
-#include "src/lang/cuneiform_parser.h"
+#include "src/lang/cuneiform.h"
 #include "src/lang/cwl_source.h"
 #include "src/lang/dax_source.h"
 #include "src/lang/galaxy_source.h"
@@ -46,11 +49,113 @@ void CheckSourceTasks(WorkflowSource* source, const char* lang) {
 
 // ---- targets --------------------------------------------------------------
 
+/// Splits a Cuneiform memo key, `<signature>(p=v;...)` with each v one of
+/// s'...', f'...' (a backslash escapes the next character) or [v,...],
+/// into its parameter names. False if the key is malformed.
+bool MemoKeyParams(std::string_view key, std::string_view signature,
+                   std::vector<std::string>* params) {
+  if (key.size() < signature.size() + 2 ||
+      key.substr(0, signature.size()) != signature ||
+      key[signature.size()] != '(' || key.back() != ')') {
+    return false;
+  }
+  size_t i = signature.size() + 1;
+  const size_t end = key.size() - 1;
+  std::function<bool()> value = [&]() {
+    if (i < end && (key[i] == 's' || key[i] == 'f')) {
+      if (++i >= end || key[i++] != '\'') return false;
+      while (i < end && key[i] != '\'') i += key[i] == '\\' ? 2 : 1;
+      return i++ < end;
+    }
+    if (i >= end || key[i++] != '[') return false;
+    if (i < end && key[i] == ']') return ++i, true;
+    while (value() && i < end) {
+      if (key[i] == ']') return ++i, true;
+      if (key[i++] != ',') return false;
+    }
+    return false;
+  };
+  while (i < end) {
+    size_t eq = key.find('=', i);
+    if (eq >= end) return false;
+    params->emplace_back(key.substr(i, eq - i));
+    i = eq + 1;
+    if (!value() || i >= end || key[i++] != ';') return false;
+  }
+  return true;
+}
+
 void FuzzCuneiform(const uint8_t* data, size_t size) {
-  // Lexer and parser only: evaluation is budgeted separately by the driver
-  // (CuneiformOptions::max_eval_depth) and is Turing-complete by design.
-  auto program = cuneiform::ParseCuneiform(AsView(data, size));
-  (void)program;
+  // Parse, then a budgeted run: Init() plus at most 64 completions in
+  // discovery order, with value outputs drawn from the input bytes. The
+  // language is Turing-complete, so the budget caps completions; each
+  // sweep is bounded by CuneiformOptions::max_eval_depth.
+  constexpr int kMaxCompletions = 64;
+  static const char* const kStdout[] = {"", "true", "false", "0", "1"};
+  auto source = CuneiformSource::Parse(AsView(data, size));
+  if (!source.ok()) return;
+  std::set<std::string> commands;
+  std::set<TaskId> completed;
+  TaskId last_id = kInvalidTask;
+  std::deque<TaskSpec> queue;
+  // Checks one sweep's outcome; false once evaluation failed.
+  auto admit = [&](Result<std::vector<TaskSpec>> tasks) {
+    if (!tasks.ok()) return false;
+    for (TaskSpec& t : *tasks) {
+      HIWAY_FUZZ_INVARIANT(
+          t.id > last_id,
+          StrFormat("task id %lld discovered after %lld",
+                    static_cast<long long>(t.id),
+                    static_cast<long long>(last_id)));
+      last_id = t.id;
+      // The command is the memo key. It must name one application: no
+      // task is discovered twice, and the key decodes with each parameter
+      // once (unescaped quotes let one argument forge another's
+      // parameters, so two applications shared one task and its outputs).
+      HIWAY_FUZZ_INVARIANT(commands.insert(t.command).second,
+                           "two tasks share the command " + t.command);
+      std::vector<std::string> params;
+      HIWAY_FUZZ_INVARIANT(MemoKeyParams(t.command, t.signature, &params),
+                           "malformed memo key " + t.command);
+      std::set<std::string> distinct(params.begin(), params.end());
+      HIWAY_FUZZ_INVARIANT(distinct.size() == params.size(),
+                           "memo key repeats a parameter: " + t.command);
+      queue.push_back(std::move(t));
+    }
+    // Cached values must follow completions: nothing a target holds may
+    // still wait on an application that has completed.
+    std::function<void(const CuneiformValue&)> check_fresh =
+        [&](const CuneiformValue& v) {
+          if (v.kind() == CuneiformValue::Kind::kList) {
+            for (size_t i = 0; i < v.size(); ++i) check_fresh(v.item(i));
+          }
+          HIWAY_FUZZ_INVARIANT(
+              v.kind() != CuneiformValue::Kind::kPending ||
+                  completed.count(v.waits_on()) == 0,
+              StrFormat("a target still waits on completed task %lld",
+                        static_cast<long long>(v.waits_on())));
+        };
+    for (const CuneiformValue& v : (*source)->target_values()) {
+      HIWAY_FUZZ_INVARIANT(v.IsConcrete() || !(*source)->IsDone(),
+                           "IsDone() with a pending target");
+      check_fresh(v);
+    }
+    return true;
+  };
+  if (!admit((*source)->Init())) return;
+  for (int k = 0; k < kMaxCompletions && !queue.empty(); ++k) {
+    TaskSpec spec = std::move(queue.front());
+    queue.pop_front();
+    TaskResult result;
+    result.id = spec.id;
+    result.signature = spec.signature;
+    result.stdout_value = kStdout[data[static_cast<size_t>(k) % size] % 5];
+    for (const OutputSpec& out : spec.outputs) {
+      if (!out.is_value) result.produced_files.emplace_back(out.path, 64);
+    }
+    completed.insert(spec.id);
+    if (!admit((*source)->OnTaskCompleted(result))) return;
+  }
 }
 
 void FuzzJson(const uint8_t* data, size_t size) {
@@ -216,7 +321,8 @@ void FuzzCwl(const uint8_t* data, size_t size) {
 
 const std::vector<FuzzTarget>& Registry() {
   static const std::vector<FuzzTarget>* targets = new std::vector<FuzzTarget>{
-      {"cuneiform", "Cuneiform-lite lexer + parser", FuzzCuneiform},
+      {"cuneiform", "Cuneiform-lite parser + budgeted evaluation",
+       FuzzCuneiform},
       {"json", "src/common/json.cc parser + round-trip fixpoint", FuzzJson},
       {"xml", "src/common/xml.cc parser + round-trip fixpoint", FuzzXml},
       {"dax", "Pegasus DAX loader -> valid workflow", FuzzDax},

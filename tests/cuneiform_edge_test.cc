@@ -254,6 +254,54 @@ TEST(CuneiformEdgeTest, WhitespaceAndCommentRobustness) {
   EXPECT_TRUE(driver.RunAll().ok());
 }
 
+TEST(CuneiformEdgeTest, MemoKeysEscapeQuotesAndBackslashes) {
+  // Unescaped, both applications serialised to the memo key
+  // t(a=s'1';b=s'2';b=s'3';): Init() discovered one task and the second
+  // application silently got the first one's outputs.
+  const char* program = R"(
+    deftask t( o : ~a ~b ) in 'tool';
+    target t( a: '1\';b=s\'2', b: '3' ), t( a: '1', b: '2\';b=s\'3' );
+  )";
+  auto source = CuneiformSource::Parse(program);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  auto initial = (*source)->Init();
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  ASSERT_EQ(initial->size(), 2u);
+  EXPECT_EQ((*initial)[0].command, R"(t(a=s'1\';b=s\'2';b=s'3';))");
+  EXPECT_EQ((*initial)[1].command, R"(t(a=s'1';b=s'2\';b=s\'3';))");
+  EXPECT_NE((*initial)[0].outputs[0].path, (*initial)[1].outputs[0].path);
+  EXPECT_EQ((*initial)[0].params.at("a"), "1';b=s'2");
+  EXPECT_EQ((*initial)[1].params.at("b"), "2';b=s'3");
+
+  // Run to completion: each application resolves to its own output.
+  auto run = CuneiformSource::Parse(program);
+  ASSERT_TRUE(run.ok());
+  Driver driver(run->get());
+  ASSERT_TRUE(driver.RunAll().ok());
+  EXPECT_EQ(driver.Count("t"), 2);
+  std::vector<std::string> targets = (*run)->Targets();
+  ASSERT_EQ(targets.size(), 2u);
+  EXPECT_NE(targets[0], targets[1]);
+}
+
+TEST(CuneiformEdgeTest, MemoKeysWithoutQuotesAreUnchanged) {
+  // Only ' and \ are escaped, so every other key, and the output path
+  // hashed from it, is byte-identical to the unescaped form.
+  auto source = CuneiformSource::Parse(R"(
+    deftask t( o : ~s i ) in 'tool';
+    target t( s: 'a b;c=d', i: '/in/x.fq' );
+  )");
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  auto initial = (*source)->Init();
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  ASSERT_EQ(initial->size(), 1u);
+  const std::string key = "t(s=s'a b;c=d';i=s'/in/x.fq';)";
+  EXPECT_EQ((*initial)[0].command, key);
+  EXPECT_EQ((*initial)[0].outputs[0].path,
+            StrFormat("/cuneiform/t-%016llx/o.dat",
+                      static_cast<unsigned long long>(Fnv1a64(key))));
+}
+
 // --- fuzz regressions (tests/fuzz/corpus/cuneiform/, docs/fuzzing.md) ----
 
 TEST(CuneiformFuzzRegressionTest, DeepParensErrorNotStackOverflow) {
