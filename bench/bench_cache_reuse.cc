@@ -46,13 +46,6 @@
 namespace hiway {
 namespace {
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 struct BenchConfig {
   int chunks = 30;
   int64_t chunk_mb = 32;
@@ -174,7 +167,7 @@ Result<SweepLevel> RunSweepLevel(const BenchConfig& config,
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
   BenchConfig config = MakeConfig(quick);
 
   // -------------------------------------------------- reuse waves ----

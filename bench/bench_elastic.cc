@@ -37,13 +37,6 @@
 namespace hiway {
 namespace {
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 struct BurstEntry {
   std::string name;
   StagedWorkflow staged;
@@ -180,7 +173,7 @@ Result<RunResult> RunBurst(const FleetConfig& config, bool quick) {
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
 
   // ---- Calm fixed-fleet baseline (also the storm's reference). ----
   FleetConfig fixed;

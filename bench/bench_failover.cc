@@ -32,13 +32,6 @@
 namespace hiway {
 namespace {
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 struct BurstEntry {
   std::string name;
   StagedWorkflow staged;
@@ -157,7 +150,7 @@ Result<RunStats> RunBurst(const std::string& fault_spec, bool quick) {
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
 
   auto baseline = RunBurst("", quick);
   if (!baseline.ok()) {

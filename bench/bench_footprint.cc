@@ -42,13 +42,6 @@ constexpr int kChainStages = 8;
 constexpr int64_t kStageBytes = 4LL << 20;  // 4 MiB per produced file
 constexpr int64_t kCapacityMb = 64;         // scale-gate DFS capacity
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 /// Linear chain under `prefix`: in -> mid0 -> ... -> out.
 std::vector<TaskSpec> MakeChainTasks(const std::string& prefix) {
   std::vector<TaskSpec> tasks;
@@ -195,7 +188,7 @@ Result<SingleRun> RunSingle(const std::vector<TaskSpec>& tasks,
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
   int limit = quick ? 8 : 16;
 
   auto scale_off = MaxScale(/*gc=*/false, limit);

@@ -36,13 +36,6 @@
 namespace hiway {
 namespace {
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 struct BurstEntry {
   std::string name;
   StagedWorkflow staged;
@@ -232,7 +225,7 @@ void PrintRunRow(const char* name, const RunStats& s) {
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
 
   // Phase 1: batch alone, to size the arrival point of the prod burst.
   auto scout = RunBurst(/*preemption=*/false, /*prod_at=*/-1.0, quick);

@@ -46,13 +46,6 @@
 namespace hiway {
 namespace {
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -340,7 +333,7 @@ Result<QueryStats> RunBurstAndQuery(bool quick) {
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
 
   AppendResult append = MeasureAppendThroughput(quick);
   auto query = RunBurstAndQuery(quick);

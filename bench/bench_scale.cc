@@ -176,16 +176,9 @@ Result<PointResult> RunPoint(int nodes, int workflows,
   return result;
 }
 
-bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return true;
-  }
-  return false;
-}
-
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = JsonMode(argc, argv);
+  bool json = bench::JsonMode(argc, argv);
 
   struct GridPoint {
     int nodes;

@@ -98,10 +98,7 @@ Result<RunOutcome> RunOnce(int workers, uint64_t seed, bool tracing,
 
 int Main(int argc, char** argv) {
   bool quick = bench::QuickMode(argc, argv);
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json = true;
-  }
+  bool json = bench::JsonMode(argc, argv);
   int workers = quick ? 4 : 8;
   int reps = quick ? 5 : 7;
 

@@ -62,6 +62,15 @@ inline bool QuickMode(int argc, char** argv) {
   return env != nullptr && std::string(env) == "1";
 }
 
+/// "--json" asks a bench for one machine-readable JSON object (CI
+/// artifacts, bench/trajectories/) instead of its tables.
+inline bool JsonMode(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--json") return true;
+  }
+  return false;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n%s\n", title.c_str());
   std::printf("%s\n", std::string(title.size(), '=').c_str());

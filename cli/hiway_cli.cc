@@ -13,18 +13,16 @@
 // Languages: cuneiform | dax | galaxy | trace.
 // Galaxy placeholders resolve via repeated --galaxy-input name=/dfs/path.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/strings.h"
 #include "src/core/client.h"
 #include "src/core/metrics.h"
-#include "src/lang/dax_source.h"
-#include "src/lang/cwl_source.h"
-#include "src/lang/galaxy_source.h"
-#include "src/lang/trace_source.h"
 #include "src/obs/exporters.h"
 #include "src/obs/trace_analyzer.h"
 #include "src/service/workflow_service.h"
@@ -236,6 +234,11 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--priority") {
       HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--priority"));
       HIWAY_ASSIGN_OR_RETURN(int64_t n, ParseInt64(v));
+      if (n < std::numeric_limits<int>::min() ||
+          n > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument(
+            "--priority expects a 32-bit integer, got '" + v + "'");
+      }
       current_priority = static_cast<int>(n);
     } else if (arg == "--preemption") {
       options.attributes["yarn/preemption"] = "true";
@@ -319,10 +322,18 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--vcores") {
       HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--vcores"));
       HIWAY_ASSIGN_OR_RETURN(int64_t n, ParseInt64(v));
+      if (n < 1 || n > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument(
+            "--vcores expects a positive integer, got '" + v + "'");
+      }
       options.vcores = static_cast<int>(n);
     } else if (arg == "--memory") {
       HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--memory"));
       HIWAY_ASSIGN_OR_RETURN(options.memory_mb, ParseDouble(v));
+      if (!std::isfinite(options.memory_mb) || options.memory_mb <= 0.0) {
+        return Status::InvalidArgument(
+            "--memory expects a positive size in MB, got '" + v + "'");
+      }
     } else if (arg == "--tailor-containers") {
       options.tailor = true;
     } else if (arg == "--result-cache") {
@@ -410,25 +421,13 @@ Result<std::unique_ptr<WorkflowSource>> MakeSourceForFile(
   HIWAY_ASSIGN_OR_RETURN(std::unique_ptr<WorkflowSource> source,
                          client.MakeSource(staged));
 
-  auto stage_required =
-      [&](const std::vector<std::pair<std::string, int64_t>>& required)
-      -> Status {
-    for (const auto& [file, size] : required) {
+  if (auto* static_source = dynamic_cast<StaticWorkflowSource*>(source.get())) {
+    for (const auto& [file, size] : static_source->required_inputs()) {
       if (!d->dfs->Exists(file)) {
         HIWAY_RETURN_IF_ERROR(
             d->dfs->IngestFile(file, std::max<int64_t>(size, 1)));
       }
     }
-    return Status::OK();
-  };
-  if (auto* dax = dynamic_cast<DaxSource*>(source.get())) {
-    HIWAY_RETURN_IF_ERROR(stage_required(dax->required_inputs()));
-  }
-  if (auto* trace = dynamic_cast<TraceSource*>(source.get())) {
-    HIWAY_RETURN_IF_ERROR(stage_required(trace->required_inputs()));
-  }
-  if (auto* cwl = dynamic_cast<CwlSource*>(source.get())) {
-    HIWAY_RETURN_IF_ERROR(stage_required(cwl->required_inputs()));
   }
   return source;
 }

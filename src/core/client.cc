@@ -56,26 +56,36 @@ Result<WorkflowReport> HiWayClient::Run(const std::string& workflow_name,
 Result<WorkflowReport> HiWayClient::RunSource(WorkflowSource* source,
                                               const std::string& policy,
                                               const HiWayOptions& options) {
+  // Single-shot client runs share the result cache's default namespace.
+  HIWAY_ASSIGN_OR_RETURN(AmLaunch launch, MakeAm(policy, options, "default"));
+  HIWAY_RETURN_IF_ERROR(launch.am->Submit(source, launch.scheduler.get()));
+  return launch.am->RunToCompletion();
+}
+
+Result<AmLaunch> HiWayClient::MakeAm(const std::string& policy,
+                                     const HiWayOptions& options,
+                                     std::string tenant) const {
+  AmLaunch launch;
   HIWAY_ASSIGN_OR_RETURN(
-      std::unique_ptr<WorkflowScheduler> scheduler,
+      launch.scheduler,
       MakeScheduler(policy, deployment_->dfs.get(), &deployment_->estimator,
                     deployment_->staging_cache.get()));
-  HiWayAm am(deployment_->cluster.get(), deployment_->rm.get(),
-             deployment_->dfs.get(), &deployment_->tools,
-             deployment_->provenance.get(), &deployment_->estimator, options);
-  am.SetTracer(&deployment_->tracer);
+  launch.am = std::make_unique<HiWayAm>(
+      deployment_->cluster.get(), deployment_->rm.get(),
+      deployment_->dfs.get(), &deployment_->tools,
+      deployment_->provenance.get(), &deployment_->estimator, options);
+  launch.am->SetTracer(&deployment_->tracer);
   if (deployment_->result_cache != nullptr) {
-    // Single-shot client runs share the deployment's default namespace.
-    am.SetResultCache(deployment_->result_cache.get(), "default");
+    launch.am->SetResultCache(deployment_->result_cache.get(),
+                              std::move(tenant));
   }
   if (deployment_->staging_cache != nullptr) {
-    am.SetStagingCache(deployment_->staging_cache.get());
+    launch.am->SetStagingCache(deployment_->staging_cache.get());
   }
   if (deployment_->gc != nullptr) {
-    am.SetGc(deployment_->gc.get());
+    launch.am->SetGc(deployment_->gc.get());
   }
-  HIWAY_RETURN_IF_ERROR(am.Submit(source, scheduler.get()));
-  return am.RunToCompletion();
+  return launch;
 }
 
 }  // namespace hiway

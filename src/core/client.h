@@ -14,6 +14,13 @@
 
 namespace hiway {
 
+/// A freshly wired AM and the scheduler it drives (the AM borrows it, so
+/// `scheduler` is declared first and destroyed last).
+struct AmLaunch {
+  std::unique_ptr<WorkflowScheduler> scheduler;
+  std::unique_ptr<HiWayAm> am;
+};
+
 class HiWayClient {
  public:
   /// Does not take ownership of the deployment.
@@ -36,6 +43,15 @@ class HiWayClient {
                                    const std::string& policy,
                                    const HiWayOptions& options =
                                        HiWayOptions());
+
+  /// Builds the scheduler for `policy` and an AM wired to every
+  /// deployment service an AM uses: tracer, result cache (scoped to
+  /// `tenant`), staging cache and GC. The only place an AM is built, so
+  /// single runs, service starts and failover attempts get the same
+  /// subsystems.
+  Result<AmLaunch> MakeAm(const std::string& policy,
+                          const HiWayOptions& options,
+                          std::string tenant) const;
 
  private:
   Deployment* deployment_;

@@ -122,7 +122,7 @@ void HiWayAm::SetRecoveryTrace(const std::vector<ProvenanceEvent>& events) {
   }
 }
 
-void HiWayAm::ApplyContainerDefaults(TaskSpec* spec) const {
+Status HiWayAm::ApplyContainerDefaults(TaskSpec* spec) const {
   if (spec->vcores <= 0) spec->vcores = options_.container_vcores;
   if (spec->memory_mb <= 0.0) spec->memory_mb = options_.container_memory_mb;
   if (options_.tailor_containers) {
@@ -141,11 +141,28 @@ void HiWayAm::ApplyContainerDefaults(TaskSpec* spec) const {
           std::max(512.0, per_core * static_cast<double>(spec->vcores));
     }
   }
+  if (spec->vcores > rm_->max_node_vcores() ||
+      spec->memory_mb > rm_->max_node_memory_mb()) {
+    // YARN's maximum-allocation check: no node can ever host this
+    // container, so waiting for one would hang the workflow.
+    return Status::ResourceExhausted(StrFormat(
+        "task %lld ('%s') needs a %d-vcore / %.0f MB container but the "
+        "largest node has %d vcores / %.0f MB",
+        static_cast<long long>(spec->id), spec->signature.c_str(),
+        spec->vcores, spec->memory_mb, rm_->max_node_vcores(),
+        rm_->max_node_memory_mb()));
+  }
+  return Status::OK();
 }
 
 Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
   if (submitted_) {
     return Status::FailedPrecondition("AM already has a workflow");
+  }
+  if (options_.container_vcores < 1 || options_.container_memory_mb <= 0.0) {
+    return Status::InvalidArgument(StrFormat(
+        "container sizing must be positive, got %d vcores / %.0f MB",
+        options_.container_vcores, options_.container_memory_mb));
   }
   if (scheduler->IsStatic() && !source->IsStatic()) {
     // The paper: static policies "can not be used in conjunction with
@@ -204,7 +221,11 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
   std::vector<TaskSpec> tasks = std::move(initial).value();
   for (TaskSpec& t : tasks) {
     if (t.id == kInvalidTask) t.id = next_task_id_++;
-    ApplyContainerDefaults(&t);
+    Status sized = ApplyContainerDefaults(&t);
+    if (!sized.ok()) {
+      FinishWorkflow(sized);
+      return sized;
+    }
   }
 
   if (scheduler_->IsStatic()) {
@@ -256,7 +277,7 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
 Status HiWayAm::AdmitTasks(std::vector<TaskSpec> tasks) {
   for (TaskSpec& spec : tasks) {
     if (spec.id == kInvalidTask) spec.id = next_task_id_++;
-    ApplyContainerDefaults(&spec);
+    HIWAY_RETURN_IF_ERROR(ApplyContainerDefaults(&spec));
     if (tasks_.find(spec.id) != tasks_.end()) {
       return Status::InvalidArgument(
           StrFormat("duplicate task id %lld emitted by source",

@@ -230,8 +230,9 @@ class HiWayAm : public AmCallbacks {
     double duration = 0.0;
   };
 
-  /// Applies option defaults to a TaskSpec's container sizing.
-  void ApplyContainerDefaults(TaskSpec* spec) const;
+  /// Applies option defaults to a TaskSpec's container sizing;
+  /// ResourceExhausted when no registered node could ever host it.
+  Status ApplyContainerDefaults(TaskSpec* spec) const;
 
   Status AdmitTasks(std::vector<TaskSpec> tasks);
   void MarkReady(TaskEntry* entry);

@@ -453,61 +453,6 @@ std::vector<std::string> ProvenanceManager::RunIds() const {
   return out;
 }
 
-void ProvenanceManager::EndWorkflow(const std::string& run_id, double now,
-                                    bool success) {
-  if (ProvenanceShard* s = shard(run_id)) s->RecordWorkflowEnd(now, success);
-}
-
-void ProvenanceManager::RecordTaskStart(const std::string& run_id,
-                                        const TaskSpec& task, int32_t node,
-                                        const std::string& node_name,
-                                        double now) {
-  if (ProvenanceShard* s = shard(run_id)) {
-    s->RecordTaskStart(task, node, node_name, now);
-  }
-}
-
-void ProvenanceManager::RecordTaskEnd(const std::string& run_id,
-                                      const TaskResult& result,
-                                      const std::string& node_name) {
-  if (ProvenanceShard* s = shard(run_id)) s->RecordTaskEnd(result, node_name);
-}
-
-void ProvenanceManager::RecordFileStageIn(const std::string& run_id,
-                                          TaskId task, const std::string& path,
-                                          int64_t size_bytes,
-                                          double transfer_seconds,
-                                          double now) {
-  if (ProvenanceShard* s = shard(run_id)) {
-    s->RecordFileStageIn(task, path, size_bytes, transfer_seconds, now);
-  }
-}
-
-void ProvenanceManager::RecordFileStageOut(const std::string& run_id,
-                                           TaskId task,
-                                           const std::string& path,
-                                           int64_t size_bytes,
-                                           double transfer_seconds,
-                                           double now) {
-  if (ProvenanceShard* s = shard(run_id)) {
-    s->RecordFileStageOut(task, path, size_bytes, transfer_seconds, now);
-  }
-}
-
-void ProvenanceManager::SealRun(const std::string& run_id) {
-  if (ProvenanceShard* s = shard(run_id)) s->Seal();
-}
-
-Result<double> ProvenanceManager::LatestRuntime(const std::string& signature,
-                                                int32_t node) const {
-  return View().LatestRuntime(signature, node);
-}
-
-std::vector<std::pair<int32_t, double>> ProvenanceManager::RuntimeObservations(
-    const std::string& signature) const {
-  return View().RuntimeObservations(signature);
-}
-
 ProvenanceView ProvenanceManager::View() const {
   std::lock_guard<std::mutex> lock(mu_);
   ProvenanceView view;

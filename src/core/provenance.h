@@ -269,31 +269,6 @@ class ProvenanceManager {
   /// Run ids of every shard, creation order.
   std::vector<std::string> RunIds() const;
 
-  /// Explicit-run-id recording: routed to the run's shard. Convenient
-  /// for tests and tools; hot paths append via shard() directly.
-  void EndWorkflow(const std::string& run_id, double now, bool success);
-  void RecordTaskStart(const std::string& run_id, const TaskSpec& task,
-                       int32_t node, const std::string& node_name, double now);
-  void RecordTaskEnd(const std::string& run_id, const TaskResult& result,
-                     const std::string& node_name);
-  void RecordFileStageIn(const std::string& run_id, TaskId task,
-                         const std::string& path, int64_t size_bytes,
-                         double transfer_seconds, double now);
-  void RecordFileStageOut(const std::string& run_id, TaskId task,
-                          const std::string& path, int64_t size_bytes,
-                          double transfer_seconds, double now);
-
-  /// Seals a run's shard without recording a workflow-end event (the AM
-  /// died; there is no orderly end). Unknown runs are ignored.
-  void SealRun(const std::string& run_id);
-
-  /// Statistics queries over ALL shards (the scheduler-facing interface,
-  /// Sec. 3.4), answered through a merged view.
-  Result<double> LatestRuntime(const std::string& signature,
-                               int32_t node) const;
-  std::vector<std::pair<int32_t, double>> RuntimeObservations(
-      const std::string& signature) const;
-
   /// View over every shard of this manager.
   ProvenanceView View() const;
   /// View over the shards of the named runs only (e.g. the prior

@@ -305,11 +305,4 @@ Result<std::unique_ptr<CwlSource>> CwlSource::Parse(
   return source;
 }
 
-Result<std::vector<TaskSpec>> CwlSource::Init() { return tasks_; }
-
-Result<std::vector<TaskSpec>> CwlSource::OnTaskCompleted(const TaskResult&) {
-  ++completed_;
-  return std::vector<TaskSpec>{};
-}
-
 }  // namespace hiway

@@ -33,7 +33,8 @@
 
 namespace hiway {
 
-class CwlSource : public WorkflowSource {
+/// Fills required_inputs() from the document's `inputs` section.
+class CwlSource : public StaticWorkflowSource {
  public:
   /// Parses the JSON rendition of a CWL Workflow document. `output_dir`
   /// is the DFS directory for tool outputs that carry no explicit
@@ -41,31 +42,8 @@ class CwlSource : public WorkflowSource {
   static Result<std::unique_ptr<CwlSource>> Parse(
       std::string_view json_text, const std::string& output_dir = "/cwl-out");
 
-  std::string name() const override { return name_; }
-  bool IsStatic() const override { return true; }
-  Result<std::vector<TaskSpec>> Init() override;
-  Result<std::vector<TaskSpec>> OnTaskCompleted(
-      const TaskResult& result) override;
-  bool IsDone() const override { return completed_ >= tasks_.size(); }
-  std::vector<std::string> Targets() const override { return targets_; }
-
-  /// Workflow input files (from the `inputs` section): the caller must
-  /// stage these into DFS before submitting.
-  const std::vector<std::pair<std::string, int64_t>>& required_inputs()
-      const {
-    return required_inputs_;
-  }
-
-  size_t task_count() const { return tasks_.size(); }
-
  private:
   CwlSource() = default;
-
-  std::string name_;
-  std::vector<TaskSpec> tasks_;
-  std::vector<std::string> targets_;
-  std::vector<std::pair<std::string, int64_t>> required_inputs_;
-  size_t completed_ = 0;
 };
 
 }  // namespace hiway

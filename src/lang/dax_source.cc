@@ -129,11 +129,4 @@ Result<std::unique_ptr<DaxSource>> DaxSource::Parse(
   return source;
 }
 
-Result<std::vector<TaskSpec>> DaxSource::Init() { return tasks_; }
-
-Result<std::vector<TaskSpec>> DaxSource::OnTaskCompleted(const TaskResult&) {
-  ++completed_;
-  return std::vector<TaskSpec>{};
-}
-
 }  // namespace hiway

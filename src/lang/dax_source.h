@@ -27,39 +27,15 @@
 
 namespace hiway {
 
-class DaxSource : public WorkflowSource {
+class DaxSource : public StaticWorkflowSource {
  public:
   /// Parses a DAX document. `file_prefix` is prepended to every file name
   /// to form DFS paths (DAX uses bare logical file names).
   static Result<std::unique_ptr<DaxSource>> Parse(
       std::string_view xml_text, const std::string& file_prefix = "/dax/");
 
-  std::string name() const override { return name_; }
-  bool IsStatic() const override { return true; }
-  Result<std::vector<TaskSpec>> Init() override;
-  Result<std::vector<TaskSpec>> OnTaskCompleted(
-      const TaskResult& result) override;
-  bool IsDone() const override { return completed_ >= tasks_.size(); }
-  std::vector<std::string> Targets() const override { return targets_; }
-
-  /// Workflow input files (consumed but never produced): the caller must
-  /// stage these into DFS before submitting.
-  const std::vector<std::pair<std::string, int64_t>>& required_inputs()
-      const {
-    return required_inputs_;
-  }
-
-  size_t task_count() const { return tasks_.size(); }
-
  private:
   DaxSource() = default;
-
-  std::string name_;
-  std::vector<TaskSpec> tasks_;
-  std::vector<std::string> targets_;
-  /// (path, declared size or 0).
-  std::vector<std::pair<std::string, int64_t>> required_inputs_;
-  size_t completed_ = 0;
 };
 
 }  // namespace hiway

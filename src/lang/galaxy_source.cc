@@ -215,12 +215,4 @@ Result<std::unique_ptr<GalaxySource>> GalaxySource::Parse(
   return source;
 }
 
-Result<std::vector<TaskSpec>> GalaxySource::Init() { return tasks_; }
-
-Result<std::vector<TaskSpec>> GalaxySource::OnTaskCompleted(
-    const TaskResult&) {
-  ++completed_;
-  return std::vector<TaskSpec>{};
-}
-
 }  // namespace hiway

@@ -19,7 +19,7 @@
 
 namespace hiway {
 
-class GalaxySource : public WorkflowSource {
+class GalaxySource : public StaticWorkflowSource {
  public:
   /// Parses an exported Galaxy workflow. `inputs` maps each data_input
   /// step's name (or label) to a DFS path; all placeholders must resolve.
@@ -29,23 +29,8 @@ class GalaxySource : public WorkflowSource {
       const std::map<std::string, std::string>& inputs,
       const std::string& output_dir = "/galaxy");
 
-  std::string name() const override { return name_; }
-  bool IsStatic() const override { return true; }
-  Result<std::vector<TaskSpec>> Init() override;
-  Result<std::vector<TaskSpec>> OnTaskCompleted(
-      const TaskResult& result) override;
-  bool IsDone() const override { return completed_ >= tasks_.size(); }
-  std::vector<std::string> Targets() const override { return targets_; }
-
-  size_t task_count() const { return tasks_.size(); }
-
  private:
   GalaxySource() = default;
-
-  std::string name_;
-  std::vector<TaskSpec> tasks_;
-  std::vector<std::string> targets_;
-  size_t completed_ = 0;
 };
 
 }  // namespace hiway

@@ -190,12 +190,4 @@ Result<std::unique_ptr<TraceSource>> TraceSource::FromEvents(
   return source;
 }
 
-Result<std::vector<TaskSpec>> TraceSource::Init() { return tasks_; }
-
-Result<std::vector<TaskSpec>> TraceSource::OnTaskCompleted(
-    const TaskResult&) {
-  ++completed_;
-  return std::vector<TaskSpec>{};
-}
-
 }  // namespace hiway

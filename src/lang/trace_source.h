@@ -17,7 +17,11 @@
 
 namespace hiway {
 
-class TraceSource : public WorkflowSource {
+/// required_inputs() are the recorded run's input files that no recorded
+/// task produced: re-execution "requires input data to be located ...
+/// just like during the workflow run from which the trace file was
+/// derived".
+class TraceSource : public StaticWorkflowSource {
  public:
   /// Reconstructs a workflow from a JSON-lines trace. When `run_id` is
   /// empty the first recorded run in the trace is replayed. By default
@@ -42,33 +46,8 @@ class TraceSource : public WorkflowSource {
       const ProvenanceView& view, const std::string& run_id = "",
       bool allow_incomplete = false);
 
-  std::string name() const override { return name_; }
-  bool IsStatic() const override { return true; }
-  Result<std::vector<TaskSpec>> Init() override;
-  Result<std::vector<TaskSpec>> OnTaskCompleted(
-      const TaskResult& result) override;
-  bool IsDone() const override { return completed_ >= tasks_.size(); }
-  std::vector<std::string> Targets() const override { return targets_; }
-
-  /// Input files of the recorded run that no recorded task produced; they
-  /// must exist in DFS before re-execution (the paper: trace re-execution
-  /// "requires input data to be located ... just like during the workflow
-  /// run from which the trace file was derived").
-  const std::vector<std::pair<std::string, int64_t>>& required_inputs()
-      const {
-    return required_inputs_;
-  }
-
-  size_t task_count() const { return tasks_.size(); }
-
  private:
   TraceSource() = default;
-
-  std::string name_;
-  std::vector<TaskSpec> tasks_;
-  std::vector<std::string> targets_;
-  std::vector<std::pair<std::string, int64_t>> required_inputs_;
-  size_t completed_ = 0;
 };
 
 }  // namespace hiway

@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -115,8 +116,9 @@ class WorkflowSource {
   virtual std::vector<std::string> Targets() const = 0;
 };
 
-/// Trivial WorkflowSource over a fixed task list; used by tests and by the
-/// static front-ends (DAX/Galaxy/trace) which parse into a task vector.
+/// WorkflowSource over a fixed task list. The static front-ends
+/// (DAX/Galaxy/trace/CWL) are thin subclasses whose Parse factories fill
+/// the protected fields; tests construct it directly.
 class StaticWorkflowSource : public WorkflowSource {
  public:
   StaticWorkflowSource(std::string name, std::vector<TaskSpec> tasks,
@@ -127,26 +129,36 @@ class StaticWorkflowSource : public WorkflowSource {
 
   std::string name() const override { return name_; }
   bool IsStatic() const override { return true; }
-
-  Result<std::vector<TaskSpec>> Init() override {
-    emitted_ = tasks_.size();
-    return tasks_;
-  }
+  Result<std::vector<TaskSpec>> Init() override { return tasks_; }
 
   Result<std::vector<TaskSpec>> OnTaskCompleted(const TaskResult&) override {
     ++completed_;
     return std::vector<TaskSpec>{};
   }
 
-  bool IsDone() const override { return completed_ >= emitted_; }
-
+  bool IsDone() const override { return completed_ >= tasks_.size(); }
   std::vector<std::string> Targets() const override { return targets_; }
 
- private:
+  size_t task_count() const { return tasks_.size(); }
+
+  /// Workflow input files as (path, size in bytes or 0) pairs: consumed
+  /// but never produced, so the caller must stage them into DFS before
+  /// submitting. Empty for front-ends whose inputs are bound elsewhere
+  /// (Galaxy resolves placeholders against caller-supplied paths).
+  const std::vector<std::pair<std::string, int64_t>>& required_inputs()
+      const {
+    return required_inputs_;
+  }
+
+ protected:
+  StaticWorkflowSource() = default;
+
   std::string name_;
   std::vector<TaskSpec> tasks_;
   std::vector<std::string> targets_;
-  size_t emitted_ = 0;
+  std::vector<std::pair<std::string, int64_t>> required_inputs_;
+
+ private:
   size_t completed_ = 0;
 };
 

@@ -127,6 +127,9 @@ Result<SubmissionId> WorkflowService::Submit(
   ++counters.submitted;
   SubmissionId id = next_id_++;
   if (options.policy.empty()) options.policy = options_.default_policy;
+  // Queue isolation extends to cached results unless the submitter chose
+  // a result-cache namespace explicitly.
+  if (options.tenant.empty()) options.tenant = options.queue;
 
   SubmissionRecord record;
   record.id = id;
@@ -210,23 +213,6 @@ void WorkflowService::CommitFootprint(SubmissionId id, int sign) {
   committed_footprint_bytes_ += sign * it->second.admission_bytes;
 }
 
-void WorkflowService::AttachCaches(Submission* sub) {
-  if (deployment_->result_cache != nullptr) {
-    // Tenant defaults to the RM queue so queue isolation extends to
-    // cached results unless the submitter chose a namespace explicitly.
-    std::string tenant = sub->options.tenant.empty() ? sub->options.queue
-                                                     : sub->options.tenant;
-    sub->am->SetResultCache(deployment_->result_cache.get(),
-                            std::move(tenant));
-  }
-  if (deployment_->staging_cache != nullptr) {
-    sub->am->SetStagingCache(deployment_->staging_cache.get());
-  }
-  if (deployment_->gc != nullptr) {
-    sub->am->SetGc(deployment_->gc.get());
-  }
-}
-
 void WorkflowService::Pump() {
   // Snapshot-and-clear: PumpQueue may re-mark its queue (placement
   // retry), which must wait for the retry timer, not loop here. The
@@ -248,13 +234,9 @@ void WorkflowService::PumpQueue(const std::string& queue) {
     if (running_ams() == 0) {
       // No service-run AM will ever release capacity: the cluster is
       // statically too full. Fail instead of spinning forever.
-      SubmissionRecord& rec = records_[id];
-      rec.state = SubmissionState::kFailed;
-      rec.finished_at = deployment_->engine.Now();
-      rec.report.status = Status::ResourceExhausted(
-          "no node can host the AM container of '" + rec.name + "'");
-      ++counters_[queue].failed;
-      --live_submissions_;
+      FailBeforeStart(id, Status::ResourceExhausted(
+          "no node can host the AM container of '" + records_[id].name +
+          "'"));
       continue;
     }
     backlog.push_front(id);
@@ -277,15 +259,10 @@ bool WorkflowService::TryStart(SubmissionId id) {
       sub.admission_bytes > 0) {
     if (sub.admission_bytes > footprint_budget_bytes_) {
       // Can never fit, even alone on an empty cluster: terminal.
-      rec.state = SubmissionState::kFailed;
-      rec.finished_at = deployment_->engine.Now();
-      rec.report.status = Status::ResourceExhausted(StrFormat(
+      FailBeforeStart(id, Status::ResourceExhausted(StrFormat(
           "'%s' needs %lld footprint bytes but the DFS budget is %lld",
           rec.name.c_str(), static_cast<long long>(sub.admission_bytes),
-          static_cast<long long>(footprint_budget_bytes_)));
-      rec.report.workflow_name = rec.name;
-      ++counters_[rec.queue].failed;
-      --live_submissions_;
+          static_cast<long long>(footprint_budget_bytes_))));
       return true;
     }
     if (committed_footprint_bytes_ + sub.admission_bytes >
@@ -296,27 +273,17 @@ bool WorkflowService::TryStart(SubmissionId id) {
       return false;
     }
   }
-  auto scheduler = MakeScheduler(rec.policy, deployment_->dfs.get(),
-                                 &deployment_->estimator,
-                                 deployment_->staging_cache.get());
-  if (!scheduler.ok()) {
-    rec.state = SubmissionState::kFailed;
-    rec.finished_at = deployment_->engine.Now();
-    rec.report.status = scheduler.status();
-    ++counters_[rec.queue].failed;
-    --live_submissions_;
-    return true;  // consumed: a bad policy never becomes startable
-  }
-  sub.scheduler = std::move(*scheduler);
   HiWayOptions hiway = sub.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
-  sub.am = std::make_unique<HiWayAm>(
-      deployment_->cluster.get(), deployment_->rm.get(),
-      deployment_->dfs.get(), &deployment_->tools,
-      deployment_->provenance.get(), &deployment_->estimator, hiway);
-  sub.am->SetTracer(&deployment_->tracer);
-  AttachCaches(&sub);
+  auto launch =
+      HiWayClient(deployment_).MakeAm(rec.policy, hiway, sub.options.tenant);
+  if (!launch.ok()) {
+    FailBeforeStart(id, launch.status());
+    return true;  // consumed: a bad policy never becomes startable
+  }
+  sub.scheduler = std::move(launch->scheduler);
+  sub.am = std::move(launch->am);
   sub.am->set_finish_listener(
       [this, id](const WorkflowReport& report) { OnFinished(id, report); });
   rec.state = SubmissionState::kRunning;
@@ -353,12 +320,7 @@ bool WorkflowService::TryStart(SubmissionId id) {
   }
   // Pre-registration validation failure (e.g. a static policy on an
   // iterative language): terminal.
-  rec.state = SubmissionState::kFailed;
-  rec.finished_at = deployment_->engine.Now();
-  rec.report.status = st;
-  rec.report.workflow_name = rec.name;
-  ++counters_[rec.queue].failed;
-  --live_submissions_;
+  FailBeforeStart(id, st);
   sub.am.reset();
   sub.scheduler.reset();
   return true;
@@ -474,26 +436,19 @@ void WorkflowService::TryRecover(SubmissionId id) {
                            "rebuilding the source for AM failover"));
     return;
   }
-  auto scheduler = MakeScheduler(rec.policy, deployment_->dfs.get(),
-                                 &deployment_->estimator,
-                                 deployment_->staging_cache.get());
-  if (!scheduler.ok()) {
-    FailRecovering(id, scheduler.status());
-    return;
-  }
-  sub.source = std::move(*source);
-  sub.scheduler = std::move(*scheduler);
-
   HiWayOptions hiway = sub.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
   hiway.am_attempt = rec.am_attempts + 1;
-  sub.am = std::make_unique<HiWayAm>(
-      deployment_->cluster.get(), deployment_->rm.get(),
-      deployment_->dfs.get(), &deployment_->tools,
-      deployment_->provenance.get(), &deployment_->estimator, hiway);
-  sub.am->SetTracer(&deployment_->tracer);
-  AttachCaches(&sub);
+  auto launch =
+      HiWayClient(deployment_).MakeAm(rec.policy, hiway, sub.options.tenant);
+  if (!launch.ok()) {
+    FailRecovering(id, launch.status());
+    return;
+  }
+  sub.source = std::move(*source);
+  sub.scheduler = std::move(launch->scheduler);
+  sub.am = std::move(launch->am);
   sub.am->set_finish_listener(
       [this, id](const WorkflowReport& report) { OnFinished(id, report); });
   deployment_->tracer.Instant(SpanCategory::kFailover, "am_recovery",
@@ -568,6 +523,16 @@ void WorkflowService::TryRecover(SubmissionId id) {
     return;
   }
   FailRecovering(id, st);
+}
+
+void WorkflowService::FailBeforeStart(SubmissionId id, Status status) {
+  SubmissionRecord& rec = records_[id];
+  rec.state = SubmissionState::kFailed;
+  rec.finished_at = deployment_->engine.Now();
+  rec.report.status = std::move(status);
+  rec.report.workflow_name = rec.name;
+  ++counters_[rec.queue].failed;
+  --live_submissions_;
 }
 
 void WorkflowService::FailRecovering(SubmissionId id, Status status) {

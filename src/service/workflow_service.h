@@ -283,8 +283,9 @@ class WorkflowService {
   /// Attempts to start one submission; returns false when the cluster
   /// currently cannot host its AM container (submission re-queued).
   bool TryStart(SubmissionId id);
-  /// Wires the deployment's result/staging caches into a fresh AM.
-  void AttachCaches(Submission* sub);
+  /// Terminal failure of a submission whose AM never started (unplaceable
+  /// AM, footprint that can never fit, bad policy, AM Submit rejected).
+  void FailBeforeStart(SubmissionId id, Status status);
   void OnFinished(SubmissionId id, const WorkflowReport& report);
   void OnDeadline(SubmissionId id);
   /// RM app-failure listener: retires the dead attempt and either

@@ -50,6 +50,9 @@ ResourceManager::ResourceManager(Cluster* cluster, YarnOptions options)
     total_vcores_ += cluster_->node(n).cores;
     total_memory_mb_ += cluster_->node(n).memory_mb;
     IndexNode(n);
+    max_node_vcores_ = std::max(max_node_vcores_, cluster_->node(n).cores);
+    max_node_memory_mb_ =
+        std::max(max_node_memory_mb_, cluster_->node(n).memory_mb);
   }
   queue_configs_["default"] = RmQueueConfig{};
 }
@@ -439,6 +442,8 @@ void ResourceManager::AddNode(NodeId node) {
   IndexNode(node);
   total_vcores_ += cluster_->node(node).cores;
   total_memory_mb_ += cluster_->node(node).memory_mb;
+  max_node_vcores_ = std::max(max_node_vcores_, ns.free_vcores);
+  max_node_memory_mb_ = std::max(max_node_memory_mb_, ns.free_memory_mb);
   FairnessRebuild();
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kMembership, "node_joined", /*app=*/-1,

@@ -366,6 +366,11 @@ class ResourceManager {
   int total_vcores() const { return total_vcores_; }
   double total_memory_mb() const { return total_memory_mb_; }
 
+  /// Per-dimension capacity of the largest node ever registered (YARN's
+  /// maximum allocation): a request above either can never be placed.
+  int max_node_vcores() const { return max_node_vcores_; }
+  double max_node_memory_mb() const { return max_node_memory_mb_; }
+
   /// Containers currently running (including AM containers).
   int running_containers() const {
     return static_cast<int>(containers_.size());
@@ -610,6 +615,8 @@ class ResourceManager {
   AppFailureListener app_failure_listener_;
   int total_vcores_ = 0;
   double total_memory_mb_ = 0.0;
+  int max_node_vcores_ = 0;
+  double max_node_memory_mb_ = 0.0;
   double fairness_integral_ = 0.0;
   double fairness_time_ = 0.0;
   double fairness_last_ = 0.0;

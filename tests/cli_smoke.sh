@@ -52,4 +52,30 @@ for bad in "--rm-scheduler lottery" "-a yarn/scheduler=lottery"; do
   grep -q "InvalidArgument.*'lottery'" "$WORKDIR/err3.out"
 done
 
+# Non-positive container sizing and an out-of-range priority are
+# rejected at parse time (exit 2), naming the flag.
+for bad in "--vcores 0" "--vcores -2" "--memory 0" "--memory -5" \
+    "--priority 99999999999"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" $bad 2> "$WORKDIR/err4.out" || rc=$?
+  test "$rc" -eq 2
+  grep -q -- "${bad%% *}" "$WORKDIR/err4.out"
+done
+
+# A container larger than every node (2 cores, 7680 MB by default) fails
+# the workflow with exit 1 naming the task, in both modes, instead of
+# waiting forever for capacity.
+for big in "--vcores 4" "--memory 100000"; do
+  for mode in "" "--service"; do
+    rc=0
+    # shellcheck disable=SC2086
+    timeout 60 "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" $big $mode \
+        -a cluster/workers=2 --input /in/reads.fq=64MB \
+        > "$WORKDIR/out5.out" 2>&1 || rc=$?
+    test "$rc" -eq 1
+    grep -q "task 1 ('align')" "$WORKDIR/out5.out"
+  done
+done
+
 echo "cli smoke test passed"

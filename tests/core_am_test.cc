@@ -122,6 +122,60 @@ TEST(HiWayAmTest, MissingInputDeadlocksWithDiagnostic) {
             std::string::npos);
 }
 
+TEST(HiWayAmTest, SubmitRejectsNonPositiveContainerSizing) {
+  const std::pair<int, double> sizes[] = {
+      {0, 1024.0}, {-2, 1024.0}, {1, 0.0}, {1, -5.0}};
+  for (const auto& [vcores, memory_mb] : sizes) {
+    TestRig rig(2);
+    StaticWorkflowSource source(
+        "sizing", {MakeTask(1, "bowtie2", {"/in/a.fq"}, {"/out/a.sam"})});
+    FcfsScheduler scheduler;
+    HiWayOptions options;
+    options.container_vcores = vcores;
+    options.container_memory_mb = memory_mb;
+    HiWayAm am = rig.MakeAm(options);
+    Status st = am.Submit(&source, &scheduler);
+    EXPECT_TRUE(st.IsInvalidArgument())
+        << vcores << " vcores / " << memory_mb << " MB: " << st.ToString();
+    // Rejected before registering: no AM container was allocated.
+    EXPECT_EQ(rig.rm->running_containers(), 0);
+  }
+}
+
+TEST(HiWayAmTest, OversizedContainerFailsInsteadOfHanging) {
+  struct Case {
+    int default_vcores;
+    double default_memory_mb;
+    int task_vcores;  // per-task override; 0 = AM default
+  };
+  // Nodes have 2 cores and 8192 MB.
+  const Case cases[] = {{4, 1024.0, 0}, {1, 100000.0, 0}, {1, 1024.0, 3}};
+  for (const Case& c : cases) {
+    TestRig rig(2, /*cores=*/2);
+    ASSERT_TRUE(rig.dfs->IngestFile("/in/a.fq", 1 << 20).ok());
+    TaskSpec task = MakeTask(7, "bowtie2", {"/in/a.fq"}, {"/out/a.sam"});
+    task.vcores = c.task_vcores;
+    StaticWorkflowSource source("oversized", {task});
+    FcfsScheduler scheduler;
+    HiWayOptions options;
+    options.container_vcores = c.default_vcores;
+    options.container_memory_mb = c.default_memory_mb;
+    HiWayAm am = rig.MakeAm(options);
+    EXPECT_TRUE(am.Submit(&source, &scheduler).IsResourceExhausted());
+    // An unplaceable request must not wait forever (the AM heartbeat
+    // would keep the engine busy): bound the run in virtual time.
+    rig.engine.RunUntil(3600.0);
+    ASSERT_TRUE(am.finished());
+    const Status& status = am.report().status;
+    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+    EXPECT_NE(status.message().find("task 7 ('bowtie2')"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("2 vcores / 8192 MB"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(rig.rm->running_containers(), 0);
+  }
+}
+
 TEST(HiWayAmTest, EmptyWorkflowFinishesImmediately) {
   TestRig rig(2);
   StaticWorkflowSource source("empty", {});

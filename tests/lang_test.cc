@@ -212,8 +212,8 @@ std::vector<ProvenanceEvent> RecordedRun() {
   t1.signature = "align";
   t1.tool = "bowtie2";
   t1.command = "bowtie2 -x ref reads.fq";
-  manager.RecordTaskStart(run, t1, 0, "node-000", 1.0);
-  manager.RecordFileStageIn(run, 1, "/in/reads.fq", 1000, 0.2, 1.2);
+  manager.shard(run)->RecordTaskStart(t1, 0, "node-000", 1.0);
+  manager.shard(run)->RecordFileStageIn(1, "/in/reads.fq", 1000, 0.2, 1.2);
   TaskResult r1;
   r1.id = 1;
   r1.signature = "align";
@@ -221,14 +221,14 @@ std::vector<ProvenanceEvent> RecordedRun() {
   r1.started_at = 1.0;
   r1.finished_at = 11.0;
   r1.status = Status::OK();
-  manager.RecordTaskEnd(run, r1, "node-000");
-  manager.RecordFileStageOut(run, 1, "/work/a.sam", 1500, 0.3, 11.3);
+  manager.shard(run)->RecordTaskEnd(r1, "node-000");
+  manager.shard(run)->RecordFileStageOut(1, "/work/a.sam", 1500, 0.3, 11.3);
   TaskSpec t2;
   t2.id = 2;
   t2.signature = "sort";
   t2.tool = "samtools-sort";
-  manager.RecordTaskStart(run, t2, 1, "node-001", 12.0);
-  manager.RecordFileStageIn(run, 2, "/work/a.sam", 1500, 0.2, 12.2);
+  manager.shard(run)->RecordTaskStart(t2, 1, "node-001", 12.0);
+  manager.shard(run)->RecordFileStageIn(2, "/work/a.sam", 1500, 0.2, 12.2);
   TaskResult r2;
   r2.id = 2;
   r2.signature = "sort";
@@ -236,9 +236,9 @@ std::vector<ProvenanceEvent> RecordedRun() {
   r2.started_at = 12.0;
   r2.finished_at = 20.0;
   r2.status = Status::OK();
-  manager.RecordTaskEnd(run, r2, "node-001");
-  manager.RecordFileStageOut(run, 2, "/work/a.bam", 600, 0.1, 20.1);
-  manager.EndWorkflow(run, 21.0, true);
+  manager.shard(run)->RecordTaskEnd(r2, "node-001");
+  manager.shard(run)->RecordFileStageOut(2, "/work/a.bam", 600, 0.1, 20.1);
+  manager.shard(run)->RecordWorkflowEnd(21.0, true);
   return manager.Events();
 }
 

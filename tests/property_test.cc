@@ -193,13 +193,14 @@ TEST_P(ShardMergeProperty, MergedViewMatchesBruteForce) {
     result.finished_at = now;
     result.status = rng.NextDouble() < 0.8 ? Status::OK()
                                            : Status::RuntimeError("fail");
-    manager.RecordTaskEnd(run, result, StrFormat("node-%03d", result.node));
+    manager.shard(run)->RecordTaskEnd(result,
+                                      StrFormat("node-%03d", result.node));
     mirror_tail(run);
   }
   // Some runs end (sealing their shards), some stay open — both kinds
   // must merge.
   for (size_t i = 0; i < runs.size(); i += 2) {
-    manager.EndWorkflow(runs[i], now + 1.0, true);
+    manager.shard(runs[i])->RecordWorkflowEnd(now + 1.0, true);
     mirror_tail(runs[i]);
   }
 
@@ -229,7 +230,7 @@ TEST_P(ShardMergeProperty, MergedViewMatchesBruteForce) {
         brute_obs.emplace_back(ev.node, ev.duration);
       }
     }
-    EXPECT_EQ(manager.RuntimeObservations(sig), brute_obs);
+    EXPECT_EQ(manager.View().RuntimeObservations(sig), brute_obs);
     for (int n = 0; n < kNodes; ++n) {
       double brute_latest = -1.0;
       for (const ProvenanceEvent& ev : reference) {
@@ -238,7 +239,7 @@ TEST_P(ShardMergeProperty, MergedViewMatchesBruteForce) {
           brute_latest = ev.duration;
         }
       }
-      auto latest = manager.LatestRuntime(sig, n);
+      auto latest = manager.View().LatestRuntime(sig, n);
       if (brute_latest < 0) {
         EXPECT_TRUE(latest.status().IsNotFound()) << sig << " node " << n;
       } else {
@@ -273,11 +274,11 @@ TEST_P(ShardCrashPrefixProperty, CrashPrefixReplaysCompletedTasks) {
     spec.tool = spec.signature;
     spec.command = spec.signature + " --run";
     double start = 10.0 * static_cast<double>(id);
-    manager.RecordTaskStart(victim, spec, 0, "node-000", start);
+    manager.shard(victim)->RecordTaskStart(spec, 0, "node-000", start);
     if (id > 1) {
-      manager.RecordFileStageIn(
-          victim, id, StrFormat("/f%lld", static_cast<long long>(id - 1)),
-          100, 0.1, start);
+      manager.shard(victim)->RecordFileStageIn(
+          id, StrFormat("/f%lld", static_cast<long long>(id - 1)), 100, 0.1,
+          start);
     }
     // Interleave decoy traffic so victim seqs are non-contiguous.
     TaskResult noise;
@@ -287,7 +288,7 @@ TEST_P(ShardCrashPrefixProperty, CrashPrefixReplaysCompletedTasks) {
     noise.started_at = start;
     noise.finished_at = start + 1.0;
     noise.status = Status::OK();
-    manager.RecordTaskEnd(decoy, noise, "node-001");
+    manager.shard(decoy)->RecordTaskEnd(noise, "node-001");
     TaskResult result;
     result.id = id;
     result.signature = spec.signature;
@@ -295,10 +296,10 @@ TEST_P(ShardCrashPrefixProperty, CrashPrefixReplaysCompletedTasks) {
     result.started_at = start;
     result.finished_at = start + 5.0;
     result.status = Status::OK();
-    manager.RecordTaskEnd(victim, result, "node-000");
-    manager.RecordFileStageOut(victim, id,
-                               StrFormat("/f%lld", static_cast<long long>(id)),
-                               100, 0.1, start + 5.0);
+    manager.shard(victim)->RecordTaskEnd(result, "node-000");
+    manager.shard(victim)->RecordFileStageOut(
+        id, StrFormat("/f%lld", static_cast<long long>(id)), 100, 0.1,
+        start + 5.0);
   }
 
   // Crash at a random point: seal the shard, truncate its history to a

@@ -223,14 +223,14 @@ TEST_F(ProvDbTest, ProvenanceStoreAdapterRoundTrips) {
   result.started_at = 1.0;
   result.finished_at = 11.0;
   result.status = Status::OK();
-  manager.RecordTaskEnd(run, result, "node-002");
-  manager.EndWorkflow(run, 12.0, true);
+  manager.shard(run)->RecordTaskEnd(result, "node-002");
+  manager.shard(run)->RecordWorkflowEnd(12.0, true);
   ProvDbProvenanceStore store(raw);
   EXPECT_EQ(store.size(), 3u);
   auto events = store.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[1].signature, "align");
-  EXPECT_DOUBLE_EQ(*manager.LatestRuntime("align", 2), 10.0);
+  EXPECT_DOUBLE_EQ(*manager.View().LatestRuntime("align", 2), 10.0);
 
   // A second adapter over the same db continues the sequence.
   ProvDbProvenanceStore store2(db->get());
@@ -361,8 +361,8 @@ TEST_F(ProvDbDirectoryTest, ShardedProvenanceSurvivesRestart) {
     result.started_at = 1.0;
     result.finished_at = 11.0;
     result.status = Status::OK();
-    sharded->manager->RecordTaskEnd(first_run, result, "node-002");
-    sharded->manager->EndWorkflow(first_run, 12.0, true);
+    sharded->manager->shard(first_run)->RecordTaskEnd(result, "node-002");
+    sharded->manager->shard(first_run)->RecordWorkflowEnd(12.0, true);
   }
   auto sharded = OpenShardedProvenance(SegmentsDir());
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
@@ -370,7 +370,7 @@ TEST_F(ProvDbDirectoryTest, ShardedProvenanceSurvivesRestart) {
   ProvenanceShard* adopted = sharded->manager->shard(first_run);
   ASSERT_NE(adopted, nullptr);
   EXPECT_TRUE(adopted->sealed());
-  EXPECT_DOUBLE_EQ(*sharded->manager->LatestRuntime("align", 2), 10.0);
+  EXPECT_DOUBLE_EQ(*sharded->manager->View().LatestRuntime("align", 2), 10.0);
 
   std::string second_run = sharded->manager->BeginWorkflow("wf", 100.0);
   EXPECT_NE(second_run, first_run);
@@ -381,14 +381,14 @@ TEST_F(ProvDbDirectoryTest, ShardedProvenanceSurvivesRestart) {
   result.started_at = 100.0;
   result.finished_at = 103.0;
   result.status = Status::OK();
-  sharded->manager->RecordTaskEnd(second_run, result, "node-002");
+  sharded->manager->shard(second_run)->RecordTaskEnd(result, "node-002");
   // Merged history: adopted events first, new events after (their seqs
   // resumed past the old ones).
   auto events = sharded->manager->Events();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events.front().run_id, first_run);
   EXPECT_EQ(events.back().run_id, second_run);
-  EXPECT_DOUBLE_EQ(*sharded->manager->LatestRuntime("align", 2), 3.0);
+  EXPECT_DOUBLE_EQ(*sharded->manager->View().LatestRuntime("align", 2), 3.0);
 }
 
 TEST(Crc32Test, KnownVectors) {

@@ -102,16 +102,15 @@ TEST(ProvenanceShardTest, MergedViewEqualsSingleStoreSequence) {
   // A deterministic interleaving across the two runs.
   for (int step = 0; step < 20; ++step) {
     const std::string& run = (step % 3 == 0) ? b : a;
-    manager.RecordTaskEnd(
-        run, MakeResult(step, StrFormat("t%d", step), step % 4,
-                        static_cast<double>(step),
-                        static_cast<double>(step) + 2.0),
+    manager.shard(run)->RecordTaskEnd(
+        MakeResult(step, StrFormat("t%d", step), step % 4,
+                   static_cast<double>(step), static_cast<double>(step) + 2.0),
         "node");
     mirror(manager.shard(run)->Events().back());
   }
-  manager.EndWorkflow(a, 30.0, true);
+  manager.shard(a)->RecordWorkflowEnd(30.0, true);
   mirror(manager.shard(a)->Events().back());
-  manager.EndWorkflow(b, 31.0, false);
+  manager.shard(b)->RecordWorkflowEnd(31.0, false);
   mirror(manager.shard(b)->Events().back());
 
   auto merged = manager.View().Events();
@@ -124,7 +123,7 @@ TEST(ProvenanceShardTest, MergedViewEqualsSingleStoreSequence) {
   // And the statistics queries agree with a single-store-style scan.
   for (int step = 0; step < 20; ++step) {
     std::string sig = StrFormat("t%d", step);
-    auto latest = manager.LatestRuntime(sig, step % 4);
+    auto latest = manager.View().LatestRuntime(sig, step % 4);
     ASSERT_TRUE(latest.ok()) << sig;
     EXPECT_DOUBLE_EQ(*latest, 2.0);
   }
@@ -138,16 +137,19 @@ TEST(ProvenanceShardTest, SealThenMergeKeepsOrderAndDropsLateAppends) {
   std::string crashed = manager.BeginWorkflow("crashed", 0.0);
   std::string healthy = manager.BeginWorkflow("healthy", 0.0);
 
-  manager.RecordTaskEnd(crashed, MakeResult(1, "early", 0, 0.0, 5.0), "n0");
-  manager.SealRun(crashed);
+  manager.shard(crashed)->RecordTaskEnd(MakeResult(1, "early", 0, 0.0, 5.0),
+                                        "n0");
+  manager.shard(crashed)->Seal();
   EXPECT_TRUE(manager.shard(crashed)->sealed());
 
   // A straggling callback from the dead AM: dropped, counted, invisible.
-  manager.RecordTaskEnd(crashed, MakeResult(2, "late", 0, 5.0, 9.0), "n0");
+  manager.shard(crashed)->RecordTaskEnd(MakeResult(2, "late", 0, 5.0, 9.0),
+                                        "n0");
   EXPECT_EQ(manager.shard(crashed)->dropped_after_seal(), 1);
 
   // The healthy run keeps appending; the merge stays gap-free.
-  manager.RecordTaskEnd(healthy, MakeResult(3, "after", 1, 6.0, 8.0), "n1");
+  manager.shard(healthy)->RecordTaskEnd(MakeResult(3, "after", 1, 6.0, 8.0),
+                                        "n1");
   auto merged = manager.Events();
   ASSERT_EQ(merged.size(), 4u);  // 2 starts + early + after
   for (size_t i = 0; i < merged.size(); ++i) {
@@ -157,7 +159,7 @@ TEST(ProvenanceShardTest, SealThenMergeKeepsOrderAndDropsLateAppends) {
     EXPECT_NE(ev.signature, "late");
   }
   // Sealing is idempotent.
-  manager.SealRun(crashed);
+  manager.shard(crashed)->Seal();
   EXPECT_EQ(manager.shard(crashed)->dropped_after_seal(), 1);
 }
 
@@ -168,9 +170,12 @@ TEST(ProvenanceShardTest, ViewOfFiltersToNamedRuns) {
   std::string mine1 = manager.BeginWorkflow("mine", 0.0);
   std::string other = manager.BeginWorkflow("other", 0.0);
   std::string mine2 = manager.BeginWorkflow("mine", 1.0);
-  manager.RecordTaskEnd(mine1, MakeResult(1, "shared-sig", 0, 0, 10), "n0");
-  manager.RecordTaskEnd(other, MakeResult(1, "shared-sig", 0, 0, 99), "n0");
-  manager.RecordTaskEnd(mine2, MakeResult(1, "shared-sig", 0, 20, 25), "n0");
+  manager.shard(mine1)->RecordTaskEnd(MakeResult(1, "shared-sig", 0, 0, 10),
+                                      "n0");
+  manager.shard(other)->RecordTaskEnd(MakeResult(1, "shared-sig", 0, 0, 99),
+                                      "n0");
+  manager.shard(mine2)->RecordTaskEnd(MakeResult(1, "shared-sig", 0, 20, 25),
+                                      "n0");
 
   ProvenanceView view = manager.ViewOf({mine1, mine2, "no-such-run"});
   EXPECT_EQ(view.shard_count(), 2u);
@@ -195,7 +200,7 @@ TEST(ProvenanceShardTest, ViewOfFiltersToNamedRuns) {
 TEST(ProvenanceShardTest, ForeignEventsMergeByTimestamp) {
   ProvenanceManager manager;
   std::string run = manager.BeginWorkflow("local", 10.0);
-  manager.RecordTaskEnd(run, MakeResult(1, "a", 0, 10, 20), "n0");
+  manager.shard(run)->RecordTaskEnd(MakeResult(1, "a", 0, 10, 20), "n0");
 
   auto foreign_store = std::make_unique<InMemoryProvenanceStore>();
   ProvenanceEvent imported;

@@ -72,7 +72,7 @@ TEST(ProvenanceManagerTest, RecordsWorkflowLifecycle) {
   ProvenanceManager manager;
   std::string run_id = manager.BeginWorkflow("snv", 100.0);
   EXPECT_FALSE(run_id.empty());
-  manager.EndWorkflow(run_id, 250.0, true);
+  manager.shard(run_id)->RecordWorkflowEnd(250.0, true);
   auto events = manager.Events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].type, ProvenanceEventType::kWorkflowStart);
@@ -87,7 +87,7 @@ TEST(ProvenanceManagerTest, RecordsWorkflowLifecycle) {
 TEST(ProvenanceManagerTest, RunIdsAreUniquePerRun) {
   ProvenanceManager manager;
   std::string a = manager.BeginWorkflow("wf", 0.0);
-  manager.EndWorkflow(a, 1.0, true);
+  manager.shard(a)->RecordWorkflowEnd(1.0, true);
   std::string b = manager.BeginWorkflow("wf", 2.0);
   EXPECT_NE(a, b);
   EXPECT_EQ(manager.shard_count(), 2u);
@@ -97,11 +97,11 @@ TEST(ProvenanceManagerTest, TaskAndFileEventsCarryDetail) {
   ProvenanceManager manager;
   std::string run = manager.BeginWorkflow("wf", 0.0);
   TaskSpec spec = MakeSpec(7, "varscan");
-  manager.RecordTaskStart(run, spec, 2, "node-002", 5.0);
-  manager.RecordFileStageIn(run, 7, "/in/a.bam", 1024, 0.5, 5.5);
-  manager.RecordTaskEnd(run, MakeResult(7, "varscan", 2, 5.0, 25.0),
-                        "node-002");
-  manager.RecordFileStageOut(run, 7, "/out/a.vcf", 2048, 0.25, 25.0);
+  manager.shard(run)->RecordTaskStart(spec, 2, "node-002", 5.0);
+  manager.shard(run)->RecordFileStageIn(7, "/in/a.bam", 1024, 0.5, 5.5);
+  manager.shard(run)->RecordTaskEnd(MakeResult(7, "varscan", 2, 5.0, 25.0),
+                                    "node-002");
+  manager.shard(run)->RecordFileStageOut(7, "/out/a.vcf", 2048, 0.25, 25.0);
   auto events = manager.Events();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[1].command, "varscan --args");
@@ -125,20 +125,19 @@ TEST(ProvenanceManagerTest, CrashPrefixIsAnExecutableWorkflowPrefix) {
     TaskSpec spec = MakeSpec(id, StrFormat("tool%lld",
                                            static_cast<long long>(id)));
     double start = 10.0 * static_cast<double>(id);
-    manager.RecordTaskStart(run, spec, 0, "node-000", start);
+    manager.shard(run)->RecordTaskStart(spec, 0, "node-000", start);
     if (id > 1) {
-      manager.RecordFileStageIn(
-          run, id, StrFormat("/f%lld", static_cast<long long>(id - 1)), 100,
-          0.1, start);
+      manager.shard(run)->RecordFileStageIn(
+          id, StrFormat("/f%lld", static_cast<long long>(id - 1)), 100, 0.1,
+          start);
     }
-    manager.RecordTaskEnd(
-        run, MakeResult(id, spec.signature, 0, start, start + 5.0),
-        "node-000");
-    manager.RecordFileStageOut(run, id,
-                               StrFormat("/f%lld", static_cast<long long>(id)),
-                               100, 0.1, start + 5.0);
+    manager.shard(run)->RecordTaskEnd(
+        MakeResult(id, spec.signature, 0, start, start + 5.0), "node-000");
+    manager.shard(run)->RecordFileStageOut(
+        id, StrFormat("/f%lld", static_cast<long long>(id)), 100, 0.1,
+        start + 5.0);
   }
-  manager.EndWorkflow(run, 40.0, true);
+  manager.shard(run)->RecordWorkflowEnd(40.0, true);
   std::vector<ProvenanceEvent> full = manager.Events();
 
   // Walk every truncation point (a crash can interrupt anywhere) and
@@ -174,25 +173,30 @@ TEST(ProvenanceManagerTest, CrashPrefixIsAnExecutableWorkflowPrefix) {
 TEST(ProvenanceManagerTest, LatestRuntimeQueriesNewestSuccess) {
   ProvenanceManager manager;
   std::string run = manager.BeginWorkflow("wf", 0.0);
-  manager.RecordTaskEnd(run, MakeResult(1, "align", 0, 0, 30), "node-000");
-  manager.RecordTaskEnd(run, MakeResult(2, "align", 0, 30, 80), "node-000");
-  manager.RecordTaskEnd(run, MakeResult(3, "align", 1, 0, 10), "node-001");
-  manager.RecordTaskEnd(run, MakeResult(4, "align", 0, 80, 200, false),
-                        "node-000");  // failed: ignored
-  auto latest = manager.LatestRuntime("align", 0);
+  manager.shard(run)->RecordTaskEnd(MakeResult(1, "align", 0, 0, 30),
+                                    "node-000");
+  manager.shard(run)->RecordTaskEnd(MakeResult(2, "align", 0, 30, 80),
+                                    "node-000");
+  manager.shard(run)->RecordTaskEnd(MakeResult(3, "align", 1, 0, 10),
+                                    "node-001");
+  manager.shard(run)->RecordTaskEnd(MakeResult(4, "align", 0, 80, 200, false),
+                                    "node-000");  // failed: ignored
+  auto latest = manager.View().LatestRuntime("align", 0);
   ASSERT_TRUE(latest.ok());
   EXPECT_DOUBLE_EQ(*latest, 50.0);
-  EXPECT_DOUBLE_EQ(*manager.LatestRuntime("align", 1), 10.0);
-  EXPECT_TRUE(manager.LatestRuntime("align", 9).status().IsNotFound());
-  EXPECT_TRUE(manager.LatestRuntime("sort", 0).status().IsNotFound());
+  EXPECT_DOUBLE_EQ(*manager.View().LatestRuntime("align", 1), 10.0);
+  EXPECT_TRUE(manager.View().LatestRuntime("align", 9).status().IsNotFound());
+  EXPECT_TRUE(manager.View().LatestRuntime("sort", 0).status().IsNotFound());
 }
 
 TEST(ProvenanceManagerTest, RuntimeObservationsInOrder) {
   ProvenanceManager manager;
   std::string run = manager.BeginWorkflow("wf", 0.0);
-  manager.RecordTaskEnd(run, MakeResult(1, "align", 0, 0, 30), "node-000");
-  manager.RecordTaskEnd(run, MakeResult(2, "align", 1, 0, 20), "node-001");
-  auto obs = manager.RuntimeObservations("align");
+  manager.shard(run)->RecordTaskEnd(MakeResult(1, "align", 0, 0, 30),
+                                    "node-000");
+  manager.shard(run)->RecordTaskEnd(MakeResult(2, "align", 1, 0, 20),
+                                    "node-001");
+  auto obs = manager.View().RuntimeObservations("align");
   ASSERT_EQ(obs.size(), 2u);
   EXPECT_EQ(obs[0].first, 0);
   EXPECT_DOUBLE_EQ(obs[0].second, 30.0);
@@ -203,10 +207,11 @@ TEST(TraceSerializationTest, RoundTripThroughJsonLines) {
   ProvenanceManager manager;
   std::string run = manager.BeginWorkflow("wf", 0.0);
   TaskSpec spec = MakeSpec(1, "align");
-  manager.RecordTaskStart(run, spec, 0, "node-000", 1.0);
-  manager.RecordFileStageIn(run, 1, "/in", 100, 0.1, 1.1);
-  manager.RecordTaskEnd(run, MakeResult(1, "align", 0, 1.0, 9.0), "node-000");
-  manager.EndWorkflow(run, 10.0, true);
+  manager.shard(run)->RecordTaskStart(spec, 0, "node-000", 1.0);
+  manager.shard(run)->RecordFileStageIn(1, "/in", 100, 0.1, 1.1);
+  manager.shard(run)->RecordTaskEnd(MakeResult(1, "align", 0, 1.0, 9.0),
+                                    "node-000");
+  manager.shard(run)->RecordWorkflowEnd(10.0, true);
   std::string text = manager.View().ExportTrace();
   EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
             manager.size());

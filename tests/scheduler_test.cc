@@ -383,7 +383,7 @@ TEST(RuntimeEstimatorTest, LoadFromViewIndexesTaskEnds) {
   result.started_at = 0.0;
   result.finished_at = 42.0;
   result.status = Status::OK();
-  manager.RecordTaskEnd(run, result, "node-003");
+  manager.shard(run)->RecordTaskEnd(result, "node-003");
   RuntimeEstimator estimator;
   estimator.LoadFromView(manager.View());
   EXPECT_DOUBLE_EQ(estimator.Estimate("align", 3), 42.0);
@@ -400,7 +400,7 @@ TEST(RuntimeEstimatorTest, FailedTasksAreNotObservations) {
   result.node = 0;
   result.finished_at = 99.0;
   result.status = Status::RuntimeError("crashed");
-  manager.RecordTaskEnd(run, result, "node-000");
+  manager.shard(run)->RecordTaskEnd(result, "node-000");
   RuntimeEstimator estimator;
   estimator.LoadFromView(manager.View());
   EXPECT_FALSE(estimator.HasObservation("align", 0));

@@ -612,6 +612,23 @@ TEST(ServiceTest, CreateRejectsBadConfiguration) {
                   ->SubmitStaged("no-such-workflow")
                   .status()
                   .IsNotFound());
+
+  // Submissions that fail before their AM starts still report their
+  // workflow name: an unknown scheduling policy, an AM container no
+  // node can host.
+  SubmissionOptions bad_policy;
+  bad_policy.policy = "lottery";
+  SubmissionOptions huge_am;
+  huge_am.hiway.am_vcores = 64;
+  for (const SubmissionOptions& options : {bad_policy, huge_am}) {
+    auto id = (*unknown)->SubmitStaged("montage", options);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    const SubmissionRecord* rec = (*unknown)->record(*id);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->state, SubmissionState::kFailed);
+    EXPECT_FALSE(rec->report.status.ok());
+    EXPECT_EQ(rec->report.workflow_name, "montage");
+  }
 }
 
 }  // namespace
