@@ -16,10 +16,12 @@
 //   query behaviour   — after the standard 8-workflow service burst,
 //                       merge-on-read statistics queries (LatestRuntime
 //                       over every observed (signature, node) pair,
-//                       RuntimeObservations, full merge + trace export)
-//                       timed against the view, with every answer
-//                       checked for equivalence against a brute-force
-//                       scan of the seq-ordered single-store sequence.
+//                       RuntimeObservations — the history scans in
+//                       tests/oracles/provenance_oracle.h — full merge +
+//                       trace export) timed against the view, with every
+//                       answer checked for equivalence against a
+//                       brute-force scan of the seq-ordered single-store
+//                       sequence.
 //
 // `--json` emits one JSON object for CI artifact collection; `--quick`
 // trims the burst input sizes.
@@ -42,6 +44,7 @@
 #include "src/core/provenance.h"
 #include "src/service/workflow_service.h"
 #include "src/workloads/workloads.h"
+#include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
 namespace {
@@ -143,7 +146,10 @@ AppendResult MeasureAppendThroughput(bool quick) {
           shard->Append(MakeTaskEnd(w, i));
           if (i < kLookback) continue;
           const ProvenanceEvent probe = MakeTaskEnd(w, i - kLookback);
-          if (!view.LatestRuntime(probe.signature, w).ok()) std::abort();
+          if (!ProvenanceOracle::LatestRuntime(view, probe.signature, w)
+                   .ok()) {
+            std::abort();
+          }
         }
       });
     }
@@ -289,7 +295,7 @@ Result<QueryStats> RunBurstAndQuery(bool quick) {
   std::vector<double> latest_us;
   for (const auto& [sig, node] : pairs) {
     auto q_start = std::chrono::steady_clock::now();
-    auto latest = view.LatestRuntime(sig, node);
+    auto latest = ProvenanceOracle::LatestRuntime(view, sig, node);
     latest_us.push_back(SecondsSince(q_start) * 1e6);
     double brute = -1.0;
     for (const ProvenanceEvent& ev : reference) {
@@ -306,7 +312,7 @@ Result<QueryStats> RunBurstAndQuery(bool quick) {
   std::vector<double> obs_us;
   for (const std::string& sig : signatures) {
     auto q_start = std::chrono::steady_clock::now();
-    auto obs = view.RuntimeObservations(sig);
+    auto obs = ProvenanceOracle::RuntimeObservations(view, sig);
     obs_us.push_back(SecondsSince(q_start) * 1e6);
     std::vector<std::pair<int32_t, double>> brute;
     for (const ProvenanceEvent& ev : reference) {

@@ -119,17 +119,9 @@ bool ResultCache::OutputsFresh(const Entry& entry) const {
 }
 
 bool ResultCache::ResolvedByProvenance(const Entry& entry) const {
-  ProvenanceView view = provenance_->ViewOf({entry.run_id});
-  if (view.shard_count() == 0) return false;
-  for (const ProvenanceEvent& ev : view.Events()) {
-    if (ev.type != ProvenanceEventType::kTaskEnd || !ev.success) continue;
-    if (ev.signature != entry.signature) continue;
-    if (entry.task_id != kInvalidTask && ev.task_id != entry.task_id) {
-      continue;
-    }
-    return true;
-  }
-  return false;
+  const ProvenanceShard* shard = provenance_->shard(entry.run_id);
+  return shard != nullptr &&
+         shard->HasSuccessfulTaskEnd(entry.signature, entry.task_id);
 }
 
 namespace {
@@ -358,9 +350,9 @@ Result<CacheHit> ResultCache::Lookup(const TaskSpec& spec,
   }
   Entry& entry = tit->second;
 
-  // Resolve through the provenance view of the producing run: the
-  // sharded history must still vouch for the execution (PR 4's no-leak
-  // substrate). Entries whose history is gone are conservative misses.
+  // Resolve through the producing run's provenance shard: its index of
+  // successful task ends must still vouch for the execution. Entries
+  // whose history is gone are conservative misses.
   if (TenantOfLocked(entry.run_id) != want ||
       !ResolvedByProvenance(entry)) {
     ++stats_.unresolved;

@@ -13,9 +13,9 @@
 //
 // Tenancy. Entries record the run that produced them; a lookup names the
 // requesting tenant and is answered only when (a) the producing run
-// belongs to that tenant and (b) a ProvenanceView over that run still
-// vouches for the execution (a successful task-end with the entry's
-// signature). This reuses the cross-tenant no-leak machinery of the
+// belongs to that tenant and (b) that run's provenance shard still
+// vouches for the execution (a successful task end with the entry's
+// signature and task id). This reuses the cross-tenant no-leak machinery of the
 // sharded provenance layer: the cache can never serve one tenant's
 // private outputs to another, and an entry whose provenance history is
 // gone (wiped, or not adopted after a restart) is conservatively a miss.
@@ -84,7 +84,8 @@ struct ResultCacheStats {
   int64_t churn_evictions = 0;
   /// Lookups refused because the entry belongs to another tenant.
   int64_t tenant_denied = 0;
-  /// Lookups refused because no provenance view vouches for the entry.
+  /// Lookups refused because no provenance shard vouches for the entry
+  /// (or it belongs to a run of another tenant).
   int64_t unresolved = 0;
   int64_t verify_checks = 0;
   /// Verification reads that hit a transient DFS fault (hit downgraded).
@@ -196,6 +197,8 @@ class ResultCache {
   const ResultCacheOptions& options() const { return options_; }
 
  private:
+  friend class ProvenanceOracle;  // tests/oracles: scan-backed resolution
+
   struct Entry {
     std::string key;
     std::string signature;
@@ -220,8 +223,8 @@ class ResultCache {
   void PersistLocked(const Entry& entry);
   size_t TotalEntriesLocked() const;
   std::string TenantOfLocked(const std::string& run_id) const;
-  /// True when a ProvenanceView over the producing run vouches for the
-  /// entry (successful task-end with its signature).
+  /// True when the producing run's provenance shard vouches for the
+  /// entry (a successful task end with its signature and task id).
   bool ResolvedByProvenance(const Entry& entry) const;
   /// Adds (+1) or releases (-1) the pin index entries for `entry`'s file
   /// outputs. Every insert/erase of a sealed entry must go through this

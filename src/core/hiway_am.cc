@@ -509,9 +509,12 @@ void HiWayAm::OnContainerAllocated(const Container& container,
         blacklist.erase(blacklist.begin(),
                         blacklist.end() - static_cast<ptrdiff_t>(cap));
       }
+      // Size the replacement like the declined container, which the
+      // original request sized: with tailored containers the AM defaults
+      // may fit no node at all, and the request would wait forever.
       ContainerRequest request;
-      request.vcores = options_.container_vcores;
-      request.memory_mb = options_.container_memory_mb;
+      request.vcores = container.vcores;
+      request.memory_mb = container.memory_mb;
       request.blacklist = blacklist;
       request.priority = options_.container_priority;
       request.cookie = next_decline_cookie_--;

@@ -158,7 +158,18 @@ ProvenanceShard::ProvenanceShard(std::string run_id,
       workflow_name_(std::move(workflow_name)),
       started_(started),
       global_seq_(global_seq),
-      store_(std::move(store)) {}
+      store_(std::move(store)) {
+  // Adopted or reopened stores arrive with history: index it once (no
+  // other thread can see the shard yet).
+  for (const ProvenanceEvent& ev : store_->Events()) IndexLocked(ev);
+}
+
+void ProvenanceShard::IndexLocked(const ProvenanceEvent& event) {
+  if (event.type != ProvenanceEventType::kTaskEnd || !event.success) return;
+  std::vector<TaskId>& ids = succeeded_[event.signature];
+  auto it = std::lower_bound(ids.begin(), ids.end(), event.task_id);
+  if (it == ids.end() || *it != event.task_id) ids.insert(it, event.task_id);
+}
 
 void ProvenanceShard::Append(ProvenanceEvent event) {
   if (event.run_id.empty()) event.run_id = run_id_;
@@ -174,6 +185,7 @@ void ProvenanceShard::Append(ProvenanceEvent event) {
     event.seq = global_seq_->fetch_add(1, std::memory_order_relaxed);
   }
   store_->Append(event);
+  IndexLocked(event);
 }
 
 void ProvenanceShard::RecordWorkflowStart(double now) {
@@ -280,6 +292,15 @@ int64_t ProvenanceShard::dropped_after_seal() const {
   return dropped_after_seal_;
 }
 
+bool ProvenanceShard::HasSuccessfulTaskEnd(const std::string& signature,
+                                           TaskId task) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = succeeded_.find(signature);
+  if (it == succeeded_.end()) return false;
+  return task == kInvalidTask ||
+         std::binary_search(it->second.begin(), it->second.end(), task);
+}
+
 std::vector<ProvenanceEvent> ProvenanceShard::Events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return store_->Events();
@@ -351,51 +372,6 @@ size_t ProvenanceView::size() const {
   size_t total = 0;
   for (const ProvenanceShard* shard : shards_) total += shard->size();
   return total;
-}
-
-Result<double> ProvenanceView::LatestRuntime(const std::string& signature,
-                                             int32_t node) const {
-  // The paper's strategy is "always use the latest observed runtime" to
-  // adapt quickly to infrastructure changes: take the per-shard latest
-  // match, then the globally newest among those (merged order).
-  bool found = false;
-  int64_t best_seq = -1;
-  double best_ts = 0.0;
-  double best = 0.0;
-  for (const ProvenanceShard* shard : shards_) {
-    std::vector<ProvenanceEvent> events = shard->Events();
-    for (auto it = events.rbegin(); it != events.rend(); ++it) {
-      if (it->type == ProvenanceEventType::kTaskEnd && it->success &&
-          it->signature == signature && it->node == node) {
-        bool newer = !found || (it->seq >= 0 && best_seq >= 0
-                                    ? it->seq > best_seq
-                                    : it->timestamp > best_ts);
-        if (newer) {
-          found = true;
-          best_seq = it->seq;
-          best_ts = it->timestamp;
-          best = it->duration;
-        }
-        break;  // within a shard, the first hit from the back is latest
-      }
-    }
-  }
-  if (!found) {
-    return Status::NotFound("no runtime observation for " + signature);
-  }
-  return best;
-}
-
-std::vector<std::pair<int32_t, double>> ProvenanceView::RuntimeObservations(
-    const std::string& signature) const {
-  std::vector<std::pair<int32_t, double>> out;
-  for (const ProvenanceEvent& ev : Events()) {
-    if (ev.type == ProvenanceEventType::kTaskEnd && ev.success &&
-        ev.signature == signature) {
-      out.emplace_back(ev.node, ev.duration);
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------- ProvenanceManager --

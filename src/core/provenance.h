@@ -8,11 +8,17 @@
 // Storage mirrors the paper's one-AM-per-workflow argument: every AM
 // attempt appends to its own ProvenanceShard (its own store, its own
 // lock), so concurrent workflows never contend on a central write path.
-// Cross-run queries — the runtime estimator's statistics, trace export,
-// failover replay — go through a ProvenanceView, which merges the shards
-// on read. A global atomic sequence number stamped at append time makes
-// the merged order identical to what a single shared store would have
-// recorded for the same schedule.
+// Cross-run reads — trace export, failover replay — go through a
+// ProvenanceView, which merges the shards on read. A global atomic
+// sequence number stamped at append time makes the merged order
+// identical to what a single shared store would have recorded for the
+// same schedule.
+//
+// The one question the running system asks of another run's history —
+// "did run R end (signature, task) successfully?", which vouches for a
+// result-cache entry — never reads the event log: each shard keeps a
+// small index of its successful task ends, maintained on append
+// (docs/provenance.md).
 
 #ifndef HIWAY_CORE_PROVENANCE_H_
 #define HIWAY_CORE_PROVENANCE_H_
@@ -179,11 +185,21 @@ class ProvenanceShard {
   /// from a crashed AM's in-flight callbacks).
   int64_t dropped_after_seal() const;
 
+  /// True when this shard holds a successful task-end event for
+  /// `signature` and `task`; `task == kInvalidTask` matches any task with
+  /// that signature. Answered from the shard's index, without copying
+  /// the event log.
+  bool HasSuccessfulTaskEnd(const std::string& signature, TaskId task) const;
+
   /// Snapshot of this shard's events, append order (ascending seq).
   std::vector<ProvenanceEvent> Events() const;
   size_t size() const;
 
  private:
+  /// Adds a stored event to the success index (no-op for anything but a
+  /// successful task end).
+  void IndexLocked(const ProvenanceEvent& event);
+
   const std::string run_id_;
   const std::string workflow_name_;
   const double started_;
@@ -192,11 +208,15 @@ class ProvenanceShard {
   std::unique_ptr<ProvenanceStore> store_;
   bool sealed_ = false;
   int64_t dropped_after_seal_ = 0;
+  /// signature -> ids of the tasks that ended successfully with it,
+  /// ascending and unique. Each signature string is stored once per
+  /// shard; a workflow's tasks share a handful of signatures.
+  std::map<std::string, std::vector<TaskId>> succeeded_;
 };
 
 /// Merge-on-read over a set of shards: iteration in global append order
-/// plus the scheduler-facing statistics queries, across any subset of a
-/// service's runs (one submission's attempts, a queue, or everything).
+/// across any subset of a service's runs (one submission's attempts, a
+/// queue, or everything).
 /// A view is a cheap value object holding non-owning shard pointers; the
 /// shards (retained by their manager) must outlive it. Reads take each
 /// shard's lock one at a time — never two at once — so appenders only
@@ -217,21 +237,12 @@ class ProvenanceView {
   /// Total events across the shards.
   size_t size() const;
 
-  /// Latest observed runtime of `signature` on `node` across the viewed
-  /// shards; NotFound when the pair was never observed. "Latest" follows
-  /// merged order, matching a newest-to-oldest scan of a single store.
-  Result<double> LatestRuntime(const std::string& signature,
-                               int32_t node) const;
-
-  /// All observed (node, runtime) samples for a signature in merged
-  /// order, oldest first.
-  std::vector<std::pair<int32_t, double>> RuntimeObservations(
-      const std::string& signature) const;
-
   /// JSON-lines trace of the merged events (HDFS trace-file export).
   std::string ExportTrace() const { return SerializeTrace(Events()); }
 
  private:
+  friend class ProvenanceOracle;  // tests/oracles: per-shard scans
+
   std::vector<const ProvenanceShard*> shards_;
 };
 

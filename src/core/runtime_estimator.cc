@@ -4,24 +4,6 @@
 
 namespace hiway {
 
-void RuntimeEstimator::LoadFromStore(const ProvenanceStore& store) {
-  for (const ProvenanceEvent& ev : store.Events()) {
-    if (ev.type == ProvenanceEventType::kTaskEnd && ev.success &&
-        ev.node >= 0) {
-      Observe(ev.signature, ev.node, ev.duration);
-    }
-  }
-}
-
-void RuntimeEstimator::LoadFromView(const ProvenanceView& view) {
-  for (const ProvenanceEvent& ev : view.Events()) {
-    if (ev.type == ProvenanceEventType::kTaskEnd && ev.success &&
-        ev.node >= 0) {
-      Observe(ev.signature, ev.node, ev.duration);
-    }
-  }
-}
-
 void RuntimeEstimator::Observe(const std::string& signature, int32_t node,
                                double runtime) {
   runtime = std::max(runtime, 0.0);

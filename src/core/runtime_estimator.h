@@ -10,11 +10,10 @@
 #ifndef HIWAY_CORE_RUNTIME_ESTIMATOR_H_
 #define HIWAY_CORE_RUNTIME_ESTIMATOR_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
-
-#include "src/core/provenance.h"
 
 namespace hiway {
 
@@ -35,14 +34,6 @@ class RuntimeEstimator {
   explicit RuntimeEstimator(
       EstimationStrategy strategy = EstimationStrategy::kLatestObserved)
       : strategy_(strategy) {}
-
-  /// Bulk-loads observations from a provenance store (one linear scan).
-  void LoadFromStore(const ProvenanceStore& store);
-
-  /// Bulk-loads observations from a merged view over provenance shards
-  /// (merged order, so "latest" matches a single-store load of the same
-  /// schedule).
-  void LoadFromView(const ProvenanceView& view);
 
   /// Records a fresh observation (called by the AM on task completion).
   void Observe(const std::string& signature, int32_t node, double runtime);

@@ -73,7 +73,7 @@ class Deployment {
   /// Cluster-wide result cache and per-node staging cache
   /// (docs/data-cache.md); null unless the hiway/cache_* attributes
   /// enable them. Declared after `provenance` (destroyed first): the
-  /// result cache resolves hits through provenance views.
+  /// result cache resolves hits through provenance shards.
   std::unique_ptr<ResultCache> result_cache;
   std::unique_ptr<StagingCache> staging_cache;
   /// Intermediate-data garbage collector (docs/storage-model.md); null

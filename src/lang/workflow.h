@@ -140,6 +140,9 @@ class StaticWorkflowSource : public WorkflowSource {
   std::vector<std::string> Targets() const override { return targets_; }
 
   size_t task_count() const { return tasks_.size(); }
+  /// The full task list, as Init() returns it, without consuming the
+  /// source (footprint admission estimates from it before the AM runs).
+  const std::vector<TaskSpec>& tasks() const { return tasks_; }
 
   /// Workflow input files as (path, size in bytes or 0) pairs: consumed
   /// but never produced, so the caller must stage them into DFS before

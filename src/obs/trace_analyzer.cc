@@ -181,52 +181,6 @@ CriticalPathReport TraceAnalyzer::CriticalPath() const {
   return report;
 }
 
-std::string CacheSavingsReport::Summary() const {
-  return StrFormat(
-      "cache savings: %lld result hit(s) skipping %.1fs of compute "
-      "(%lld bytes reused), %lld staging hit(s) serving %lld bytes "
-      "locally, %lld verify mismatch(es)",
-      static_cast<long long>(result_hits), compute_saved_s,
-      static_cast<long long>(output_bytes_reused),
-      static_cast<long long>(staging_hits),
-      static_cast<long long>(staging_bytes_served),
-      static_cast<long long>(verify_mismatches));
-}
-
-CacheSavingsReport TraceAnalyzer::CacheSavings() const {
-  CacheSavingsReport report;
-  for (const TraceEvent& ev : events_) {
-    if (ev.category != SpanCategory::kCache ||
-        ev.phase != SpanPhase::kInstant) {
-      continue;
-    }
-    if (NameIs(ev, "cache_hit")) {
-      ++report.result_hits;
-      report.compute_saved_s += ev.value;
-      if (ev.aux > 0) report.output_bytes_reused += ev.aux;
-    } else if (NameIs(ev, "staging_hit")) {
-      ++report.staging_hits;
-      if (ev.aux > 0) report.staging_bytes_served += ev.aux;
-    } else if (NameIs(ev, "cache_verify_mismatch")) {
-      ++report.verify_mismatches;
-    }
-  }
-  return report;
-}
-
-std::map<std::string, SpanStat> TraceAnalyzer::SpanStats() const {
-  std::map<std::string, SpanStat> stats;
-  for (const TraceEvent& ev : events_) {
-    std::string key = std::string(ToString(ev.category)) + "/" + ev.name;
-    SpanStat& s = stats[key];
-    ++s.count;
-    if (ev.phase == SpanPhase::kEnd || ev.phase == SpanPhase::kInstant) {
-      s.total_seconds += ev.value;
-    }
-  }
-  return stats;
-}
-
 TraceAnalyzer TraceAnalyzer::ForApp(int64_t app) const {
   std::vector<TraceEvent> filtered;
   for (const TraceEvent& ev : events_) {

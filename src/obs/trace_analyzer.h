@@ -77,26 +77,6 @@ struct CriticalPathReport {
   std::string Summary() const;
 };
 
-/// Aggregate per-(category, name) statistics across the whole trace.
-struct SpanStat {
-  int64_t count = 0;
-  double total_seconds = 0.0;  // sum of End/complete `value` durations
-};
-
-/// What the caches saved in the traced window, from kCache instants
-/// (docs/data-cache.md): "cache_hit" carries the original attempt's
-/// duration (compute eliminated) and its output bytes; "staging_hit"
-/// carries the stage-in bytes that never crossed the network.
-struct CacheSavingsReport {
-  int64_t result_hits = 0;
-  double compute_saved_s = 0.0;     // original durations of all hits
-  int64_t output_bytes_reused = 0;  // bytes produced without running
-  int64_t staging_hits = 0;
-  int64_t staging_bytes_served = 0; // stage-in bytes served locally
-  int64_t verify_mismatches = 0;    // hits voided by --cache-verify
-  std::string Summary() const;
-};
-
 class TraceAnalyzer {
  public:
   /// Consumes a drained trace (Tracer::Drain() order). Events of
@@ -111,15 +91,6 @@ class TraceAnalyzer {
   /// segment weight (dynamic programming over the DAG; cycles — which
   /// a well-formed trace cannot contain — are broken defensively).
   CriticalPathReport CriticalPath() const;
-
-  /// Per-(category, name) event counts and duration sums.
-  std::map<std::string, SpanStat> SpanStats() const;
-
-  /// Aggregates the kCache events into reuse savings: compute seconds
-  /// the result cache skipped and transfer bytes the staging cache kept
-  /// off the wire. The saved seconds explain a warm run's vanished
-  /// execute/localize spans against a cold run's critical path.
-  CacheSavingsReport CacheSavings() const;
 
   /// Analyzer restricted to one application's events.
   TraceAnalyzer ForApp(int64_t app) const;

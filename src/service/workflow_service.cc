@@ -187,17 +187,15 @@ void WorkflowService::EstimateSubmissionFootprint(SubmissionId id) {
   if (sub.options.footprint_bytes > 0) {
     logical = sub.options.footprint_bytes;
   } else {
-    // Auto-estimate: build a throwaway source (the submission's own must
-    // reach its AM unconsumed) and walk its static task graph. Iterative
-    // sources and factory failures leave the gate bypassed — their peak
-    // is unknowable up front.
-    if (!sub.options.source_factory) return;
-    auto probe = sub.options.source_factory();
-    if (!probe.ok() || !(*probe)->IsStatic()) return;
-    auto tasks = (*probe)->Init();
-    if (!tasks.ok()) return;
-    FootprintEstimate est = EstimateFootprint(*tasks, (*probe)->Targets(),
-                                              deployment_->dfs.get());
+    // Auto-estimate: walk the submission's own static task graph through
+    // const accessors, so the source still reaches its AM unconsumed.
+    // Iterative sources leave the gate bypassed — their peak is
+    // unknowable up front.
+    const auto* source =
+        dynamic_cast<const StaticWorkflowSource*>(sub.source.get());
+    if (source == nullptr) return;
+    FootprintEstimate est = EstimateFootprint(
+        source->tasks(), source->Targets(), deployment_->dfs.get());
     rec.footprint_estimate_bytes = est.peak_bytes;
     // Staged inputs already sit inside the baseline the budget was carved
     // from at Create(); only bytes beyond them are a new demand.

@@ -115,8 +115,9 @@ struct SubmissionOptions {
   std::function<Result<std::unique_ptr<WorkflowSource>>()> source_factory;
   /// Projected *additional* logical bytes the workflow materialises
   /// beyond its already-staged inputs, for footprint admission. -1 (the
-  /// default) auto-estimates via src/gc/footprint.h when a source factory
-  /// yields a static source; 0 bypasses the gate for this submission.
+  /// default) auto-estimates via src/gc/footprint.h from the submitted
+  /// source's task list when it is a StaticWorkflowSource (iterative
+  /// sources bypass the gate); 0 bypasses the gate for this submission.
   int64_t footprint_bytes = -1;
 };
 

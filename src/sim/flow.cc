@@ -69,11 +69,6 @@ double FlowNetwork::Capacity(ResourceId id) const {
   return resources_[static_cast<size_t>(id)].capacity;
 }
 
-const std::string& FlowNetwork::ResourceName(ResourceId id) const {
-  HIWAY_CHECK(id >= 0 && static_cast<size_t>(id) < resources_.size());
-  return resources_[static_cast<size_t>(id)].name;
-}
-
 FlowId FlowNetwork::StartFlow(FlowSpec spec) {
   HIWAY_CHECK(!spec.resources.empty());
   HIWAY_CHECK(spec.demand >= 0.0);
@@ -112,16 +107,6 @@ void FlowNetwork::CancelFlow(FlowId id) {
 }
 
 bool FlowNetwork::IsActive(FlowId id) const { return slot_of_.contains(id); }
-
-double FlowNetwork::RemainingDemand(FlowId id) const {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return 0.0;
-  const Flow& flow = flows_[it->second];
-  // Account for progress since the last settle without mutating state.
-  double dt = engine_->Now() - last_update_;
-  double progressed = flow.remaining - flow.rate * dt;
-  return std::max(progressed, 0.0);
-}
 
 double FlowNetwork::CurrentRate(FlowId id) const {
   auto it = slot_of_.find(id);

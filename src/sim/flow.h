@@ -87,7 +87,6 @@ class FlowNetwork {
   void SetCapacity(ResourceId id, double capacity);
 
   double Capacity(ResourceId id) const;
-  const std::string& ResourceName(ResourceId id) const;
 
   /// Starts a flow; rates of the flows it now shares resources with
   /// (transitively) are re-balanced immediately.
@@ -99,9 +98,6 @@ class FlowNetwork {
 
   /// True if the flow is still in flight.
   bool IsActive(FlowId id) const;
-
-  /// Remaining demand of an active flow (infinity for permanent flows).
-  double RemainingDemand(FlowId id) const;
 
   /// Current assigned rate of an active flow.
   double CurrentRate(FlowId id) const;

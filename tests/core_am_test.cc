@@ -288,6 +288,38 @@ TEST(HiWayAmTest, TailoredContainersCapAtToolThreads) {
   EXPECT_LT(tailored_report->Makespan(), 0.5 * fat_report->Makespan());
 }
 
+TEST(HiWayAmTest, DeclinedTailoredContainerIsReRequestedAtItsOwnSize) {
+  // The AM defaults (8 vcores) fit no 4-core node; tailoring shrinks
+  // every annovar container to one core. Node 0 looks terrible to the
+  // online-MCT scheduler, so it declines containers there, and each
+  // decline re-requests a container. Sized from the AM defaults, that
+  // re-request could never be placed and its task would wait forever.
+  TestRig rig(2, /*cores=*/4);
+  ASSERT_TRUE(rig.dfs->IngestFile("/in/v.vcf", 1 << 20).ok());
+  rig.estimator.Observe("annovar", 0, 1000.0);
+  rig.estimator.Observe("annovar", 1, 10.0);
+  std::vector<TaskSpec> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back(MakeTask(i + 1, "annovar", {"/in/v.vcf"},
+                             {StrFormat("/out/a%d.csv", i)}));
+  }
+  StaticWorkflowSource source("declined", tasks);
+  OnlineMctScheduler scheduler(&rig.estimator, 2);
+  HiWayOptions options;
+  options.container_vcores = 8;
+  options.container_memory_mb = 8000;
+  options.tailor_containers = true;
+  HiWayAm am = rig.MakeAm(options);
+  ASSERT_TRUE(am.Submit(&source, &scheduler).ok());
+  // Bounded in virtual time: a hung request keeps the AM heartbeat (and
+  // so the engine) alive forever.
+  rig.engine.RunUntil(3600.0);
+  ASSERT_TRUE(am.finished());
+  EXPECT_TRUE(am.report().status.ok()) << am.report().status.ToString();
+  EXPECT_EQ(am.report().tasks_completed, 8);
+  EXPECT_EQ(rig.rm->running_containers(), 0);
+}
+
 TEST(HiWayAmTest, OnlineMctRunsIterativeWorkflows) {
   TestRig rig(3);
   ASSERT_TRUE(rig.dfs->IngestFile("/in/reads.fq", 16 << 20).ok());

@@ -16,6 +16,7 @@
 #include "src/core/client.h"
 #include "src/gc/footprint.h"
 #include "src/infra/karamel.h"
+#include "src/lang/cuneiform.h"
 #include "src/service/workflow_service.h"
 #include "src/sim/fault_injector.h"
 
@@ -807,6 +808,67 @@ TEST(GcTest, AdmissionAutoEstimatesStaticSources) {
   // The traced actual peak matches the admission estimate (declared
   // sizes, serial chain: the estimator is exact here).
   EXPECT_EQ(rec->report.peak_footprint_bytes, 12 * kMiB);
+  EXPECT_EQ((*service)->committed_footprint_bytes(), 0);
+}
+
+TEST(GcTest, AdmissionEstimatesTheSubmittedSourceWithoutAFactory) {
+  // The estimate walks the submitted source itself: static submissions
+  // with no source factory are estimated and gated, and an iterative
+  // (Cuneiform) submission still bypasses the gate.
+  auto d = GcDeployment({{"dfs/capacity_mb", "64"}});
+  ASSERT_TRUE(d.ok());
+  for (const char* input : {"/sf/in", "/big/in", "/cf/in"}) {
+    ASSERT_TRUE((*d)->dfs->IngestFile(input, 4 * kMiB).ok());
+  }
+  WorkflowServiceOptions options;
+  options.footprint_admission = true;
+  auto service = WorkflowService::Create(d->get(), options);
+  ASSERT_TRUE(service.ok());
+  // Budget = capacity - staged baseline = 64 - 12 = 52 MiB.
+  ASSERT_EQ((*service)->footprint_budget_bytes(), 52 * kMiB);
+
+  // Peak 12 MiB (input + two live stages), charged 12 - 4 = 8 MiB.
+  auto fits = (*service)->Submit(
+      "/sf",
+      std::make_unique<StaticWorkflowSource>(
+          "chain", ChainTasks("/sf", 6, 4 * kMiB),
+          std::vector<std::string>{"/sf/out"}),
+      SubmissionOptions{});
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ((*service)->record(*fits)->footprint_estimate_bytes, 12 * kMiB);
+  EXPECT_EQ((*service)->committed_footprint_bytes(), 8 * kMiB);
+
+  // Peak 4 + 40 + 40 MiB: more than the whole budget, so it can never
+  // start.
+  auto never = (*service)->Submit(
+      "/big",
+      std::make_unique<StaticWorkflowSource>(
+          "chain", ChainTasks("/big", 3, 40 * kMiB),
+          std::vector<std::string>{"/big/out"}),
+      SubmissionOptions{});
+  ASSERT_TRUE(never.ok());
+  EXPECT_EQ((*service)->record(*never)->footprint_estimate_bytes,
+            84 * kMiB);
+
+  auto cuneiform = CuneiformSource::Parse(
+      "deftask step( out : inp ) in 'chainstep';\n"
+      "target step( inp: '/cf/in' );\n");
+  ASSERT_TRUE(cuneiform.ok()) << cuneiform.status().ToString();
+  auto iterative = (*service)->Submit("/cf", std::move(*cuneiform),
+                                      SubmissionOptions{});
+  ASSERT_TRUE(iterative.ok());
+  EXPECT_EQ((*service)->record(*iterative)->footprint_estimate_bytes, 0);
+  EXPECT_EQ((*service)->committed_footprint_bytes(), 8 * kMiB);
+
+  ASSERT_TRUE((*service)->RunToCompletion().ok());
+  EXPECT_EQ((*service)->record(*fits)->state, SubmissionState::kSucceeded);
+  const SubmissionRecord* rejected = (*service)->record(*never);
+  EXPECT_EQ(rejected->state, SubmissionState::kFailed);
+  EXPECT_TRUE(rejected->report.status.IsResourceExhausted())
+      << rejected->report.status.ToString();
+  EXPECT_EQ((*service)->record(*iterative)->state,
+            SubmissionState::kSucceeded)
+      << (*service)->record(*iterative)->report.status.ToString();
   EXPECT_EQ((*service)->committed_footprint_bytes(), 0);
 }
 

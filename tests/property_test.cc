@@ -9,6 +9,7 @@
 #include "src/common/strings.h"
 #include "src/core/client.h"
 #include "src/lang/trace_source.h"
+#include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
 namespace {
@@ -230,7 +231,8 @@ TEST_P(ShardMergeProperty, MergedViewMatchesBruteForce) {
         brute_obs.emplace_back(ev.node, ev.duration);
       }
     }
-    EXPECT_EQ(manager.View().RuntimeObservations(sig), brute_obs);
+    EXPECT_EQ(ProvenanceOracle::RuntimeObservations(manager.View(), sig),
+              brute_obs);
     for (int n = 0; n < kNodes; ++n) {
       double brute_latest = -1.0;
       for (const ProvenanceEvent& ev : reference) {
@@ -239,7 +241,7 @@ TEST_P(ShardMergeProperty, MergedViewMatchesBruteForce) {
           brute_latest = ev.duration;
         }
       }
-      auto latest = manager.View().LatestRuntime(sig, n);
+      auto latest = ProvenanceOracle::LatestRuntime(manager.View(), sig, n);
       if (brute_latest < 0) {
         EXPECT_TRUE(latest.status().IsNotFound()) << sig << " node " << n;
       } else {

@@ -11,6 +11,7 @@
 
 #include "src/common/random.h"
 #include "src/common/strings.h"
+#include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
 namespace {
@@ -230,7 +231,8 @@ TEST_F(ProvDbTest, ProvenanceStoreAdapterRoundTrips) {
   auto events = store.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[1].signature, "align");
-  EXPECT_DOUBLE_EQ(*manager.View().LatestRuntime("align", 2), 10.0);
+  EXPECT_DOUBLE_EQ(
+      *ProvenanceOracle::LatestRuntime(manager.View(), "align", 2), 10.0);
 
   // A second adapter over the same db continues the sequence.
   ProvDbProvenanceStore store2(db->get());
@@ -370,7 +372,9 @@ TEST_F(ProvDbDirectoryTest, ShardedProvenanceSurvivesRestart) {
   ProvenanceShard* adopted = sharded->manager->shard(first_run);
   ASSERT_NE(adopted, nullptr);
   EXPECT_TRUE(adopted->sealed());
-  EXPECT_DOUBLE_EQ(*sharded->manager->View().LatestRuntime("align", 2), 10.0);
+  EXPECT_DOUBLE_EQ(*ProvenanceOracle::LatestRuntime(sharded->manager->View(),
+                                                    "align", 2),
+                   10.0);
 
   std::string second_run = sharded->manager->BeginWorkflow("wf", 100.0);
   EXPECT_NE(second_run, first_run);
@@ -388,7 +392,9 @@ TEST_F(ProvDbDirectoryTest, ShardedProvenanceSurvivesRestart) {
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events.front().run_id, first_run);
   EXPECT_EQ(events.back().run_id, second_run);
-  EXPECT_DOUBLE_EQ(*sharded->manager->View().LatestRuntime("align", 2), 3.0);
+  EXPECT_DOUBLE_EQ(*ProvenanceOracle::LatestRuntime(sharded->manager->View(),
+                                                    "align", 2),
+                   3.0);
 }
 
 TEST(Crc32Test, KnownVectors) {

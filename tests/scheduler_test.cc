@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/strings.h"
+#include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
 namespace {
@@ -385,7 +386,7 @@ TEST(RuntimeEstimatorTest, LoadFromViewIndexesTaskEnds) {
   result.status = Status::OK();
   manager.shard(run)->RecordTaskEnd(result, "node-003");
   RuntimeEstimator estimator;
-  estimator.LoadFromView(manager.View());
+  ProvenanceOracle::LoadFromView(manager.View(), &estimator);
   EXPECT_DOUBLE_EQ(estimator.Estimate("align", 3), 42.0);
   estimator.Clear();
   EXPECT_DOUBLE_EQ(estimator.Estimate("align", 3), 0.0);
@@ -402,7 +403,7 @@ TEST(RuntimeEstimatorTest, FailedTasksAreNotObservations) {
   result.status = Status::RuntimeError("crashed");
   manager.shard(run)->RecordTaskEnd(result, "node-000");
   RuntimeEstimator estimator;
-  estimator.LoadFromView(manager.View());
+  ProvenanceOracle::LoadFromView(manager.View(), &estimator);
   EXPECT_FALSE(estimator.HasObservation("align", 0));
 }
 
