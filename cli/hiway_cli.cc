@@ -31,6 +31,35 @@
 namespace hiway {
 namespace {
 
+/// A flag that is shorthand for one `-a KEY=VALUE` attribute. It only
+/// copies its value: the attribute table checks it at converge time.
+struct AttributeAlias {
+  const char* flag;
+  const char* key;
+  /// The value a switch flag sets; nullptr = the flag takes a value.
+  const char* value;
+};
+
+constexpr AttributeAlias kAttributeAliases[] = {
+    {"--dfs-capacity-mb", "dfs/capacity_mb", nullptr},
+    {"--gc", "hiway/gc", "on"},
+    {"--result-cache", "hiway/cache_results", "on"},
+    {"--staging-cache-mb", "hiway/cache_staging_mb", nullptr},
+    {"--cache-verify", "hiway/cache_verify", "on"},
+    {"--rm-scheduler", "yarn/scheduler", nullptr},
+    {"--preemption", "yarn/preemption", "true"},
+    {"--preemption-grace", "yarn/preemption_grace_s", nullptr},
+    {"--max-preempt-per-round", "yarn/max_preempt_per_round", nullptr},
+    {"--autoscaler", "elastic/autoscaler", nullptr},
+};
+
+const AttributeAlias* FindAlias(std::string_view flag) {
+  for (const AttributeAlias& alias : kAttributeAliases) {
+    if (flag == alias.flag) return &alias;
+  }
+  return nullptr;
+}
+
 void PrintUsage() {
   std::printf(
       "usage: hiway --workflow FILE [options]\n"
@@ -55,27 +84,11 @@ void PrintUsage() {
       "\n"
       "deployment & storage (docs/storage-model.md):\n"
       "  -a KEY=VALUE             Chef-style deployment attribute, e.g.\n"
-      "                           -a cluster/workers=8 (repeatable)\n"
+      "                           -a cluster/workers=8 (repeatable; every\n"
+      "                           key is listed at the end)\n"
       "  --input PATH=SIZE        stage an input file into DFS; SIZE takes\n"
       "                           B/KB/MB/GB suffixes (repeatable)\n"
       "  --galaxy-input NAME=PATH resolve a Galaxy input placeholder\n"
-      "  --dfs-capacity-mb N      cap raw (replica-weighted) DFS storage\n"
-      "                           at N MiB; writes beyond it fail\n"
-      "                           (default 0 = unlimited)\n"
-      "  --gc                     collect intermediate files once their\n"
-      "                           last consumer completed (targets and\n"
-      "                           cache-pinned outputs are kept)\n"
-      "\n"
-      "data caches (docs/data-cache.md):\n"
-      "  --result-cache           enable the cluster-wide result cache:\n"
-      "                           tasks whose signature and input contents\n"
-      "                           match a sealed prior run are served\n"
-      "                           without a container\n"
-      "  --staging-cache-mb N     per-node staging cache budget in MiB\n"
-      "                           (0 = unbounded; omit to disable)\n"
-      "  --cache-verify           spot-check result-cache hits by\n"
-      "                           re-reading their outputs from DFS and\n"
-      "                           fail the hit loudly on a mismatch\n"
       "\n"
       "observability (docs/observability.md):\n"
       "  --trace-out FILE         write the provenance trace (JSON lines)\n"
@@ -88,9 +101,6 @@ void PrintUsage() {
       "multi-tenant service mode (many AMs in one deployment):\n"
       "  --service                run all --workflow flags concurrently\n"
       "                           through the WorkflowService gateway\n"
-      "  --rm-scheduler NAME      RM policy: fifo | capacity | fair\n"
-      "                           (default fifo; same as -a\n"
-      "                           yarn/scheduler=NAME, in either mode)\n"
       "  --queue NAME             submit subsequent --workflow flags to\n"
       "                           this service queue (default 'default')\n"
       "  --queue-config NAME=G,M,AMS,BACKLOG\n"
@@ -101,14 +111,6 @@ void PrintUsage() {
       "  --priority N             preemption priority for subsequent\n"
       "                           --workflow flags (lower = preempted\n"
       "                           first; default 0)\n"
-      "  --preemption             let the RM preempt task containers of\n"
-      "                           over-guarantee queues when another queue\n"
-      "                           starves (docs/scheduling-model.md)\n"
-      "  --preemption-grace S     starvation grace period before the RM\n"
-      "                           preempts, seconds (default 5)\n"
-      "  --max-preempt-per-round N\n"
-      "                           kill at most N containers per allocation\n"
-      "                           pass (default 2)\n"
       "  --footprint-admission    only co-schedule workflows whose\n"
       "                           combined estimated storage footprint\n"
       "                           fits the DFS capacity; needs\n"
@@ -119,18 +121,32 @@ void PrintUsage() {
       "                           grammar; targets are drawn from --seed)\n"
       "\n"
       "elastic cluster membership (docs/elastic-cluster.md):\n"
-      "  --autoscaler NAME        off | reactive | aggressive |\n"
-      "                           conservative — grow the fleet on\n"
-      "                           sustained backlog, retire idle workers\n"
-      "                           (default off; combine with\n"
-      "                           -a elastic/min_nodes=N and\n"
-      "                           -a elastic/max_nodes=N)\n"
       "  --spot-fraction F        treat the highest F fraction of workers\n"
       "                           as spot instances: spot-revoke faults\n"
       "                           only target those (default: any node)\n"
       "  --revoke-warning-s S     default revocation warning for\n"
       "                           spot-revoke clauses without warn=\n"
-      "                           (default 120, the EC2 notice)\n");
+      "                           (default 120, the EC2 notice)\n"
+      "\n"
+      "attribute shorthands (a bad value fails the deployment, exit 1):\n");
+  for (const AttributeAlias& alias : kAttributeAliases) {
+    std::string flag = alias.flag;
+    if (alias.value == nullptr) flag += " VALUE";
+    std::printf("  %-30s -a %s=%s\n", flag.c_str(), alias.key,
+                alias.value != nullptr ? alias.value : "VALUE");
+  }
+  std::printf(
+      "\n"
+      "deployment attributes (-a KEY=VALUE; a switch takes\n"
+      "on|off|true|false|1|0; unknown keys are an error):\n"
+      "  %-27s %-17s %-19s %s\n",
+      "KEY", "DEFAULT", "RANGE", "MEANING");
+  for (const AttributeSpec& spec : AttributeTable()) {
+    std::string def = *spec.default_value != '\0' ? spec.default_value
+                                                  : "\"\"";
+    std::printf("  %-27s %-17s %-19s %s\n", spec.key, def.c_str(),
+                AttributeRange(spec).c_str(), spec.meaning);
+  }
 }
 
 Result<int64_t> ParseSize(std::string_view text) {
@@ -221,7 +237,14 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
   int current_priority = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--workflow") {
+    if (const AttributeAlias* alias = FindAlias(arg)) {
+      if (alias->value != nullptr) {
+        options.attributes[alias->key] = alias->value;
+      } else {
+        HIWAY_ASSIGN_OR_RETURN(options.attributes[alias->key],
+                               need_value(i, alias->flag));
+      }
+    } else if (arg == "--workflow") {
       HIWAY_ASSIGN_OR_RETURN(std::string path, need_value(i, "--workflow"));
       options.workflows.push_back(CliWorkflow{std::move(path), current_queue,
                                               current_priority, ""});
@@ -240,23 +263,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
             "--priority expects a 32-bit integer, got '" + v + "'");
       }
       current_priority = static_cast<int>(n);
-    } else if (arg == "--preemption") {
-      options.attributes["yarn/preemption"] = "true";
-    } else if (arg == "--preemption-grace") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--preemption-grace"));
-      HIWAY_RETURN_IF_ERROR(ParseDouble(v).status());
-      options.attributes["yarn/preemption_grace_s"] = v;
-    } else if (arg == "--max-preempt-per-round") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--max-preempt-per-round"));
-      HIWAY_RETURN_IF_ERROR(ParseInt64(v).status());
-      options.attributes["yarn/max_preempt_per_round"] = v;
-    } else if (arg == "--rm-scheduler") {
-      // One decision in both modes: the deployment's RM policy. The
-      // hadoop::install recipe parses it (unknown names fail there).
-      HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--rm-scheduler"));
-      options.attributes["yarn/scheduler"] = v;
     } else if (arg == "--queue") {
       HIWAY_ASSIGN_OR_RETURN(current_queue, need_value(i, "--queue"));
     } else if (arg == "--queue-config") {
@@ -281,11 +287,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       HIWAY_ASSIGN_OR_RETURN(options.faults, need_value(i, "--faults"));
       // Surface grammar errors at parse time, not mid-run.
       HIWAY_RETURN_IF_ERROR(ParseFaultSpecs(options.faults).status());
-    } else if (arg == "--autoscaler") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--autoscaler"));
-      // Fail on unknown policy names now, not after convergence.
-      HIWAY_RETURN_IF_ERROR(AutoscalerPolicyByName(v).status());
-      options.attributes["elastic/autoscaler"] = v;
     } else if (arg == "--spot-fraction") {
       HIWAY_ASSIGN_OR_RETURN(std::string v, need_value(i, "--spot-fraction"));
       HIWAY_ASSIGN_OR_RETURN(options.spot_fraction, ParseDouble(v));
@@ -336,22 +337,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       }
     } else if (arg == "--tailor-containers") {
       options.tailor = true;
-    } else if (arg == "--result-cache") {
-      options.attributes["hiway/cache_results"] = "on";
-    } else if (arg == "--staging-cache-mb") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--staging-cache-mb"));
-      HIWAY_RETURN_IF_ERROR(ParseInt64(v).status());
-      options.attributes["hiway/cache_staging_mb"] = v;
-    } else if (arg == "--cache-verify") {
-      options.attributes["hiway/cache_verify"] = "on";
-    } else if (arg == "--dfs-capacity-mb") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--dfs-capacity-mb"));
-      HIWAY_RETURN_IF_ERROR(ParseInt64(v).status());
-      options.attributes["dfs/capacity_mb"] = v;
-    } else if (arg == "--gc") {
-      options.attributes["hiway/gc"] = "on";
     } else if (arg == "--footprint-admission") {
       options.footprint_admission = true;
     } else if (arg == "--seed") {
@@ -454,35 +439,38 @@ Result<std::unique_ptr<Deployment>> ConvergeDeployment(
 /// Prints the cross-submission cache summary (no-op when neither cache
 /// is deployed).
 void PrintCacheSummary(const Deployment* d) {
-  if (d->result_cache == nullptr && d->staging_cache == nullptr) return;
-  CacheLoadSummary c =
-      SummarizeCache(d->result_cache.get(), d->staging_cache.get());
   if (d->result_cache != nullptr) {
+    ResultCacheStats s = d->result_cache->stats();
+    int64_t lookups = s.hits + s.misses;
     std::printf("result cache: %lld hit(s) / %lld miss(es) (ratio %.2f), "
                 "%lld entrie(s), saved %s compute\n",
-                static_cast<long long>(c.result_hits),
-                static_cast<long long>(c.result_misses), c.result_hit_ratio,
-                static_cast<long long>(c.result_entries),
-                HumanDuration(c.compute_saved_s).c_str());
-    if (c.tenant_denied > 0 || c.stale_evictions > 0 ||
-        c.verify_mismatches > 0) {
+                static_cast<long long>(s.hits),
+                static_cast<long long>(s.misses),
+                lookups > 0 ? static_cast<double>(s.hits) /
+                                  static_cast<double>(lookups)
+                            : 0.0,
+                static_cast<long long>(d->result_cache->size()),
+                HumanDuration(s.saved_compute_s).c_str());
+    if (s.tenant_denied > 0 || s.stale_evictions > 0 ||
+        s.verify_mismatches > 0) {
       std::printf("result cache: %lld cross-tenant denial(s), "
                   "%lld stale eviction(s), %lld verify mismatch(es)\n",
-                  static_cast<long long>(c.tenant_denied),
-                  static_cast<long long>(c.stale_evictions),
-                  static_cast<long long>(c.verify_mismatches));
+                  static_cast<long long>(s.tenant_denied),
+                  static_cast<long long>(s.stale_evictions),
+                  static_cast<long long>(s.verify_mismatches));
     }
   }
   if (d->staging_cache != nullptr) {
+    StagingCacheStats s = d->staging_cache->stats();
     std::printf("staging cache: %lld hit(s) / %lld miss(es), %s served "
                 "locally, %s resident, %lld eviction(s)\n",
-                static_cast<long long>(c.staging_hits),
-                static_cast<long long>(c.staging_misses),
-                HumanBytes(static_cast<double>(c.staging_bytes_served))
+                static_cast<long long>(s.hits),
+                static_cast<long long>(s.misses),
+                HumanBytes(static_cast<double>(s.bytes_served)).c_str(),
+                HumanBytes(static_cast<double>(
+                               d->staging_cache->TotalBytes()))
                     .c_str(),
-                HumanBytes(static_cast<double>(c.staging_resident_bytes))
-                    .c_str(),
-                static_cast<long long>(c.staging_evictions));
+                static_cast<long long>(s.evictions));
   }
 }
 

@@ -141,18 +141,14 @@ Status HiWayAm::ApplyContainerDefaults(TaskSpec* spec) const {
           std::max(512.0, per_core * static_cast<double>(spec->vcores));
     }
   }
-  if (spec->vcores > rm_->max_node_vcores() ||
-      spec->memory_mb > rm_->max_node_memory_mb()) {
-    // YARN's maximum-allocation check: no node can ever host this
-    // container, so waiting for one would hang the workflow.
-    return Status::ResourceExhausted(StrFormat(
-        "task %lld ('%s') needs a %d-vcore / %.0f MB container but the "
-        "largest node has %d vcores / %.0f MB",
-        static_cast<long long>(spec->id), spec->signature.c_str(),
-        spec->vcores, spec->memory_mb, rm_->max_node_vcores(),
-        rm_->max_node_memory_mb()));
-  }
-  return Status::OK();
+  // No node can ever host an unallocatable container, so waiting for one
+  // would hang the workflow.
+  return rm_->CheckAllocatable(spec->vcores, spec->memory_mb)
+      .WithContext(StrFormat("task %lld ('%s') needs a %d-vcore / %.0f MB "
+                             "container",
+                             static_cast<long long>(spec->id),
+                             spec->signature.c_str(), spec->vcores,
+                             spec->memory_mb));
 }
 
 Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {

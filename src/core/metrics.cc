@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/cache/result_cache.h"
-#include "src/cache/staging_cache.h"
-
 namespace hiway {
 
 MasterLoad ComputeMasterLoad(const MasterLoadInputs& inputs,
@@ -146,38 +143,6 @@ std::vector<QueueLoadSummary> SummarizeQueues(const ResourceManager& rm) {
   std::vector<QueueLoadSummary> out;
   for (const std::string& queue : rm.ConfiguredQueues()) {
     out.push_back(SummarizeQueue(rm, queue));
-  }
-  return out;
-}
-
-CacheLoadSummary SummarizeCache(const ResultCache* results,
-                                const StagingCache* staging) {
-  CacheLoadSummary out;
-  if (results != nullptr) {
-    ResultCacheStats s = results->stats();
-    out.result_hits = s.hits;
-    out.result_misses = s.misses;
-    if (s.hits + s.misses > 0) {
-      out.result_hit_ratio = static_cast<double>(s.hits) /
-                             static_cast<double>(s.hits + s.misses);
-    }
-    out.result_entries = static_cast<int64_t>(results->size());
-    out.tenant_denied = s.tenant_denied;
-    out.stale_evictions = s.stale_evictions;
-    out.verify_mismatches = s.verify_mismatches;
-    out.compute_saved_s = s.saved_compute_s;
-  }
-  if (staging != nullptr) {
-    StagingCacheStats s = staging->stats();
-    out.staging_hits = s.hits;
-    out.staging_misses = s.misses;
-    if (s.hits + s.misses > 0) {
-      out.staging_hit_ratio = static_cast<double>(s.hits) /
-                              static_cast<double>(s.hits + s.misses);
-    }
-    out.staging_bytes_served = s.bytes_served;
-    out.staging_resident_bytes = staging->TotalBytes();
-    out.staging_evictions = s.evictions;
   }
   return out;
 }

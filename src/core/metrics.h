@@ -113,31 +113,6 @@ QueueLoadSummary SummarizeQueue(const ResourceManager& rm,
 /// Summaries for every configured queue, ascending by name.
 std::vector<QueueLoadSummary> SummarizeQueues(const ResourceManager& rm);
 
-/// Cross-submission cache effectiveness (docs/data-cache.md): result-
-/// cache reuse and staging-cache transfer savings in one report. Either
-/// cache pointer may be null (its section stays zero).
-struct CacheLoadSummary {
-  // -- Result cache ------------------------------------------------------
-  int64_t result_hits = 0;
-  int64_t result_misses = 0;
-  double result_hit_ratio = 0.0;       // hits / (hits + misses)
-  int64_t result_entries = 0;          // sealed entries resident now
-  int64_t tenant_denied = 0;           // cross-tenant lookups refused
-  int64_t stale_evictions = 0;         // outputs drifted in DFS
-  int64_t verify_mismatches = 0;       // spot-checks that failed loudly
-  double compute_saved_s = 0.0;        // recorded durations of all hits
-  // -- Staging cache -----------------------------------------------------
-  int64_t staging_hits = 0;
-  int64_t staging_misses = 0;
-  double staging_hit_ratio = 0.0;
-  int64_t staging_bytes_served = 0;    // stage-in bytes never transferred
-  int64_t staging_resident_bytes = 0;  // cached bytes across all nodes
-  int64_t staging_evictions = 0;
-};
-
-CacheLoadSummary SummarizeCache(const class ResultCache* results,
-                                const class StagingCache* staging);
-
 }  // namespace hiway
 
 #endif  // HIWAY_CORE_METRICS_H_

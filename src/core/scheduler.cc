@@ -153,6 +153,51 @@ Result<std::vector<const TaskSpec*>> TopologicalOrder(
 
 }  // namespace
 
+// ------------------------------------------------------ static policies ---
+
+std::deque<TaskSpec>& StaticPlacementScheduler::QueueOf(
+    const TaskSpec& task) {
+  auto it = assignment_.find(task.id);
+  HIWAY_CHECK(it != assignment_.end());
+  return ready_per_node_[it->second];
+}
+
+ContainerRequest StaticPlacementScheduler::RequestFor(const TaskSpec& task) {
+  ContainerRequest r;
+  r.vcores = task.vcores;
+  r.memory_mb = task.memory_mb;
+  auto it = assignment_.find(task.id);
+  HIWAY_CHECK(it != assignment_.end());
+  r.preferred_node = it->second;
+  r.strict_locality = true;  // static schedules pin their placements
+  return r;
+}
+
+std::optional<TaskId> StaticPlacementScheduler::SelectTask(NodeId node) {
+  auto it = ready_per_node_.find(node);
+  if (it == ready_per_node_.end() || it->second.empty()) return std::nullopt;
+  TaskId id = it->second.front().id;
+  it->second.pop_front();
+  --queued_;
+  return id;
+}
+
+void StaticPlacementScheduler::RemoveTask(TaskId id) {
+  for (auto& [node, queue] : ready_per_node_) {
+    size_t before = queue.size();
+    queue.erase(std::remove_if(queue.begin(), queue.end(),
+                               [id](const TaskSpec& t) { return t.id == id; }),
+                queue.end());
+    queued_ -= before - queue.size();
+  }
+}
+
+Result<NodeId> StaticPlacementScheduler::AssignedNode(TaskId id) const {
+  auto it = assignment_.find(id);
+  if (it == assignment_.end()) return Status::NotFound("task not scheduled");
+  return it->second;
+}
+
 Status RoundRobinScheduler::BuildStaticSchedule(
     const std::vector<TaskSpec>& tasks, const TaskDependencies& deps,
     const std::vector<NodeId>& nodes) {
@@ -170,48 +215,8 @@ Status RoundRobinScheduler::BuildStaticSchedule(
 }
 
 void RoundRobinScheduler::EnqueueReady(const TaskSpec& task) {
-  auto it = assignment_.find(task.id);
-  HIWAY_CHECK(it != assignment_.end());
-  ready_per_node_[it->second].push_back(task);
+  QueueOf(task).push_back(task);
   ++queued_;
-}
-
-ContainerRequest RoundRobinScheduler::RequestFor(const TaskSpec& task) {
-  ContainerRequest r;
-  r.vcores = task.vcores;
-  r.memory_mb = task.memory_mb;
-  auto it = assignment_.find(task.id);
-  HIWAY_CHECK(it != assignment_.end());
-  r.preferred_node = it->second;
-  r.strict_locality = true;  // static schedules pin their placements
-  return r;
-}
-
-std::optional<TaskId> RoundRobinScheduler::SelectTask(NodeId node) {
-  auto it = ready_per_node_.find(node);
-  if (it == ready_per_node_.end() || it->second.empty()) return std::nullopt;
-  TaskId id = it->second.front().id;
-  it->second.pop_front();
-  --queued_;
-  return id;
-}
-
-void RoundRobinScheduler::RemoveTask(TaskId id) {
-  for (auto& [node, queue] : ready_per_node_) {
-    size_t before = queue.size();
-    queue.erase(std::remove_if(queue.begin(), queue.end(),
-                               [id](const TaskSpec& t) { return t.id == id; }),
-                queue.end());
-    queued_ -= before - queue.size();
-  }
-}
-
-size_t RoundRobinScheduler::QueuedCount() const { return queued_; }
-
-Result<NodeId> RoundRobinScheduler::AssignedNode(TaskId id) const {
-  auto it = assignment_.find(id);
-  if (it == assignment_.end()) return Status::NotFound("task not scheduled");
-  return it->second;
 }
 
 // ----------------------------------------------------------------- HEFT ---
@@ -301,11 +306,9 @@ Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
 }
 
 void HeftScheduler::EnqueueReady(const TaskSpec& task) {
-  auto it = assignment_.find(task.id);
-  HIWAY_CHECK(it != assignment_.end());
   // Keep the per-node queue ordered by decreasing rank so critical tasks
   // launch first.
-  auto& queue = ready_per_node_[it->second];
+  auto& queue = QueueOf(task);
   double r = rank_[task.id];
   auto pos = std::find_if(queue.begin(), queue.end(),
                           [this, r](const TaskSpec& t) {
@@ -313,44 +316,6 @@ void HeftScheduler::EnqueueReady(const TaskSpec& task) {
                           });
   queue.insert(pos, task);
   ++queued_;
-}
-
-ContainerRequest HeftScheduler::RequestFor(const TaskSpec& task) {
-  ContainerRequest r;
-  r.vcores = task.vcores;
-  r.memory_mb = task.memory_mb;
-  auto it = assignment_.find(task.id);
-  HIWAY_CHECK(it != assignment_.end());
-  r.preferred_node = it->second;
-  r.strict_locality = true;
-  return r;
-}
-
-std::optional<TaskId> HeftScheduler::SelectTask(NodeId node) {
-  auto it = ready_per_node_.find(node);
-  if (it == ready_per_node_.end() || it->second.empty()) return std::nullopt;
-  TaskId id = it->second.front().id;
-  it->second.pop_front();
-  --queued_;
-  return id;
-}
-
-void HeftScheduler::RemoveTask(TaskId id) {
-  for (auto& [node, queue] : ready_per_node_) {
-    size_t before = queue.size();
-    queue.erase(std::remove_if(queue.begin(), queue.end(),
-                               [id](const TaskSpec& t) { return t.id == id; }),
-                queue.end());
-    queued_ -= before - queue.size();
-  }
-}
-
-size_t HeftScheduler::QueuedCount() const { return queued_; }
-
-Result<NodeId> HeftScheduler::AssignedNode(TaskId id) const {
-  auto it = assignment_.find(id);
-  if (it == assignment_.end()) return Status::NotFound("task not scheduled");
-  return it->second;
 }
 
 Result<double> HeftScheduler::UpwardRank(TaskId id) const {

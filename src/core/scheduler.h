@@ -118,28 +118,39 @@ class DataAwareScheduler : public WorkflowScheduler {
   std::deque<TaskSpec> queue_;  // FIFO among locality ties
 };
 
-/// Static round-robin: tasks are dealt to nodes in turn (topological
-/// order), and each container is pinned to its task's node.
-class RoundRobinScheduler : public WorkflowScheduler {
+/// Shared machinery of the static policies: BuildStaticSchedule fills
+/// `assignment_`, ready tasks wait in their node's queue, and each
+/// container is pinned to its task's node. Subclasses decide only the
+/// order within a node's queue (EnqueueReady).
+class StaticPlacementScheduler : public WorkflowScheduler {
  public:
-  std::string name() const override { return "round-robin"; }
   bool IsStatic() const override { return true; }
-  Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
-                             const TaskDependencies& deps,
-                             const std::vector<NodeId>& nodes) override;
-  void EnqueueReady(const TaskSpec& task) override;
   ContainerRequest RequestFor(const TaskSpec& task) override;
   std::optional<TaskId> SelectTask(NodeId node) override;
   void RemoveTask(TaskId id) override;
-  size_t QueuedCount() const override;
+  size_t QueuedCount() const override { return queued_; }
 
   /// Node a task was assigned to (tests / diagnostics).
   Result<NodeId> AssignedNode(TaskId id) const;
 
- private:
+ protected:
+  /// The ready queue of the node `task` is assigned to.
+  std::deque<TaskSpec>& QueueOf(const TaskSpec& task);
+
   std::map<TaskId, NodeId> assignment_;
   std::map<NodeId, std::deque<TaskSpec>> ready_per_node_;
   size_t queued_ = 0;
+};
+
+/// Static round-robin: tasks are dealt to nodes in turn (topological
+/// order), and each container is pinned to its task's node.
+class RoundRobinScheduler : public StaticPlacementScheduler {
+ public:
+  std::string name() const override { return "round-robin"; }
+  Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
+                             const TaskDependencies& deps,
+                             const std::vector<NodeId>& nodes) override;
+  void EnqueueReady(const TaskSpec& task) override;
 };
 
 /// Heterogeneous Earliest Finish Time [Topcuoglu et al. 2002], driven by
@@ -147,30 +158,22 @@ class RoundRobinScheduler : public WorkflowScheduler {
 /// each is placed on the node with the earliest estimated finish time.
 /// Unobserved (signature, node) pairs estimate 0, encouraging exploration
 /// exactly as described in Sec. 3.4.
-class HeftScheduler : public WorkflowScheduler {
+class HeftScheduler : public StaticPlacementScheduler {
  public:
   explicit HeftScheduler(const RuntimeEstimator* estimator)
       : estimator_(estimator) {}
   std::string name() const override { return "heft"; }
-  bool IsStatic() const override { return true; }
   Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
                              const TaskDependencies& deps,
                              const std::vector<NodeId>& nodes) override;
+  /// Keeps each node's queue in decreasing rank order.
   void EnqueueReady(const TaskSpec& task) override;
-  ContainerRequest RequestFor(const TaskSpec& task) override;
-  std::optional<TaskId> SelectTask(NodeId node) override;
-  void RemoveTask(TaskId id) override;
-  size_t QueuedCount() const override;
 
-  Result<NodeId> AssignedNode(TaskId id) const;
   Result<double> UpwardRank(TaskId id) const;
 
  private:
   const RuntimeEstimator* estimator_;
-  std::map<TaskId, NodeId> assignment_;
   std::map<TaskId, double> rank_;
-  std::map<NodeId, std::deque<TaskSpec>> ready_per_node_;  // rank-ordered
-  size_t queued_ = 0;
 };
 
 /// Online minimum-completion-time: a *dynamic* adaptive policy (the

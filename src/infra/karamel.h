@@ -9,9 +9,11 @@
 #ifndef HIWAY_INFRA_KARAMEL_H_
 #define HIWAY_INFRA_KARAMEL_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,8 +108,10 @@ class Karamel {
   }
   const ChefAttributes& attributes() const { return attributes_; }
 
-  /// Topologically orders the recipes and converges each against a fresh
-  /// Deployment. Unknown dependencies and cycles are errors.
+  /// Checks every set attribute against AttributeTable(), then
+  /// topologically orders the recipes and converges each against a fresh
+  /// Deployment. Unknown or malformed attributes, unknown dependencies
+  /// and cycles are InvalidArgument errors.
   Result<std::unique_ptr<Deployment>> Converge();
 
  private:
@@ -117,63 +121,54 @@ class Karamel {
 
 // ---- Built-in cookbook ----------------------------------------------------
 
+/// Kind of value a deployment attribute takes. Switches accept
+/// on|off|true|false|1|0; text is free-form (a recipe may accept only a
+/// fixed set of names and rejects the rest itself).
+enum class AttributeKind { kInteger, kNumber, kSwitch, kText };
+
+/// One attribute the built-in recipes read. Karamel::Converge rejects any
+/// set attribute that has no row or whose value does not fit it.
+struct AttributeSpec {
+  const char* key;
+  AttributeKind kind;
+  /// The value an unset attribute takes, spelled as after `-a KEY=`.
+  const char* default_value;
+  const char* meaning;
+  /// Inclusive range of a kInteger or kNumber attribute.
+  double min = 0, max = 0;
+};
+
+/// Every attribute of the built-in cookbook, one row per key, grouped by
+/// the recipe that reads it.
+std::span<const AttributeSpec> AttributeTable();
+
+/// The values `spec` accepts, for help text: "[1, 4096]", "switch", ...
+std::string AttributeRange(const AttributeSpec& spec);
+
 /// Provisions the cluster, HDFS, and YARN.
-/// Attributes (defaults in parentheses):
-///   cluster/workers (4), cluster/cores (2), cluster/memory_mb (7680),
-///   cluster/disk_mbps (150), cluster/nic_mbps (125),
-///   cluster/switch_mbps (1250), cluster/ebs_mbps (0), cluster/s3_mbps (0),
-///   dfs/replication (3), dfs/block_mb (128), dfs/capacity_mb (0 =
-///   unlimited; N > 0 caps raw replica-weighted DFS bytes at N MiB —
-///   see docs/storage-model.md), yarn/allocation_delay_s (0.5),
-///   yarn/scheduler ("fifo"; "capacity" or "fair" — any other name is
-///   an InvalidArgument error), yarn/preemption ("false"),
-///   yarn/preemption_grace_s (5), yarn/max_preempt_per_round (2),
-///   obs/tracing ("off"; "on" enables the deployment tracer — see
-///   docs/observability.md)
 Recipe HadoopInstallRecipe();
 
-/// Installs Hi-WAY: the standard tool profiles and the sharded
-/// provenance manager. Attributes:
-///   hiway/prov_backend ("memory"; "provdb" gives every run its own log
-///   segment), hiway/prov_dir ("provdb" backend's segment directory,
-///   default "hiway-provenance"),
-///   hiway/cache_results ("off"; "on" builds the cluster-wide result
-///   cache), hiway/cache_max_entries (0 = unbounded),
-///   hiway/cache_verify ("off"; "on" spot-checks hits against DFS),
-///   hiway/cache_verify_rate (0.25), hiway/cache_dir ("" = volatile;
-///   a path persists the cache index in a provdb log there),
-///   hiway/cache_staging_mb (-1 = no staging cache; 0 = unbounded
-///   per-node budget; N > 0 = N MiB per node),
-///   hiway/gc ("off"; "on" builds the intermediate-data garbage
-///   collector — see docs/storage-model.md)
+/// Installs Hi-WAY: the standard tool profiles, the sharded provenance
+/// manager, and (when enabled) the data caches and the garbage collector.
 Recipe HiWayInstallRecipe();
 
 /// Builds the elastic membership control plane (docs/elastic-cluster.md)
 /// over the converged cluster/RM/DFS/caches. Always creates
 /// Deployment::elastic (revocations work even with autoscaling off); the
 /// poll loop only runs for enabled policies, and only once the service
-/// (or a test) calls Start(). Attributes:
-///   elastic/autoscaler ("off"; "reactive", "aggressive", or
-///   "conservative" enable scaling), elastic/min_nodes (1),
-///   elastic/max_nodes (0 = the converged cluster size),
-///   elastic/join_delay_s (5)
+/// (or a test) calls Start(). Joiners get the fleet's worker hardware.
 Recipe ElasticInstallRecipe();
 
-/// Stages the SNV-calling workflow (Sec. 4.1). Attributes:
-///   snv/chunks (8), snv/chunk_mb (1024), snv/cram (0), snv/ingest ("dfs":
-///   replicate into HDFS; "none": register sizes only, e.g. S3 inputs)
+/// Stages the SNV-calling workflow (Sec. 4.1).
 Recipe SnvWorkflowRecipe();
 
-/// Stages the TRAPLINE RNA-seq Galaxy workflow (Sec. 4.2). Attributes:
-///   rnaseq/replicates (3), rnaseq/sample_mb (1740)
+/// Stages the TRAPLINE RNA-seq Galaxy workflow (Sec. 4.2).
 Recipe TraplineWorkflowRecipe();
 
-/// Stages the Montage DAX workflow (Sec. 4.3). Attributes:
-///   montage/images (11), montage/image_mb (4)
+/// Stages the Montage DAX workflow (Sec. 4.3).
 Recipe MontageWorkflowRecipe();
 
-/// Stages the iterative k-means workflow. Attributes:
-///   kmeans/points_mb (64), kmeans/converge_after (5)
+/// Stages the iterative k-means workflow.
 Recipe KmeansWorkflowRecipe();
 
 }  // namespace hiway

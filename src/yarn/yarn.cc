@@ -50,14 +50,38 @@ ResourceManager::ResourceManager(Cluster* cluster, YarnOptions options)
     total_vcores_ += cluster_->node(n).cores;
     total_memory_mb_ += cluster_->node(n).memory_mb;
     IndexNode(n);
-    max_node_vcores_ = std::max(max_node_vcores_, cluster_->node(n).cores);
-    max_node_memory_mb_ =
-        std::max(max_node_memory_mb_, cluster_->node(n).memory_mb);
+    AddNodeShape(cluster_->node(n).cores, cluster_->node(n).memory_mb);
   }
   queue_configs_["default"] = RmQueueConfig{};
 }
 
 ResourceManager::~ResourceManager() = default;
+
+void ResourceManager::AddNodeShape(int vcores, double memory_mb) {
+  for (const NodeShape& shape : node_shapes_) {
+    if (shape.vcores >= vcores && shape.memory_mb >= memory_mb) return;
+  }
+  std::erase_if(node_shapes_, [&](const NodeShape& shape) {
+    return shape.vcores <= vcores && shape.memory_mb <= memory_mb;
+  });
+  node_shapes_.push_back({vcores, memory_mb});
+}
+
+Status ResourceManager::CheckAllocatable(int vcores,
+                                         double memory_mb) const {
+  for (const NodeShape& shape : node_shapes_) {
+    if (shape.vcores >= vcores && shape.memory_mb >= memory_mb) {
+      return Status::OK();
+    }
+  }
+  std::vector<std::string> shapes;
+  for (const NodeShape& shape : node_shapes_) {
+    shapes.push_back(
+        StrFormat("%d vcores / %.0f MB", shape.vcores, shape.memory_mb));
+  }
+  return Status::ResourceExhausted("no node is that large (node shapes: " +
+                                   StrJoin(shapes, ", ") + ")");
+}
 
 void ResourceManager::ConfigureQueue(const RmQueueConfig& config) {
   queue_configs_[config.name] = config;
@@ -442,8 +466,7 @@ void ResourceManager::AddNode(NodeId node) {
   IndexNode(node);
   total_vcores_ += cluster_->node(node).cores;
   total_memory_mb_ += cluster_->node(node).memory_mb;
-  max_node_vcores_ = std::max(max_node_vcores_, ns.free_vcores);
-  max_node_memory_mb_ = std::max(max_node_memory_mb_, ns.free_memory_mb);
+  AddNodeShape(ns.free_vcores, ns.free_memory_mb);
   FairnessRebuild();
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kMembership, "node_joined", /*app=*/-1,

@@ -366,10 +366,12 @@ class ResourceManager {
   int total_vcores() const { return total_vcores_; }
   double total_memory_mb() const { return total_memory_mb_; }
 
-  /// Per-dimension capacity of the largest node ever registered (YARN's
-  /// maximum allocation): a request above either can never be placed.
-  int max_node_vcores() const { return max_node_vcores_; }
-  double max_node_memory_mb() const { return max_node_memory_mb_; }
+  /// YARN's maximum-allocation check, per node shape: OK when some node
+  /// ever registered is at least `vcores` x `memory_mb`, otherwise a
+  /// ResourceExhausted naming the node shapes. On a heterogeneous cluster
+  /// a request can fit the largest vcores and the largest memory of two
+  /// different nodes yet no single node; it would wait forever.
+  Status CheckAllocatable(int vcores, double memory_mb) const;
 
   /// Containers currently running (including AM containers).
   int running_containers() const {
@@ -533,6 +535,8 @@ class ResourceManager {
   /// Inserts `node` into the placement index iff it is alive and not
   /// draining (no-op otherwise / when already indexed).
   void IndexNode(NodeId node);
+  /// Records a registered node's shape in `node_shapes_`.
+  void AddNodeShape(int vcores, double memory_mb);
   /// Removes `node` from the placement index (no-op when not indexed).
   /// Must be called BEFORE mutating the node's free capacity or state.
   void UnindexNode(NodeId node);
@@ -615,8 +619,12 @@ class ResourceManager {
   AppFailureListener app_failure_listener_;
   int total_vcores_ = 0;
   double total_memory_mb_ = 0.0;
-  int max_node_vcores_ = 0;
-  double max_node_memory_mb_ = 0.0;
+  /// Node shapes no other registered node dominates in both dimensions.
+  struct NodeShape {
+    int vcores;
+    double memory_mb;
+  };
+  std::vector<NodeShape> node_shapes_;
   double fairness_integral_ = 0.0;
   double fairness_time_ = 0.0;
   double fairness_last_ = 0.0;

@@ -2,11 +2,13 @@
 # Smoke test of the `hiway` CLI: run a Cuneiform workflow, export its
 # provenance trace, and replay the trace — asserting both runs succeed and
 # produce the same task count — then run the example CWL workflow ($2)
-# through the --cwl front-end.
+# through the --cwl front-end. Also checks that README.md's flag table
+# and the attribute keys the docs name match `hiway --help`.
 set -e
 
 HIWAY_BIN="$1"
 CWL_FILE="$2"
+REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 
@@ -77,5 +79,62 @@ for big in "--vcores 4" "--memory 100000"; do
     grep -q "task 1 ('align')" "$WORKDIR/out5.out"
   done
 done
+
+# Deployment attributes are checked against one table before any recipe
+# runs: an unknown key (a typo of cluster/workers) and a switch spelled
+# other than on|off|true|false|1|0 exit 1 naming the key.
+for bad in "cluster/worker=8" "hiway/gc=yes"; do
+  rc=0
+  "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" -a "$bad" \
+      --input /in/reads.fq=64MB 2> "$WORKDIR/err6.out" || rc=$?
+  test "$rc" -eq 1
+  grep -q "${bad%%=*}" "$WORKDIR/err6.out"
+done
+# Every spelling of a switch that callers use today is accepted.
+for on in "yarn/preemption=on" "hiway/gc=true" "obs/tracing=1"; do
+  "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" -a "$on" \
+      --input /in/reads.fq=64MB > "$WORKDIR/out6.out"
+  grep -q "finished: 2 task(s)" "$WORKDIR/out6.out"
+done
+
+# A flag that is shorthand for an attribute fails like the attribute
+# does: exit 1 at converge time, naming the key.
+for pair in "--preemption-grace yarn/preemption_grace_s" \
+    "--max-preempt-per-round yarn/max_preempt_per_round" \
+    "--staging-cache-mb hiway/cache_staging_mb" \
+    "--dfs-capacity-mb dfs/capacity_mb" \
+    "--autoscaler elastic/autoscaler"; do
+  flag="${pair%% *}"
+  key="${pair#* }"
+  rc=0
+  "$HIWAY_BIN" --workflow "$WORKDIR/wf.cf" "$flag" abc \
+      2> "$WORKDIR/err7.out" || rc=$?
+  test "$rc" -eq 1
+  grep -q "$key" "$WORKDIR/err7.out"
+done
+
+# README and --help do not drift: the flags in README's flag table are
+# exactly the flags --help lists, and every attribute key README.md or a
+# docs/ page names is in the --help attribute catalogue.
+"$HIWAY_BIN" --help > "$WORKDIR/help.out"
+sed -n 's/^  \(-a\|--[a-z-]*\).*/\1/p' "$WORKDIR/help.out" | sort -u \
+    > "$WORKDIR/help_flags.txt"
+grep '^| `-' "$REPO_DIR/README.md" | cut -d'|' -f2 \
+    | grep -o -- '`\(-a\|--[a-z-]*\)' | tr -d '`' | sort -u \
+    > "$WORKDIR/readme_flags.txt"
+diff "$WORKDIR/help_flags.txt" "$WORKDIR/readme_flags.txt"
+sed -n 's/^  \([a-z0-9_]*\/[a-z0-9_]*\|seed\)  .*/\1/p' "$WORKDIR/help.out" \
+    | sort -u > "$WORKDIR/help_keys.txt"
+test "$(wc -l < "$WORKDIR/help_keys.txt")" -gt 0
+cat "$REPO_DIR/README.md" "$REPO_DIR"/docs/*.md \
+    | grep -o '\(^\|[^/a-z0-9_.]\)\(cluster\|dfs\|yarn\|obs\|hiway\|elastic\|snv\|rnaseq\|montage\|kmeans\)/[a-z0-9_]*[a-z0-9]' \
+    | sed 's/^[^a-z]//' | sort -u > "$WORKDIR/doc_keys.txt"
+test "$(wc -l < "$WORKDIR/doc_keys.txt")" -gt 0
+missing="$(comm -23 "$WORKDIR/doc_keys.txt" "$WORKDIR/help_keys.txt")"
+if [ -n "$missing" ]; then
+  echo "attribute keys named in the docs but missing from --help:" >&2
+  echo "$missing" >&2
+  exit 1
+fi
 
 echo "cli smoke test passed"

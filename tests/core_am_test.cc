@@ -176,6 +176,69 @@ TEST(HiWayAmTest, OversizedContainerFailsInsteadOfHanging) {
   }
 }
 
+TEST(HiWayAmTest, RequestFittingNoSingleNodeFailsInsteadOfHanging) {
+  // One 8-vcore / 2 GB node and one 2-vcore / 16 GB node: an 8-vcore /
+  // 8 GB container is within the largest vcores and the largest memory,
+  // but no single node can host it.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ClusterSpec spec;
+  NodeSpec wide;
+  wide.cores = 8;
+  wide.memory_mb = 2048;
+  NodeSpec tall;
+  tall.cores = 2;
+  tall.memory_mb = 16384;
+  spec.nodes = {wide, tall};
+  Cluster cluster(&engine, &net, spec);
+  DfsOptions dfs_opts;
+  dfs_opts.replication = 1;
+  Dfs dfs(&cluster, dfs_opts);
+  ResourceManager rm(&cluster, YarnOptions());
+  ToolRegistry tools;
+  RegisterStandardTools(&tools);
+  ProvenanceManager provenance;
+  RuntimeEstimator estimator;
+  ASSERT_TRUE(dfs.IngestFile("/in/a.fq", 1 << 20).ok());
+  StaticWorkflowSource source(
+      "misfit", {MakeTask(7, "bowtie2", {"/in/a.fq"}, {"/out/a.sam"})});
+  FcfsScheduler scheduler;
+  HiWayOptions options;
+  options.container_vcores = 8;
+  options.container_memory_mb = 8192;
+  HiWayAm am(&cluster, &rm, &dfs, &tools, &provenance, &estimator, options);
+  EXPECT_TRUE(am.Submit(&source, &scheduler).IsResourceExhausted());
+  engine.RunUntil(3600.0);
+  ASSERT_TRUE(am.finished());
+  const Status& status = am.report().status;
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_NE(status.message().find("task 7 ('bowtie2')"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("8 vcores / 2048 MB"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("2 vcores / 16384 MB"), std::string::npos)
+      << status.ToString();
+
+  // A container that only the 8-vcore node can host still runs.
+  SimEngine engine2;
+  FlowNetwork net2(&engine2);
+  Cluster cluster2(&engine2, &net2, spec);
+  Dfs dfs2(&cluster2, dfs_opts);
+  ResourceManager rm2(&cluster2, YarnOptions());
+  ASSERT_TRUE(dfs2.IngestFile("/in/a.fq", 1 << 20).ok());
+  StaticWorkflowSource source2(
+      "fits", {MakeTask(7, "bowtie2", {"/in/a.fq"}, {"/out/a.sam"})});
+  FcfsScheduler scheduler2;
+  options.container_vcores = 4;
+  options.container_memory_mb = 1024;
+  HiWayAm fits(&cluster2, &rm2, &dfs2, &tools, &provenance, &estimator,
+               options);
+  ASSERT_TRUE(fits.Submit(&source2, &scheduler2).ok());
+  engine2.RunUntil(3600.0);
+  ASSERT_TRUE(fits.finished());
+  EXPECT_TRUE(fits.report().status.ok()) << fits.report().status.ToString();
+}
+
 TEST(HiWayAmTest, EmptyWorkflowFinishesImmediately) {
   TestRig rig(2);
   StaticWorkflowSource source("empty", {});

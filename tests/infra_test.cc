@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/client.h"
+#include "src/service/workflow_service.h"
 
 namespace hiway {
 namespace {
@@ -266,6 +269,120 @@ TEST(KaramelAttrTest, MalformedAttributesNameKeyAndToken) {
   EXPECT_NE(inf_bw.status().ToString().find("cluster/disk_mbps"),
             std::string::npos)
       << inf_bw.status().ToString();
+
+  // Every key is checked, whether or not its feature is enabled, and an
+  // out-of-range value names the range.
+  struct Case {
+    const char* key;
+    const char* value;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"yarn/preemption_grace_s", "abc", "'abc' is not a number"},
+      {"hiway/cache_staging_mb", "-7", "allowed range [-1, 1048576]"},
+      {"hiway/cache_verify_rate", "1.5", "allowed range [0, 1]"},
+  };
+  for (const Case& c : cases) {
+    auto d = ConvergeHadoopWith(c.key, c.value);
+    ASSERT_FALSE(d.ok()) << c.key;
+    const std::string message = d.status().ToString();
+    EXPECT_NE(message.find(c.key), std::string::npos) << message;
+    EXPECT_NE(message.find(c.expected), std::string::npos) << message;
+  }
+}
+
+TEST(KaramelAttrTest, UnknownKeyRejectedBeforeAnyRecipeRuns) {
+  Karamel karamel;
+  bool ran = false;
+  Recipe probe;
+  probe.name = "probe";
+  probe.converge = [&ran](const ChefAttributes&, Deployment*) {
+    ran = true;
+    return Status::OK();
+  };
+  karamel.AddRecipe(probe);
+  karamel.SetAttribute("cluster/worker", "8");  // typo of cluster/workers
+  auto d = karamel.Converge();
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsInvalidArgument()) << d.status().ToString();
+  EXPECT_NE(d.status().ToString().find("cluster/worker"), std::string::npos)
+      << d.status().ToString();
+  EXPECT_FALSE(ran);
+}
+
+TEST(KaramelAttrTest, SwitchesAcceptEverySpellingInUse) {
+  for (const char* on : {"on", "true", "1"}) {
+    auto d = ConvergeHadoopWith("yarn/preemption", on);
+    ASSERT_TRUE(d.ok()) << on << ": " << d.status().ToString();
+    EXPECT_TRUE((*d)->rm->options().preemption) << on;
+    auto traced = ConvergeHadoopWith("obs/tracing", on);
+    ASSERT_TRUE(traced.ok()) << on << ": " << traced.status().ToString();
+    EXPECT_TRUE((*traced)->tracer.enabled()) << on;
+  }
+  for (const char* off : {"off", "false", "0"}) {
+    auto d = ConvergeHadoopWith("yarn/preemption", off);
+    ASSERT_TRUE(d.ok()) << off << ": " << d.status().ToString();
+    EXPECT_FALSE((*d)->rm->options().preemption) << off;
+    auto traced = ConvergeHadoopWith("obs/tracing", off);
+    ASSERT_TRUE(traced.ok()) << off << ": " << traced.status().ToString();
+    EXPECT_FALSE((*traced)->tracer.enabled()) << off;
+  }
+  // Checked before any recipe runs, so hiway::install need not be there.
+  auto yes = ConvergeHadoopWith("hiway/gc", "yes");
+  ASSERT_FALSE(yes.ok());
+  EXPECT_TRUE(yes.status().IsInvalidArgument()) << yes.status().ToString();
+  EXPECT_NE(yes.status().ToString().find("hiway/gc"), std::string::npos)
+      << yes.status().ToString();
+  EXPECT_NE(yes.status().ToString().find("'yes'"), std::string::npos);
+}
+
+TEST(KaramelAttrTest, EveryKeyHasOneRowAndItsDefaultConverges) {
+  Karamel karamel;
+  std::set<std::string> keys;
+  for (const AttributeSpec& spec : AttributeTable()) {
+    EXPECT_TRUE(keys.insert(spec.key).second) << "duplicate row " << spec.key;
+    EXPECT_NE(std::string(spec.meaning), "") << spec.key;
+    karamel.SetAttribute(spec.key, spec.default_value);
+  }
+  EXPECT_EQ(keys.size(), 42u);
+  karamel.AddRecipe(HadoopInstallRecipe());
+  karamel.AddRecipe(HiWayInstallRecipe());
+  karamel.AddRecipe(ElasticInstallRecipe());
+  karamel.AddRecipe(SnvWorkflowRecipe());
+  karamel.AddRecipe(TraplineWorkflowRecipe());
+  karamel.AddRecipe(MontageWorkflowRecipe());
+  karamel.AddRecipe(KmeansWorkflowRecipe());
+  auto d = karamel.Converge();
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ((*d)->cluster->num_nodes(), 4);
+}
+
+TEST(ElasticRecipeTest, JoinersGetTheFleetsWorkerHardware) {
+  Karamel karamel;
+  karamel.SetAttribute("cluster/workers", "2");
+  karamel.SetAttribute("cluster/cores", "3");
+  karamel.SetAttribute("cluster/memory_mb", "5000");
+  karamel.SetAttribute("elastic/autoscaler", "aggressive");
+  karamel.SetAttribute("elastic/min_nodes", "2");
+  karamel.SetAttribute("elastic/max_nodes", "6");
+  karamel.SetAttribute("snv/chunks", "12");
+  karamel.SetAttribute("snv/chunk_mb", "32");
+  karamel.AddRecipe(HadoopInstallRecipe());
+  karamel.AddRecipe(HiWayInstallRecipe());
+  karamel.AddRecipe(ElasticInstallRecipe());
+  karamel.AddRecipe(SnvWorkflowRecipe());
+  auto d = karamel.Converge();
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE((*service)->SubmitStaged("snv-calling").ok());
+  ASSERT_TRUE((*service)->RunToCompletion().ok());
+  const Cluster& cluster = *(*d)->cluster;
+  ASSERT_GT(cluster.num_nodes(), 2);  // the autoscaler added workers
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(cluster.node(n).cores, 3) << "node " << n;
+    EXPECT_DOUBLE_EQ(cluster.node(n).memory_mb, 5000.0) << "node " << n;
+  }
 }
 
 }  // namespace
