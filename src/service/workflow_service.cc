@@ -10,6 +10,29 @@
 #include "src/sim/fault_injector.h"
 
 namespace hiway {
+namespace {
+
+/// Delay before re-trying an AM container that no node could host (the
+/// cluster is momentarily full).
+constexpr double kStartRetryS = 5.0;
+
+/// Unwarned node loss: NodeManager and DataNode die together.
+void KillNode(Deployment* dep, NodeId node) {
+  // Node-hours integrate the live-node count: flush the node's life up to
+  // now before it stops counting.
+  if (dep->elastic != nullptr) dep->elastic->Accrue();
+  dep->rm->KillNode(node);
+  dep->dfs->KillNode(node);
+  // Restores the redundancy of surviving blocks (including recorded task
+  // outputs the failover memoiser will want to read).
+  dep->dfs->ReReplicate();
+  // The node's scratch disk is gone with it.
+  if (dep->staging_cache != nullptr) dep->staging_cache->InvalidateNode(node);
+  // No sealed result-cache entry may reference a replica that died here.
+  if (dep->result_cache != nullptr) dep->result_cache->EvictUnreadable();
+}
+
+}  // namespace
 
 const char* ToString(SubmissionState state) {
   switch (state) {
@@ -211,6 +234,13 @@ void WorkflowService::CommitFootprint(SubmissionId id, int sign) {
   committed_footprint_bytes_ += sign * it->second.admission_bytes;
 }
 
+void WorkflowService::DissolveDormantScopes(SubmissionId id) {
+  if (deployment_->gc == nullptr) return;
+  for (const std::string& rid : subs_[id].run_ids) {
+    if (deployment_->gc->HasScope(rid)) deployment_->gc->EndScope(rid);
+  }
+}
+
 void WorkflowService::Pump() {
   // Snapshot-and-clear: PumpQueue may re-mark its queue (placement
   // retry), which must wait for the retry timer, not loop here. The
@@ -227,21 +257,37 @@ void WorkflowService::PumpQueue(const std::string& queue) {
   while (running_[queue] < limits.max_concurrent_ams && !backlog.empty()) {
     SubmissionId id = backlog.front();
     backlog.pop_front();
-    if (TryStart(id)) continue;
-    // The cluster cannot host this AM container right now.
+    // Footprint admission (need is 0 when it does not gate this one).
+    const int64_t need = subs_[id].admission_bytes;
+    if (need > 0 && need > footprint_budget_bytes_) {
+      // Can never fit, even alone on an empty cluster: terminal.
+      Finish(id, SubmissionState::kFailed,
+             Status::ResourceExhausted(StrFormat(
+                 "'%s' needs %lld footprint bytes but the DFS budget is %lld",
+                 records_[id].name.c_str(), static_cast<long long>(need),
+                 static_cast<long long>(footprint_budget_bytes_))));
+      continue;
+    }
+    // A footprint that fits once a running workflow releases its share
+    // waits like an unplaceable AM container. A positive ledger implies a
+    // running AM, so the no-AM check below cannot misfire on it.
+    const bool fits = need == 0 || committed_footprint_bytes_ + need <=
+                                       footprint_budget_bytes_;
+    if (fits && LaunchAttempt(id).ok()) continue;
     if (running_ams() == 0) {
       // No service-run AM will ever release capacity: the cluster is
       // statically too full. Fail instead of spinning forever.
-      FailBeforeStart(id, Status::ResourceExhausted(
-          "no node can host the AM container of '" + records_[id].name +
-          "'"));
+      Finish(id, SubmissionState::kFailed,
+             Status::ResourceExhausted(
+                 "no node can host the AM container of '" +
+                 records_[id].name + "'"));
       continue;
     }
     backlog.push_front(id);
     MarkPumpable(queue);
     if (!retry_scheduled_) {
       retry_scheduled_ = true;
-      deployment_->engine.ScheduleAfter(options_.start_retry_s, [this] {
+      deployment_->engine.ScheduleAfter(kStartRetryS, [this] {
         retry_scheduled_ = false;
         Pump();
       });
@@ -250,106 +296,130 @@ void WorkflowService::PumpQueue(const std::string& queue) {
   }
 }
 
-bool WorkflowService::TryStart(SubmissionId id) {
+Status WorkflowService::LaunchAttempt(SubmissionId id) {
   SubmissionRecord& rec = records_[id];
   Submission& sub = subs_[id];
-  if (options_.footprint_admission && footprint_budget_bytes_ > 0 &&
-      sub.admission_bytes > 0) {
-    if (sub.admission_bytes > footprint_budget_bytes_) {
-      // Can never fit, even alone on an empty cluster: terminal.
-      FailBeforeStart(id, Status::ResourceExhausted(StrFormat(
-          "'%s' needs %lld footprint bytes but the DFS budget is %lld",
-          rec.name.c_str(), static_cast<long long>(sub.admission_bytes),
-          static_cast<long long>(footprint_budget_bytes_))));
-      return true;
-    }
-    if (committed_footprint_bytes_ + sub.admission_bytes >
-        footprint_budget_bytes_) {
-      // Will fit once a running workflow releases its share: wait. A
-      // positive committed ledger implies at least one running AM, so the
-      // caller's no-AM terminal check cannot misfire on this path.
-      return false;
-    }
-  }
   HiWayOptions hiway = sub.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
+  hiway.am_attempt = rec.am_attempts + 1;
+  const bool failover = hiway.am_attempt > 1;
+  if (failover) {
+    // The crashed attempt consumed its source (iterative sources carry
+    // state); the replacement starts from a fresh one.
+    auto source = sub.options.source_factory();
+    if (!source.ok()) {
+      Finish(id, SubmissionState::kFailed,
+             source.status().WithContext(
+                 "rebuilding the source for AM failover"));
+      return Status::OK();
+    }
+    sub.source = std::move(*source);
+  }
   auto launch =
       HiWayClient(deployment_).MakeAm(rec.policy, hiway, sub.options.tenant);
   if (!launch.ok()) {
-    FailBeforeStart(id, launch.status());
-    return true;  // consumed: a bad policy never becomes startable
+    Finish(id, SubmissionState::kFailed, launch.status());
+    return Status::OK();  // a bad policy never becomes launchable
   }
   sub.scheduler = std::move(launch->scheduler);
   sub.am = std::move(launch->am);
   sub.am->set_finish_listener(
       [this, id](const WorkflowReport& report) { OnFinished(id, report); });
-  rec.state = SubmissionState::kRunning;
-  rec.started_at = deployment_->engine.Now();
-  ++running_[rec.queue];
-  CommitFootprint(id, +1);
+  if (failover) {
+    deployment_->tracer.Instant(
+        SpanCategory::kFailover, "am_recovery", /*app=*/-1, /*container=*/-1,
+        /*task=*/-1, /*node=*/-1,
+        /*value=*/static_cast<double>(hiway.am_attempt), /*aux=*/id);
+    // Provenance replay: the new attempt memoises every task the prior
+    // attempts completed (when its recorded outputs survive in DFS). The
+    // merged view covers exactly this submission's prior-attempt shards —
+    // other tenants' runs are invisible by construction.
+    sub.am->SetRecoveryTrace(
+        deployment_->provenance->ViewOf(sub.run_ids).Events());
+  }
+
   Status st = sub.am->Submit(sub.source.get(), sub.scheduler.get());
-  if (st.ok()) {
-    rec.am_attempts = 1;
-    if (!rec.Terminal()) {
-      app_of_[sub.am->app()] = id;
-      if (sub.admission_bytes > 0) {
-        deployment_->rm->RegisterAppFootprint(sub.am->app(),
-                                              sub.admission_bytes);
-      }
-    }
-    return true;
-  }
-  if (records_[id].Terminal()) {
-    // The AM registered, then failed (e.g. the workflow does not parse);
-    // the finish listener already recorded the outcome.
-    return true;
-  }
-  --running_[rec.queue];
-  CommitFootprint(id, -1);
-  if (st.IsResourceExhausted()) {
-    // AM container placement failed; the AM never registered and owns no
-    // engine events, so it is safe to discard synchronously. Re-queue.
-    rec.state = SubmissionState::kQueued;
-    rec.started_at = -1.0;
+  if (!st.ok() && !rec.Terminal()) {
+    // Rejected before registering: the AM owns no engine events, so it is
+    // safe to discard synchronously.
     sub.am.reset();
     sub.scheduler.reset();
-    return false;
+    if (st.IsResourceExhausted()) return st;  // no node can host the AM
+    // Pre-registration validation failure (e.g. a static policy on an
+    // iterative language): terminal.
+    Finish(id, SubmissionState::kFailed, st);
+    return Status::OK();
   }
-  // Pre-registration validation failure (e.g. a static policy on an
-  // iterative language): terminal.
-  FailBeforeStart(id, st);
-  sub.am.reset();
-  sub.scheduler.reset();
-  return true;
+  // Registered. A failed Init, or a recovery that memoised every task,
+  // may already have finished the submission through OnFinished.
+  if (rec.started_at < 0.0) rec.started_at = deployment_->engine.Now();
+  if (st.ok()) {
+    ++rec.am_attempts;
+    if (failover) {
+      rec.recovery_latency_s.push_back(deployment_->engine.Now() -
+                                       sub.failed_at);
+    }
+  }
+  if (rec.Terminal()) return Status::OK();
+  // The replacement attempt's scope has re-registered pins on every file
+  // it still needs (consumer registration precedes memoisation), so the
+  // dead attempts' dormant scopes can dissolve: files only they
+  // referenced are collected, shared ones keep the new pin.
+  DissolveDormantScopes(id);
+  if (!failover) {
+    // A recovering submission kept its slot and charge.
+    ++running_[rec.queue];
+    CommitFootprint(id, +1);
+  }
+  rec.state = SubmissionState::kRunning;
+  ++live_ams_;
+  app_of_[sub.am->app()] = id;
+  if (sub.admission_bytes > 0) {
+    deployment_->rm->RegisterAppFootprint(sub.am->app(), sub.admission_bytes);
+  }
+  return Status::OK();
 }
 
-void WorkflowService::OnFinished(SubmissionId id,
-                                 const WorkflowReport& report) {
+void WorkflowService::Finish(SubmissionId id, SubmissionState state,
+                             Status status) {
   SubmissionRecord& rec = records_[id];
-  if (auto it = subs_.find(id); it != subs_.end() && it->second.am) {
-    app_of_.erase(it->second.am->app());
-  }
-  rec.state = report.status.ok() ? SubmissionState::kSucceeded
-                                 : SubmissionState::kFailed;
-  rec.report = report;
+  Submission& sub = subs_[id];
+  const bool holds_slot = rec.state == SubmissionState::kRunning ||
+                          rec.state == SubmissionState::kRecovering;
+  if (rec.state == SubmissionState::kRunning) --live_ams_;
+  if (sub.am != nullptr) app_of_.erase(sub.am->app());
+  rec.state = state;
   rec.finished_at = deployment_->engine.Now();
-  if (rec.deadline_s > 0.0 &&
-      rec.finished_at > rec.submitted_at + rec.deadline_s) {
+  if (rec.report.run_id.empty()) {
+    // No AM reported (an AM report always carries its run id): the
+    // submission expired, failed before starting, or its failover gave up.
+    rec.report.workflow_name = rec.name;
+    rec.report.am_attempt = std::max(1, rec.am_attempts);
+  } else if (rec.deadline_s > 0.0 &&
+             rec.finished_at > rec.submitted_at + rec.deadline_s) {
     rec.deadline_missed = true;
   }
-  --running_[rec.queue];
-  CommitFootprint(id, -1);
-  --live_submissions_;
-  MarkPumpable(rec.queue);
-  reap_list_.push_back(id);
+  rec.report.status = std::move(status);
   ServiceQueueCounters& counters = counters_[rec.queue];
-  if (report.status.ok()) {
+  if (state == SubmissionState::kSucceeded) {
     ++counters.succeeded;
+  } else if (state == SubmissionState::kExpired) {
+    ++counters.expired;
   } else {
     ++counters.failed;
   }
-  // The listener runs inside AM code: defer teardown and the next launch.
+  if (holds_slot) {
+    --running_[rec.queue];
+    CommitFootprint(id, -1);
+    MarkPumpable(rec.queue);
+  }
+  // With the submission terminal no further attempt will re-pin what the
+  // dead attempts' dormant scopes hold.
+  DissolveDormantScopes(id);
+  --live_submissions_;
+  reap_list_.push_back(id);
+  // Finish may run inside AM code: defer teardown and the next launch.
   if (!reap_scheduled_) {
     reap_scheduled_ = true;
     deployment_->engine.ScheduleAfter(0.0, [this] {
@@ -360,20 +430,25 @@ void WorkflowService::OnFinished(SubmissionId id,
   }
 }
 
+void WorkflowService::OnFinished(SubmissionId id,
+                                 const WorkflowReport& report) {
+  records_[id].report = report;
+  Finish(id,
+         report.status.ok() ? SubmissionState::kSucceeded
+                            : SubmissionState::kFailed,
+         report.status);
+}
+
 void WorkflowService::OnDeadline(SubmissionId id) {
   SubmissionRecord& rec = records_[id];
   if (rec.state != SubmissionState::kQueued) return;
   std::deque<SubmissionId>& backlog = backlog_[rec.queue];
   auto it = std::find(backlog.begin(), backlog.end(), id);
   if (it != backlog.end()) backlog.erase(it);
-  rec.state = SubmissionState::kExpired;
-  rec.finished_at = deployment_->engine.Now();
-  --live_submissions_;
-  rec.report.status = Status::FailedPrecondition(
-      "submission expired after " + std::to_string(rec.deadline_s) +
-      "s in the admission queue");
-  rec.report.workflow_name = rec.name;
-  ++counters_[rec.queue].expired;
+  Finish(id, SubmissionState::kExpired,
+         Status::FailedPrecondition("submission expired after " +
+                                    std::to_string(rec.deadline_s) +
+                                    "s in the admission queue"));
 }
 
 void WorkflowService::OnAppFailure(ApplicationId app,
@@ -402,166 +477,43 @@ void WorkflowService::OnAppFailure(ApplicationId app,
   retired_.push_back(RetiredAttempt{std::move(sub.source),
                                     std::move(sub.scheduler),
                                     std::move(sub.am)});
+  rec.state = SubmissionState::kRecovering;
+  --live_ams_;
 
   if (!sub.options.source_factory) {
-    FailRecovering(id, Status::RuntimeError(StrFormat(
-                           "AM attempt %d failed (%s); submission has no "
-                           "source factory and is not recoverable",
-                           rec.am_attempts, reason.c_str())));
+    Finish(id, SubmissionState::kFailed,
+           Status::RuntimeError(StrFormat(
+               "AM attempt %d failed (%s); submission has no source factory "
+               "and is not recoverable",
+               rec.am_attempts, reason.c_str())));
     return;
   }
   if (options_.am_retry.Exhausted(rec.am_attempts)) {
-    FailRecovering(id, Status::RuntimeError(StrFormat(
-                           "AM attempt %d failed (%s); attempts exhausted",
-                           rec.am_attempts, reason.c_str())));
+    Finish(id, SubmissionState::kFailed,
+           Status::RuntimeError(StrFormat(
+               "AM attempt %d failed (%s); attempts exhausted",
+               rec.am_attempts, reason.c_str())));
     return;
   }
-  rec.state = SubmissionState::kRecovering;
   double delay = options_.am_retry.BackoffBefore(rec.am_attempts + 1);
-  deployment_->engine.ScheduleAfter(delay, [this, id] { TryRecover(id); });
+  deployment_->engine.ScheduleAfter(delay, [this, id] { Failover(id); });
 }
 
-void WorkflowService::TryRecover(SubmissionId id) {
-  auto rec_it = records_.find(id);
-  if (rec_it == records_.end()) return;
-  SubmissionRecord& rec = rec_it->second;
+void WorkflowService::Failover(SubmissionId id) {
+  const SubmissionRecord& rec = records_[id];
   if (rec.state != SubmissionState::kRecovering) return;
-  Submission& sub = subs_[id];
-
-  auto source = sub.options.source_factory();
-  if (!source.ok()) {
-    FailRecovering(id, source.status().WithContext(
-                           "rebuilding the source for AM failover"));
+  if (LaunchAttempt(id).ok()) return;
+  // AM container placement failed (capacity shrank with the dead node).
+  // Retry once another AM frees capacity — if no other AM is running,
+  // nothing ever will, so fail now.
+  if (live_ams_ == 0) {
+    Finish(id, SubmissionState::kFailed,
+           Status::ResourceExhausted(
+               "no node can host the replacement AM container of '" +
+               rec.name + "'"));
     return;
   }
-  HiWayOptions hiway = sub.options.hiway;
-  hiway.seed = SeedFor(id);
-  hiway.rm_queue = rec.queue;
-  hiway.am_attempt = rec.am_attempts + 1;
-  auto launch =
-      HiWayClient(deployment_).MakeAm(rec.policy, hiway, sub.options.tenant);
-  if (!launch.ok()) {
-    FailRecovering(id, launch.status());
-    return;
-  }
-  sub.source = std::move(*source);
-  sub.scheduler = std::move(launch->scheduler);
-  sub.am = std::move(launch->am);
-  sub.am->set_finish_listener(
-      [this, id](const WorkflowReport& report) { OnFinished(id, report); });
-  deployment_->tracer.Instant(SpanCategory::kFailover, "am_recovery",
-                              /*app=*/-1, /*container=*/-1,
-                              /*task=*/-1, /*node=*/-1,
-                              /*value=*/static_cast<double>(hiway.am_attempt),
-                              /*aux=*/id);
-
-  // Provenance replay: the new attempt memoises every task the prior
-  // attempts completed (when its recorded outputs survive in DFS). The
-  // merged view covers exactly this submission's prior-attempt shards —
-  // other tenants' runs are invisible by construction.
-  sub.am->SetRecoveryTrace(
-      deployment_->provenance->ViewOf(sub.run_ids).Events());
-
-  double failed_at = sub.failed_at;
-  Status st = sub.am->Submit(sub.source.get(), sub.scheduler.get());
-  if (st.ok()) {
-    if (deployment_->gc != nullptr) {
-      // The replacement attempt's scope has re-registered pins on every
-      // file it still needs (consumer registration precedes memoisation),
-      // so the dead attempts' dormant scopes can dissolve: files only
-      // they referenced are collected, shared ones keep the new pin.
-      for (const std::string& rid : sub.run_ids) {
-        if (deployment_->gc->HasScope(rid)) deployment_->gc->EndScope(rid);
-      }
-    }
-    ++rec.am_attempts;
-    sub.placement_retries = 0;
-    rec.recovery_latency_s.push_back(deployment_->engine.Now() - failed_at);
-    // A fully-memoised recovery can finish inside Submit(); only a
-    // still-running attempt keeps the running state and app mapping.
-    if (!rec.Terminal()) {
-      rec.state = SubmissionState::kRunning;
-      app_of_[sub.am->app()] = id;
-      if (sub.admission_bytes > 0) {
-        deployment_->rm->RegisterAppFootprint(sub.am->app(),
-                                              sub.admission_bytes);
-      }
-    }
-    return;
-  }
-  if (rec.Terminal()) {
-    // Registered, then failed; the finish listener recorded the outcome.
-    return;
-  }
-  if (st.IsResourceExhausted()) {
-    // AM container placement failed (capacity shrank with the dead
-    // node). The AM never registered and owns no engine events, so it is
-    // safe to discard. Retry once another AM frees capacity — if no
-    // other AM is running, nothing ever will, so fail now.
-    sub.am.reset();
-    sub.scheduler.reset();
-    sub.source.reset();
-    bool any_running_am = false;
-    for (const auto& [other_id, other_rec] : records_) {
-      if (other_id != id && other_rec.state == SubmissionState::kRunning) {
-        any_running_am = true;
-        break;
-      }
-    }
-    if (!any_running_am) {
-      FailRecovering(id,
-                     Status::ResourceExhausted(
-                         "no node can host the replacement AM container of '" +
-                         rec.name + "'"));
-      return;
-    }
-    ++sub.placement_retries;
-    deployment_->engine.ScheduleAfter(options_.start_retry_s,
-                                      [this, id] { TryRecover(id); });
-    return;
-  }
-  FailRecovering(id, st);
-}
-
-void WorkflowService::FailBeforeStart(SubmissionId id, Status status) {
-  SubmissionRecord& rec = records_[id];
-  rec.state = SubmissionState::kFailed;
-  rec.finished_at = deployment_->engine.Now();
-  rec.report.status = std::move(status);
-  rec.report.workflow_name = rec.name;
-  ++counters_[rec.queue].failed;
-  --live_submissions_;
-}
-
-void WorkflowService::FailRecovering(SubmissionId id, Status status) {
-  SubmissionRecord& rec = records_[id];
-  rec.state = SubmissionState::kFailed;
-  rec.finished_at = deployment_->engine.Now();
-  rec.report.status = std::move(status);
-  rec.report.workflow_name = rec.name;
-  rec.report.am_attempt = rec.am_attempts;
-  --running_[rec.queue];
-  CommitFootprint(id, -1);
-  if (deployment_->gc != nullptr) {
-    // Dead attempts' dormant GC scopes hold pins on files the memoising
-    // replacement would have needed; with the submission terminal, no
-    // further attempt will, so dissolve them.
-    for (const std::string& rid : subs_[id].run_ids) {
-      if (deployment_->gc->HasScope(rid)) deployment_->gc->EndScope(rid);
-    }
-  }
-  --live_submissions_;
-  MarkPumpable(rec.queue);
-  reap_list_.push_back(id);
-  ++counters_[rec.queue].failed;
-  if (!reap_scheduled_) {
-    reap_scheduled_ = true;
-    deployment_->engine.ScheduleAfter(0.0, [this] {
-      reap_scheduled_ = false;
-      Reap();
-      Pump();
-    });
-  }
+  deployment_->engine.ScheduleAfter(kStartRetryS, [this, id] { Failover(id); });
 }
 
 Result<NodeId> WorkflowService::AmNode(SubmissionId id) const {
@@ -597,18 +549,7 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
     }
     return nodes;
   };
-  h.kill_node = [dep](NodeId node) {
-    // NodeManager and DataNode die together; re-replication restores the
-    // redundancy of surviving blocks (including recorded task outputs the
-    // failover memoiser will want to read).
-    dep->rm->KillNode(node);
-    dep->dfs->KillNode(node);
-    dep->dfs->ReReplicate();
-    if (dep->staging_cache != nullptr) {
-      // The node's scratch disk is gone with it.
-      dep->staging_cache->InvalidateNode(node);
-    }
-  };
+  h.kill_node = [dep](NodeId node) { KillNode(dep, node); };
   h.list_am_nodes = [this] {
     std::vector<NodeId> nodes;
     for (const auto& [id, rec] : records_) {
@@ -647,10 +588,7 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
     }
     // No elastic control plane: a revocation degrades to the unwarned
     // kill (same consequences, no drain window).
-    dep->rm->KillNode(node);
-    dep->dfs->KillNode(node);
-    dep->dfs->ReReplicate();
-    if (dep->staging_cache != nullptr) dep->staging_cache->InvalidateNode(node);
+    KillNode(dep, node);
   };
   if (spot_fraction_ > 0.0) {
     double f = spot_fraction_;

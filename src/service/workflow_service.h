@@ -63,9 +63,6 @@ struct WorkflowServiceOptions {
   uint64_t base_seed = 42;
   /// Workflow scheduling policy when a submission names none.
   std::string default_policy = "data-aware";
-  /// Delay before re-trying a submission whose AM container could not be
-  /// placed (cluster momentarily full).
-  double start_retry_s = 5.0;
   /// AM failover policy: when the RM declares a submission's AM failed
   /// (node loss, heartbeat timeout, injected crash), the service launches
   /// a fresh AM attempt — up to max_attempts total, with exponential
@@ -106,7 +103,8 @@ struct SubmissionOptions {
   /// Wall-clock (virtual) deadline relative to submission; 0 = none.
   double deadline_s = 0.0;
   /// Container sizing etc. The seed is always overridden by the service
-  /// (see WorkflowServiceOptions::base_seed); rm_queue by `queue`.
+  /// (see WorkflowServiceOptions::base_seed), rm_queue by `queue` and
+  /// am_attempt by the attempt being launched.
   HiWayOptions hiway;
   /// Builds a fresh WorkflowSource for an AM failover attempt (a source
   /// consumed by a crashed attempt cannot be reused — iterative sources
@@ -209,7 +207,8 @@ class WorkflowService {
   Status InjectAmCrash(SubmissionId id);
 
   /// Wires a FaultInjector's handlers to this service's deployment:
-  /// node kills hit the RM and the DFS (followed by re-replication),
+  /// node kills hit the RM and the DFS (followed by re-replication and a
+  /// result-cache sweep; elastic node-hours accrue up to the kill),
   /// am-crash targets running submissions, fail-container targets
   /// running task (non-AM) containers, spot-revoke drains through the
   /// elastic control plane (falling back to an unwarned kill when the
@@ -255,10 +254,8 @@ class WorkflowService {
     std::vector<std::string> run_ids;
     /// When the RM declared the current attempt's AM dead.
     double failed_at = -1.0;
-    /// Consecutive AM-container placement failures during recovery.
-    int placement_retries = 0;
     /// Raw (replica-weighted) bytes charged to the footprint ledger while
-    /// this submission runs; mirrors the running_ counter exactly.
+    /// this submission holds a concurrency slot; 0 = not gated.
     int64_t admission_bytes = 0;
   };
 
@@ -281,22 +278,26 @@ class WorkflowService {
   void PumpQueue(const std::string& queue);
   /// Marks `queue` so the next Pump() visits it.
   void MarkPumpable(const std::string& queue) { pumpable_.insert(queue); }
-  /// Attempts to start one submission; returns false when the cluster
-  /// currently cannot host its AM container (submission re-queued).
-  bool TryStart(SubmissionId id);
-  /// Terminal failure of a submission whose AM never started (unplaceable
-  /// AM, footprint that can never fit, bad policy, AM Submit rejected).
-  void FailBeforeStart(SubmissionId id, Status status);
+  /// Launches the submission's next AM attempt. Attempt 1 runs the
+  /// submitted source; later attempts rebuild it through source_factory
+  /// and replay the prior attempts' provenance (completed tasks are
+  /// memoised). Returns ResourceExhausted when no node can host the AM
+  /// container (nothing changed; the caller waits or fails); any other
+  /// failure finishes the submission and returns OK.
+  Status LaunchAttempt(SubmissionId id);
+  /// Failover timer: launches the replacement AM of a recovering
+  /// submission, re-trying placement while another AM is running.
+  void Failover(SubmissionId id);
+  /// The only transition into kSucceeded, kFailed and kExpired. Releases
+  /// the concurrency slot and footprint charge if the submission held
+  /// them (exactly while kRunning or kRecovering), dissolves the dead
+  /// attempts' dormant GC scopes, and schedules the deferred reap + pump.
+  void Finish(SubmissionId id, SubmissionState state, Status status);
   void OnFinished(SubmissionId id, const WorkflowReport& report);
   void OnDeadline(SubmissionId id);
   /// RM app-failure listener: retires the dead attempt and either
   /// schedules a failover attempt or fails the submission terminally.
   void OnAppFailure(ApplicationId app, const std::string& reason);
-  /// Launches the next AM attempt of a recovering submission, seeding it
-  /// with the provenance trace of all prior attempts.
-  void TryRecover(SubmissionId id);
-  /// Terminal failure of a recovering submission.
-  void FailRecovering(SubmissionId id, Status status);
   /// Destroys AMs of submissions queued for reaping (deferred, never
   /// from inside AM code). Targeted: only ids on the reap list are
   /// visited, not the whole submission table.
@@ -310,11 +311,15 @@ class WorkflowService {
   /// mirror is registered separately, once the AM's application id is
   /// known, and the RM drops it itself on app unregister/failure.)
   void CommitFootprint(SubmissionId id, int sign);
+  /// Ends the GC scopes of the submission's dead attempts (no-op without
+  /// a GC or once they are gone).
+  void DissolveDormantScopes(SubmissionId id);
 
   Deployment* deployment_;
   WorkflowServiceOptions options_;
   std::map<std::string, ServiceQueueOptions> queues_;
   std::map<std::string, std::deque<SubmissionId>> backlog_;
+  /// Concurrency slots held per queue (kRunning + kRecovering).
   std::map<std::string, int> running_;
   std::map<std::string, ServiceQueueCounters> counters_;
   std::map<SubmissionId, SubmissionRecord> records_;
@@ -335,6 +340,9 @@ class WorkflowService {
   /// at thousands of submissions the per-event predicate scan dominated
   /// the run (docs/scaling.md).
   int live_submissions_ = 0;
+  /// Submissions in kRunning (a live AM). A failover whose AM container
+  /// cannot be placed waits only while one of them may free capacity.
+  int live_ams_ = 0;
   /// Fraction of the worker fleet that is spot capacity; < 0 = unset.
   double spot_fraction_ = -1.0;
   /// Footprint-admission ledger (docs/storage-model.md): budget = DFS

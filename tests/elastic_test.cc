@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/elastic/autoscaler.h"
 #include "src/infra/karamel.h"
 #include "src/service/workflow_service.h"
@@ -309,6 +310,39 @@ TEST(ElasticClusterTest, WarnedRevocationFinishesWorkflowWithoutCharges) {
   for (const std::string& path : (*d)->dfs->ListFiles()) {
     EXPECT_TRUE((*d)->dfs->FileReadable(path)) << path;
   }
+}
+
+// An unwarned kill-node fault costs the node's life up to the kill: with
+// the autoscaler off nothing else accrues on the way, so node-seconds are
+// exactly the summed node lifetimes.
+TEST(ElasticClusterTest, KillNodeFaultAccruesTheDeadNodesLifetime) {
+  auto d = ElasticDeployment();
+  ASSERT_TRUE(d.ok());
+  ASSERT_FALSE((*d)->elastic->options().policy.enabled);
+  const double start = (*d)->engine.Now();
+  const int nodes = (*d)->elastic->LiveNodes();
+  auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
+  ASSERT_TRUE(service.ok());
+
+  const double kill_at = 20.0;
+  const NodeId victim = (*d)->cluster->num_nodes() - 1;
+  FaultInjector injector(&(*d)->engine);
+  (*service)->InstallFaultHandlers(&injector);
+  ASSERT_TRUE(injector
+                  .ArmSpec(StrFormat("kill-node@%.0f:node=%d", kill_at,
+                                     static_cast<int>(victim)))
+                  .ok());
+  auto id = (*service)->SubmitStaged("snv-calling");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE((*service)->RunToCompletion().ok());
+  ASSERT_EQ((*service)->record(*id)->state, SubmissionState::kSucceeded);
+  EXPECT_EQ(injector.counters().node_kills, 1);
+  EXPECT_FALSE((*d)->rm->IsNodeAlive(victim));
+
+  const double end = (*d)->engine.Now();
+  ASSERT_GT(end, kill_at);
+  const double lifetimes = (nodes - 1) * (end - start) + (kill_at - start);
+  EXPECT_NEAR((*d)->elastic->stats().node_seconds, lifetimes, 1e-6);
 }
 
 TEST(ElasticClusterTest, RevocationStormMatchesFixedFleetOutputs) {

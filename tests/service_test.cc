@@ -1,11 +1,14 @@
 // Tests for the multi-tenant WorkflowService gateway: admission control
 // (backlog bounds, concurrency caps, deadlines), queue drain order,
-// deterministic replay, and parity with the single-workflow client path.
+// deterministic replay, parity with the single-workflow client path, AM
+// failover, and the submission lifecycle's bookkeeping on every terminal
+// path.
 
 #include "src/service/workflow_service.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "src/common/strings.h"
@@ -25,6 +28,33 @@ std::map<std::string, int64_t> DfsSnapshot(Dfs* dfs) {
   }
   return files;
 }
+
+/// Forwards to a wrapped source and counts live instances, so a test can
+/// tell which sources the service still holds.
+class CountedSource : public WorkflowSource {
+ public:
+  CountedSource(std::unique_ptr<WorkflowSource> inner, int* live)
+      : inner_(std::move(inner)), live_(live) {
+    ++*live_;
+  }
+  ~CountedSource() override { --*live_; }
+
+  std::string name() const override { return inner_->name(); }
+  bool IsStatic() const override { return inner_->IsStatic(); }
+  Result<std::vector<TaskSpec>> Init() override { return inner_->Init(); }
+  Result<std::vector<TaskSpec>> OnTaskCompleted(
+      const TaskResult& result) override {
+    return inner_->OnTaskCompleted(result);
+  }
+  bool IsDone() const override { return inner_->IsDone(); }
+  std::vector<std::string> Targets() const override {
+    return inner_->Targets();
+  }
+
+ private:
+  std::unique_ptr<WorkflowSource> inner_;
+  int* live_;
+};
 
 Result<std::unique_ptr<Deployment>> SmallDeployment(
     int workers = 4, const ChefAttributes& extra = {}) {
@@ -589,6 +619,125 @@ TEST(ServiceTest, PreemptionRestoresGuaranteeAndChargesNoAttempts) {
   const RmCounters& counters = rm.counters();
   ASSERT_GT(counters.container_work_s, 0.0);
   EXPECT_LT(counters.preempted_work_s / counters.container_work_s, 0.3);
+}
+
+// One run through every terminal path: success, deadline expiry, a bad
+// policy and a footprint that can never fit (both fail before start), an
+// AM no node can host, a failover that recovers, a failover that exhausts
+// am_retry, and a backlog reject. Every queue's books balance, no slot or
+// footprint charge leaks, and every terminal submission released its
+// source — only crashed attempts' sources survive, in the graveyard that
+// outlives their engine events.
+TEST(ServiceLifecycleTest, EveryTerminalPathBalancesTheBooks) {
+  auto d = SmallDeployment(6, {{"dfs/capacity_mb", "1000000"}});
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  Deployment* dep = d->get();
+  WorkflowServiceOptions options;
+  options.footprint_admission = true;
+  options.am_retry.max_attempts = 2;
+  ServiceQueueOptions serial;
+  serial.rm.name = "serial";
+  serial.max_concurrent_ams = 1;
+  serial.max_backlog = 1;
+  ServiceQueueOptions wide;
+  wide.rm.name = "wide";
+  options.queues = {serial, wide};
+  auto created = WorkflowService::Create(dep, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  WorkflowService* service = created->get();
+  ASSERT_GT(service->footprint_budget_bytes(), 0);
+
+  int live_sources = 0;
+  auto make_source = [dep, &live_sources](const std::string& staged)
+      -> Result<std::unique_ptr<WorkflowSource>> {
+    HIWAY_ASSIGN_OR_RETURN(
+        std::unique_ptr<WorkflowSource> inner,
+        HiWayClient(dep).MakeSource(dep->workflows.at(staged)));
+    return std::unique_ptr<WorkflowSource>(
+        new CountedSource(std::move(inner), &live_sources));
+  };
+  auto submit = [&](const std::string& staged, const std::string& queue,
+                    SubmissionOptions opts = {}) {
+    opts.queue = queue;
+    if (opts.footprint_bytes < 0) opts.footprint_bytes = 1 << 20;
+    opts.source_factory = [make_source, staged] {
+      return make_source(staged);
+    };
+    auto source = make_source(staged);
+    EXPECT_TRUE(source.ok()) << source.status().ToString();
+    return service->Submit(staged, std::move(*source), std::move(opts));
+  };
+
+  auto ok = submit("snv-calling", "serial");
+  SubmissionOptions with_deadline;
+  with_deadline.deadline_s = 10.0;
+  auto expired = submit("montage", "serial", with_deadline);
+  auto rejected = submit("kmeans", "serial");
+  SubmissionOptions bad_policy;
+  bad_policy.policy = "lottery";
+  auto unknown_policy = submit("montage", "wide", bad_policy);
+  SubmissionOptions huge_footprint;
+  huge_footprint.footprint_bytes = service->footprint_budget_bytes() + 1;
+  auto never_fits = submit("montage", "wide", huge_footprint);
+  auto recovers = submit("montage", "wide");
+  auto exhausts = submit("kmeans", "wide");
+  SubmissionOptions huge_am;
+  huge_am.hiway.am_vcores = 64;
+  auto unplaceable = submit("montage", "wide", huge_am);
+  for (const auto* id : {&ok, &expired, &unknown_policy, &never_fits,
+                         &recovers, &exhausts, &unplaceable}) {
+    ASSERT_TRUE(id->ok()) << id->status().ToString();
+  }
+  ASSERT_TRUE(rejected.status().IsResourceExhausted())
+      << rejected.status().ToString();
+
+  // From t=10 on, crash `recovers` once and every attempt of `exhausts`.
+  bool crashed_once = false;
+  std::function<void()> crash_tick = [&] {
+    if (!crashed_once) crashed_once = service->InjectAmCrash(*recovers).ok();
+    (void)service->InjectAmCrash(*exhausts);
+    if (!service->Idle()) dep->engine.ScheduleAfter(2.0, crash_tick);
+  };
+  dep->engine.ScheduleAt(10.0, crash_tick);
+
+  ASSERT_TRUE(service->RunToCompletion().ok());
+  // Terminal submissions are reaped by a deferred same-time event.
+  dep->engine.RunUntil(dep->engine.Now());
+
+  auto state = [&](const Result<SubmissionId>& id) {
+    return service->record(*id)->state;
+  };
+  EXPECT_EQ(state(ok), SubmissionState::kSucceeded);
+  EXPECT_EQ(state(expired), SubmissionState::kExpired);
+  EXPECT_EQ(state(unknown_policy), SubmissionState::kFailed);
+  EXPECT_EQ(state(never_fits), SubmissionState::kFailed);
+  EXPECT_EQ(state(recovers), SubmissionState::kSucceeded);
+  EXPECT_EQ(state(exhausts), SubmissionState::kFailed);
+  EXPECT_EQ(state(unplaceable), SubmissionState::kFailed);
+  EXPECT_EQ(service->record(*recovers)->am_attempts, 2);
+  EXPECT_EQ(service->record(*recovers)->am_failures, 1);
+  EXPECT_EQ(service->record(*exhausts)->am_failures, 2);
+  EXPECT_TRUE(service->record(*unplaceable)->report.status
+                  .IsResourceExhausted());
+
+  for (const std::string& queue : service->QueueNames()) {
+    const ServiceQueueCounters* c = service->queue_counters(queue);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->submitted, c->succeeded + c->failed + c->expired) << queue;
+  }
+  EXPECT_EQ(service->queue_counters("serial")->rejected, 1);
+  EXPECT_EQ(service->queue_counters("wide")->submitted, 5);
+  EXPECT_TRUE(service->Idle());
+  EXPECT_EQ(service->running_ams(), 0);
+  EXPECT_EQ(service->committed_footprint_bytes(), 0);
+
+  int crashed_attempts = 0;
+  for (const SubmissionRecord& rec : service->Records()) {
+    EXPECT_TRUE(rec.Terminal()) << rec.name;
+    crashed_attempts += rec.am_failures;
+  }
+  EXPECT_EQ(crashed_attempts, 3);
+  EXPECT_EQ(live_sources, crashed_attempts);
 }
 
 TEST(ServiceTest, CreateRejectsBadConfiguration) {
