@@ -112,6 +112,30 @@ void BM_DfsLocalityQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_DfsLocalityQuery);
 
+// The same query by interned FileId: what the data-aware scan issues.
+void BM_DfsLocalityQueryById(benchmark::State& state) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  NodeSpec node;
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(24, node, 1000.0));
+  Dfs dfs(&cluster, DfsOptions{});
+  std::vector<FileId> ids;
+  for (int i = 0; i < 512; ++i) {
+    std::string path = StrFormat("/f%04d", i);
+    (void)dfs.IngestFile(path, 128 << 20);
+    ids.push_back(dfs.Intern(path));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    int64_t local =
+        dfs.LocalBytesOf(ids[i % ids.size()], static_cast<NodeId>(i % 24));
+    benchmark::DoNotOptimize(local);
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DfsLocalityQueryById);
+
 void BM_DataAwareSelect(benchmark::State& state) {
   const int64_t queued = state.range(0);
   SimEngine engine;

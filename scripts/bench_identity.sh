@@ -9,10 +9,12 @@
 # it) and diffs their stdout. Prints one line per bench and the diff of
 # any that differ; exits 1 on any difference (stdout or exit status).
 #
-# The default bench list is the service layer: the multi-tenant service,
-# AM failover, preemption, elastic membership, footprint admission and
-# cache reuse. Their stdout is virtual-time only, so a behaviour-
-# preserving change must reproduce it byte for byte. The temporary tree
+# The default bench list covers the service and scheduler layers: the
+# multi-tenant service, AM failover, preemption, elastic membership,
+# footprint admission and cache reuse, plus the workflow-scheduler
+# ablations (data-aware locality, adaptive policies, HEFT). Their stdout
+# is virtual-time only, so a behaviour-preserving change must reproduce
+# it byte for byte. The temporary tree
 # goes under $TMPDIR (default /tmp) and is removed on exit.
 
 set -eu
@@ -25,7 +27,9 @@ ref=$1
 shift
 if [ $# -eq 0 ]; then
   set -- bench_service_multitenant bench_failover bench_preemption \
-    bench_elastic bench_footprint bench_cache_reuse
+    bench_elastic bench_footprint bench_cache_reuse \
+    bench_ablation_locality bench_ablation_adaptive_policies \
+    bench_fig9_heft_adaptive
 fi
 
 repo=$(cd "$(dirname "$0")/.." && pwd)

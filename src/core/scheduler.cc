@@ -9,7 +9,7 @@ namespace hiway {
 // ---------------------------------------------------------------- FCFS ----
 
 void FcfsScheduler::EnqueueReady(const TaskSpec& task) {
-  queue_.push_back(task);
+  queue_.push_back(task.id);
 }
 
 ContainerRequest FcfsScheduler::RequestFor(const TaskSpec& task) {
@@ -22,32 +22,39 @@ ContainerRequest FcfsScheduler::RequestFor(const TaskSpec& task) {
 std::optional<TaskId> FcfsScheduler::SelectTask(NodeId node) {
   (void)node;
   if (queue_.empty()) return std::nullopt;
-  TaskId id = queue_.front().id;
+  TaskId id = queue_.front();
   queue_.pop_front();
   return id;
 }
 
 void FcfsScheduler::RemoveTask(TaskId id) {
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [id](const TaskSpec& t) { return t.id == id; }),
-               queue_.end());
+  queue_.erase(std::remove(queue_.begin(), queue_.end(), id), queue_.end());
 }
 
 // ---------------------------------------------------------- data-aware ----
 
-void DataAwareScheduler::EnqueueReady(const TaskSpec& task) {
-  queue_.push_back(task);
+std::vector<FileId> DataAwareScheduler::InternInputs(const TaskSpec& task) {
+  std::vector<FileId> ids;
+  ids.reserve(task.input_files.size());
+  for (const std::string& path : task.input_files) {
+    ids.push_back(dfs_->Intern(path));
+  }
+  return ids;
 }
 
-int64_t DataAwareScheduler::EffectiveLocalBytes(const std::string& path,
+void DataAwareScheduler::EnqueueReady(const TaskSpec& task) {
+  queue_.push_back({task.id, InternInputs(task)});
+}
+
+int64_t DataAwareScheduler::EffectiveLocalBytes(FileId id,
                                                 NodeId node) const {
-  int64_t local = dfs_->LocalBytes(path, node);
+  int64_t local = dfs_->LocalBytesOf(id, node);
   if (staging_ != nullptr) {
     // A staged copy only counts while it matches the file's current
     // content; CachedBytes checks the fingerprint and never perturbs
     // the cache's LRU order.
-    local = std::max(
-        local, staging_->CachedBytes(path, dfs_->ContentId(path), node));
+    local = std::max(local, staging_->CachedBytes(dfs_->PathOf(id),
+                                                  dfs_->ContentIdOf(id), node));
   }
   return local;
 }
@@ -59,13 +66,12 @@ ContainerRequest DataAwareScheduler::RequestFor(const TaskSpec& task) {
   // Prefer the node with the most input data, but allow any (relaxed
   // locality): the *selection* step re-optimises against the node YARN
   // actually hands us.
+  std::vector<FileId> inputs = InternInputs(task);
   int64_t best_bytes = -1;
   NodeId best_node = kInvalidNode;
   for (NodeId n = 0; n < dfs_->cluster()->num_nodes(); ++n) {
     int64_t local = 0;
-    for (const std::string& path : task.input_files) {
-      local += EffectiveLocalBytes(path, n);
-    }
+    for (FileId id : inputs) local += EffectiveLocalBytes(id, n);
     if (local > best_bytes) {
       best_bytes = local;
       best_node = n;
@@ -83,13 +89,12 @@ std::optional<TaskId> DataAwareScheduler::SelectTask(NodeId node) {
   double best_fraction = -1.0;
   size_t best_index = 0;
   for (size_t i = 0; i < queue_.size(); ++i) {
-    const TaskSpec& task = queue_[i];
     int64_t total = 0;
     int64_t local = 0;
-    for (const std::string& path : task.input_files) {
-      auto info = dfs_->Stat(path);
-      if (info.ok()) total += info->size_bytes;
-      local += EffectiveLocalBytes(path, node);
+    for (FileId id : queue_[i].inputs) {
+      int64_t size = dfs_->SizeOf(id);
+      if (size >= 0) total += size;
+      local += EffectiveLocalBytes(id, node);
     }
     double fraction =
         total > 0 ? static_cast<double>(local) / static_cast<double>(total)
@@ -105,9 +110,10 @@ std::optional<TaskId> DataAwareScheduler::SelectTask(NodeId node) {
 }
 
 void DataAwareScheduler::RemoveTask(TaskId id) {
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [id](const TaskSpec& t) { return t.id == id; }),
-               queue_.end());
+  queue_.erase(
+      std::remove_if(queue_.begin(), queue_.end(),
+                     [id](const QueuedTask& t) { return t.id == id; }),
+      queue_.end());
 }
 
 // ---------------------------------------------------------- round-robin ---
@@ -155,9 +161,8 @@ Result<std::vector<const TaskSpec*>> TopologicalOrder(
 
 // ------------------------------------------------------ static policies ---
 
-std::deque<TaskSpec>& StaticPlacementScheduler::QueueOf(
-    const TaskSpec& task) {
-  auto it = assignment_.find(task.id);
+std::deque<TaskId>& StaticPlacementScheduler::QueueOf(TaskId id) {
+  auto it = assignment_.find(id);
   HIWAY_CHECK(it != assignment_.end());
   return ready_per_node_[it->second];
 }
@@ -176,7 +181,7 @@ ContainerRequest StaticPlacementScheduler::RequestFor(const TaskSpec& task) {
 std::optional<TaskId> StaticPlacementScheduler::SelectTask(NodeId node) {
   auto it = ready_per_node_.find(node);
   if (it == ready_per_node_.end() || it->second.empty()) return std::nullopt;
-  TaskId id = it->second.front().id;
+  TaskId id = it->second.front();
   it->second.pop_front();
   --queued_;
   return id;
@@ -185,9 +190,7 @@ std::optional<TaskId> StaticPlacementScheduler::SelectTask(NodeId node) {
 void StaticPlacementScheduler::RemoveTask(TaskId id) {
   for (auto& [node, queue] : ready_per_node_) {
     size_t before = queue.size();
-    queue.erase(std::remove_if(queue.begin(), queue.end(),
-                               [id](const TaskSpec& t) { return t.id == id; }),
-                queue.end());
+    queue.erase(std::remove(queue.begin(), queue.end(), id), queue.end());
     queued_ -= before - queue.size();
   }
 }
@@ -215,7 +218,7 @@ Status RoundRobinScheduler::BuildStaticSchedule(
 }
 
 void RoundRobinScheduler::EnqueueReady(const TaskSpec& task) {
-  QueueOf(task).push_back(task);
+  QueueOf(task.id).push_back(task.id);
   ++queued_;
 }
 
@@ -308,13 +311,12 @@ Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
 void HeftScheduler::EnqueueReady(const TaskSpec& task) {
   // Keep the per-node queue ordered by decreasing rank so critical tasks
   // launch first.
-  auto& queue = QueueOf(task);
+  auto& queue = QueueOf(task.id);
   double r = rank_[task.id];
-  auto pos = std::find_if(queue.begin(), queue.end(),
-                          [this, r](const TaskSpec& t) {
-                            return rank_.at(t.id) < r;
-                          });
-  queue.insert(pos, task);
+  auto pos = std::find_if(queue.begin(), queue.end(), [this, r](TaskId t) {
+    return rank_.at(t) < r;
+  });
+  queue.insert(pos, task.id);
   ++queued_;
 }
 

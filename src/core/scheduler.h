@@ -87,7 +87,7 @@ class FcfsScheduler : public WorkflowScheduler {
   size_t QueuedCount() const override { return queue_.size(); }
 
  private:
-  std::deque<TaskSpec> queue_;
+  std::deque<TaskId> queue_;
 };
 
 /// Hi-WAY's default policy for I/O-intensive workflows: selects the task
@@ -96,6 +96,11 @@ class FcfsScheduler : public WorkflowScheduler {
 /// attached, bytes a node retained from earlier stage-ins count as local
 /// too — a cached copy is as cheap as an HDFS block replica, so warm
 /// nodes attract the tasks whose inputs they already hold.
+///
+/// A task's input paths are interned once, at enqueue; the per-grant scan
+/// then reads sizes, replicas and fingerprints by FileId
+/// (docs/scheduling-model.md). tests/oracles/locality_oracle.h keeps the
+/// path-based scan this must agree with pick for pick.
 class DataAwareScheduler : public WorkflowScheduler {
  public:
   explicit DataAwareScheduler(Dfs* dfs,
@@ -109,13 +114,19 @@ class DataAwareScheduler : public WorkflowScheduler {
   size_t QueuedCount() const override { return queue_.size(); }
 
  private:
-  /// Bytes of `path` effectively local to `node`: HDFS block replicas or
-  /// a fresh staging-cache copy, whichever is larger.
-  int64_t EffectiveLocalBytes(const std::string& path, NodeId node) const;
+  struct QueuedTask {
+    TaskId id;
+    std::vector<FileId> inputs;
+  };
+
+  std::vector<FileId> InternInputs(const TaskSpec& task);
+  /// Bytes of file `id` effectively local to `node`: HDFS block replicas
+  /// or a fresh staging-cache copy, whichever is larger.
+  int64_t EffectiveLocalBytes(FileId id, NodeId node) const;
 
   Dfs* dfs_;
   const StagingCache* staging_;
-  std::deque<TaskSpec> queue_;  // FIFO among locality ties
+  std::deque<QueuedTask> queue_;  // FIFO among locality ties
 };
 
 /// Shared machinery of the static policies: BuildStaticSchedule fills
@@ -134,11 +145,11 @@ class StaticPlacementScheduler : public WorkflowScheduler {
   Result<NodeId> AssignedNode(TaskId id) const;
 
  protected:
-  /// The ready queue of the node `task` is assigned to.
-  std::deque<TaskSpec>& QueueOf(const TaskSpec& task);
+  /// The ready queue of the node task `id` is assigned to.
+  std::deque<TaskId>& QueueOf(TaskId id);
 
   std::map<TaskId, NodeId> assignment_;
-  std::map<NodeId, std::deque<TaskSpec>> ready_per_node_;
+  std::map<NodeId, std::deque<TaskId>> ready_per_node_;
   size_t queued_ = 0;
 };
 

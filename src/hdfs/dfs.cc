@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -59,36 +60,90 @@ Status Dfs::CheckCapacity(const std::string& path, int64_t size_bytes,
       static_cast<long long>(options_.capacity_bytes)));
 }
 
+const Dfs::FileSlot* Dfs::Find(const std::string& path) const {
+  auto it = ids_.find(path);
+  if (it == ids_.end()) return nullptr;
+  const FileSlot& slot = slots_[static_cast<size_t>(it->second)];
+  return slot.live ? &slot : nullptr;
+}
+
+Dfs::FileSlot* Dfs::Find(const std::string& path) {
+  return const_cast<FileSlot*>(std::as_const(*this).Find(path));
+}
+
+FileId Dfs::Intern(const std::string& path) {
+  auto [it, inserted] =
+      ids_.try_emplace(path, static_cast<FileId>(slots_.size()));
+  if (inserted) slots_.emplace_back().info.path = path;
+  return it->second;
+}
+
+const std::string& Dfs::PathOf(FileId id) const {
+  return slots_[static_cast<size_t>(id)].info.path;
+}
+
+int64_t Dfs::SizeOf(FileId id) const {
+  const FileSlot& slot = slots_[static_cast<size_t>(id)];
+  return slot.live ? slot.info.size_bytes : -1;
+}
+
+int64_t Dfs::LocalBytesOf(FileId id, NodeId node) const {
+  const FileSlot& slot = slots_[static_cast<size_t>(id)];
+  return slot.live ? LocalBytesIn(slot.info, node) : 0;
+}
+
+uint64_t Dfs::ContentIdOf(FileId id) const {
+  const FileSlot& slot = slots_[static_cast<size_t>(id)];
+  return slot.live ? slot.info.content_id : 0;
+}
+
+void Dfs::Create(const std::string& path, DfsFileInfo info) {
+  FileSlot& slot = slots_[static_cast<size_t>(Intern(path))];
+  ++slot.generation;
+  uint64_t h = Fnv1a64(path);
+  h = Fnv1a64(StrFormat("|%lld|%llu", static_cast<long long>(info.size_bytes),
+                        static_cast<unsigned long long>(slot.generation)),
+              h);
+  // 0 is reserved for "no such file".
+  info.content_id = h == 0 ? 1 : h;
+  info.path = std::move(slot.info.path);
+  AccountReplicas(info, +1);
+  slot.info = std::move(info);
+  slot.live = true;
+}
+
 bool Dfs::Exists(const std::string& path) const {
   ++counters_.metadata_ops;
-  return files_.find(path) != files_.end();
+  return Find(path) != nullptr;
 }
 
 Result<DfsFileInfo> Dfs::Stat(const std::string& path) const {
   ++counters_.metadata_ops;
-  auto it = files_.find(path);
-  if (it == files_.end()) {
+  const FileSlot* slot = Find(path);
+  if (slot == nullptr) {
     return Status::NotFound("no such file in DFS: " + path);
   }
-  return it->second;
+  return slot->info;
 }
 
 Status Dfs::Delete(const std::string& path) {
   ++counters_.metadata_ops;
-  auto it = files_.find(path);
-  if (it == files_.end()) {
+  FileSlot* slot = Find(path);
+  if (slot == nullptr) {
     return Status::NotFound("no such file in DFS: " + path);
   }
-  if (!it->second.external) {
+  if (!slot->info.external) {
     int64_t raw = 0;
-    for (const DfsBlock& block : it->second.blocks) {
+    for (const DfsBlock& block : slot->info.blocks) {
       raw += block.size_bytes * static_cast<int64_t>(block.replicas.size());
     }
     counters_.bytes_deleted += raw;
   }
   ++counters_.files_deleted;
-  AccountReplicas(it->second, -1);
-  files_.erase(it);
+  AccountReplicas(slot->info, -1);
+  slot->live = false;
+  // The slot and its id stay; the block list and its storage go.
+  slot->info.blocks = std::vector<DfsBlock>();
   return Status::OK();
 }
 
@@ -124,16 +179,14 @@ Status Dfs::IngestFile(const std::string& path, int64_t size_bytes,
   if (size_bytes < 0) {
     return Status::InvalidArgument("negative file size for " + path);
   }
-  if (files_.find(path) != files_.end()) {
+  if (Find(path) != nullptr) {
     return Status::AlreadyExists("file already in DFS: " + path);
   }
   int rep = EffectiveReplication();
   Status cap = CheckCapacity(path, size_bytes, rep);
   if (!cap.ok()) return cap;
   DfsFileInfo info;
-  info.path = path;
   info.size_bytes = size_bytes;
-  info.content_id = NextContentId(path, size_bytes);
   int64_t remaining = size_bytes;
   do {
     DfsBlock block;
@@ -142,8 +195,7 @@ Status Dfs::IngestFile(const std::string& path, int64_t size_bytes,
     info.blocks.push_back(std::move(block));
     remaining -= info.blocks.back().size_bytes;
   } while (remaining > 0);
-  AccountReplicas(info, +1);
-  files_.emplace(path, std::move(info));
+  Create(path, std::move(info));
   return Status::OK();
 }
 
@@ -154,39 +206,24 @@ Status Dfs::RegisterExternalFile(const std::string& path,
     return Status::FailedPrecondition(
         "cluster has no S3 uplink for external file " + path);
   }
-  if (files_.find(path) != files_.end()) {
+  if (Find(path) != nullptr) {
     return Status::AlreadyExists("file already in DFS: " + path);
   }
   DfsFileInfo info;
-  info.path = path;
   info.size_bytes = size_bytes;
   info.external = true;
-  info.content_id = NextContentId(path, size_bytes);
-  files_.emplace(path, std::move(info));
+  Create(path, std::move(info));
   return Status::OK();
 }
 
 uint64_t Dfs::ContentId(const std::string& path) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return 0;
-  return it->second.content_id;
+  const FileSlot* slot = Find(path);
+  return slot == nullptr ? 0 : slot->info.content_id;
 }
 
-uint64_t Dfs::NextContentId(const std::string& path, int64_t size_bytes) {
-  uint64_t gen = ++generation_[path];
-  uint64_t h = Fnv1a64(path);
-  h = Fnv1a64(StrFormat("|%lld|%llu", static_cast<long long>(size_bytes),
-                        static_cast<unsigned long long>(gen)),
-              h);
-  // 0 is reserved for "no such file".
-  return h == 0 ? 1 : h;
-}
-
-int64_t Dfs::LocalBytes(const std::string& path, NodeId node) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return 0;
+int64_t Dfs::LocalBytesIn(const DfsFileInfo& info, NodeId node) {
   int64_t total = 0;
-  for (const DfsBlock& block : it->second.blocks) {
+  for (const DfsBlock& block : info.blocks) {
     if (std::find(block.replicas.begin(), block.replicas.end(), node) !=
         block.replicas.end()) {
       total += block.size_bytes;
@@ -195,10 +232,16 @@ int64_t Dfs::LocalBytes(const std::string& path, NodeId node) const {
   return total;
 }
 
+int64_t Dfs::LocalBytes(const std::string& path, NodeId node) const {
+  const FileSlot* slot = Find(path);
+  return slot == nullptr ? 0 : LocalBytesIn(slot->info, node);
+}
+
 std::vector<std::string> Dfs::ListFiles() const {
   std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, info] : files_) out.push_back(path);
+  for (const auto& [path, id] : ids_) {
+    if (slots_[static_cast<size_t>(id)].live) out.push_back(path);
+  }
   return out;
 }
 
@@ -211,8 +254,8 @@ void Dfs::ReadToNode(const std::string& path, NodeId node,
         0.0, [done = std::move(done), st] { done(st); });
     return;
   }
-  auto it = files_.find(path);
-  if (it == files_.end()) {
+  const FileSlot* slot = Find(path);
+  if (slot == nullptr) {
     Status st = Status::NotFound("no such file in DFS: " + path);
     cluster_->engine()->ScheduleAfter(
         0.0, [done = std::move(done), st] { done(st); });
@@ -224,7 +267,7 @@ void Dfs::ReadToNode(const std::string& path, NodeId node,
         0.0, [done = std::move(done), st] { done(st); });
     return;
   }
-  const DfsFileInfo& info = it->second;
+  const DfsFileInfo& info = slot->info;
   // Zero-byte files (and metadata-only sentinels) complete immediately.
   if (info.size_bytes == 0) {
     cluster_->engine()->ScheduleAfter(
@@ -303,7 +346,7 @@ void Dfs::WriteFromNode(const std::string& path, int64_t size_bytes,
         0.0, [done = std::move(done), st] { done(st); });
     return;
   }
-  if (files_.find(path) != files_.end()) {
+  if (Find(path) != nullptr) {
     Status st = Status::AlreadyExists("file already in DFS: " + path);
     cluster_->engine()->ScheduleAfter(
         0.0, [done = std::move(done), st] { done(st); });
@@ -320,9 +363,7 @@ void Dfs::WriteFromNode(const std::string& path, int64_t size_bytes,
   // Build metadata up front (placement is decided at write start, like an
   // HDFS client asking the NameNode for a pipeline).
   DfsFileInfo info;
-  info.path = path;
   info.size_bytes = size_bytes;
-  info.content_id = NextContentId(path, size_bytes);
   int64_t remaining = size_bytes;
   struct WriteState {
     int pending = 0;
@@ -367,8 +408,7 @@ void Dfs::WriteFromNode(const std::string& path, int64_t size_bytes,
     flows.push_back(std::move(spec));
     info.blocks.push_back(std::move(block));
   } while (remaining > 0);
-  AccountReplicas(info, +1);
-  files_.emplace(path, std::move(info));
+  Create(path, std::move(info));
   state->pending = static_cast<int>(flows.size());
   for (FlowSpec& spec : flows) {
     cluster_->net()->StartFlow(std::move(spec));
@@ -382,8 +422,8 @@ void Dfs::KillNode(NodeId node) {
     total_stored_bytes_ -= stored->second;
     stored->second = 0;
   }
-  for (auto& [path, info] : files_) {
-    for (DfsBlock& block : info.blocks) {
+  for (const auto& [path, id] : ids_) {
+    for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
       block.replicas.erase(
           std::remove(block.replicas.begin(), block.replicas.end(), node),
           block.replicas.end());
@@ -395,8 +435,8 @@ void Dfs::DecommissionNode(NodeId node) {
   if (dead_nodes_.find(node) != dead_nodes_.end()) return;
   // Rescue pass: every block whose only replica lives on the retiring
   // node gets a copy elsewhere before the replicas are dropped.
-  for (auto& [path, info] : files_) {
-    for (DfsBlock& block : info.blocks) {
+  for (const auto& [path, id] : ids_) {
+    for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
       if (block.replicas.size() != 1 || block.replicas[0] != node) continue;
       std::vector<NodeId> pool;
       for (NodeId n = options_.first_datanode; n < cluster_->num_nodes();
@@ -416,9 +456,9 @@ void Dfs::DecommissionNode(NodeId node) {
 }
 
 bool Dfs::AllFilesReadable() const {
-  for (const auto& [path, info] : files_) {
-    if (info.size_bytes == 0) continue;
-    for (const DfsBlock& block : info.blocks) {
+  for (const FileSlot& slot : slots_) {
+    if (!slot.live || slot.info.size_bytes == 0) continue;
+    for (const DfsBlock& block : slot.info.blocks) {
       if (block.replicas.empty()) return false;
     }
   }
@@ -426,9 +466,9 @@ bool Dfs::AllFilesReadable() const {
 }
 
 bool Dfs::FileReadable(const std::string& path) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return false;
-  const DfsFileInfo& info = it->second;
+  const FileSlot* slot = Find(path);
+  if (slot == nullptr) return false;
+  const DfsFileInfo& info = slot->info;
   if (info.external || info.size_bytes == 0) return true;
   for (const DfsBlock& block : info.blocks) {
     if (block.replicas.empty()) return false;
@@ -438,8 +478,8 @@ bool Dfs::FileReadable(const std::string& path) const {
 
 void Dfs::ReReplicate() {
   int rep = EffectiveReplication();
-  for (auto& [path, info] : files_) {
-    for (DfsBlock& block : info.blocks) {
+  for (const auto& [path, id] : ids_) {
+    for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
       if (block.replicas.empty()) continue;  // unrecoverable
       while (static_cast<int>(block.replicas.size()) < rep) {
         // Choose a new home distinct from current replicas (DataNodes

@@ -11,6 +11,7 @@
 #define HIWAY_HDFS_DFS_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -42,6 +43,11 @@ struct DfsOptions {
   /// relieve.
   int64_t capacity_bytes = 0;
 };
+
+/// Dense handle of a DFS path (Dfs::Intern). A path keeps its id for the
+/// lifetime of the Dfs: Delete leaves the id's slot absent, and
+/// re-creating the path fills the same slot again.
+using FileId = int32_t;
 
 /// One replicated block of a file.
 struct DfsBlock {
@@ -128,6 +134,29 @@ class Dfs {
   /// All file paths currently in the namespace, sorted.
   std::vector<std::string> ListFiles() const;
 
+  // ---- Interned ids (uncounted; the data-aware scheduler's scan) -------
+  //
+  // The id queries are array reads, not NameNode RPCs: the scheduler
+  // resolves a task's inputs once, when the task becomes ready, and then
+  // reads them on every container grant without a path lookup or a
+  // DfsFileInfo copy.
+
+  /// The id of `path`, giving it an absent slot the first time it is
+  /// seen. Not counted: it creates no file.
+  FileId Intern(const std::string& path);
+
+  /// The path `id` was interned from.
+  const std::string& PathOf(FileId id) const;
+
+  /// Size of the file in slot `id`; -1 while the slot is absent.
+  int64_t SizeOf(FileId id) const;
+
+  /// Bytes of file `id` with a replica on `node` (0 while absent).
+  int64_t LocalBytesOf(FileId id, NodeId node) const;
+
+  /// Content fingerprint of file `id` (0 while absent).
+  uint64_t ContentIdOf(FileId id) const;
+
   // ---- Data operations (asynchronous; consume simulated bandwidth) -----
 
   /// Stages the file onto `node`'s local disk: local blocks are read from
@@ -204,18 +233,39 @@ class Dfs {
 
   int EffectiveReplication() const;
 
-  /// Bumps the path's write generation and returns the fingerprint for a
-  /// file of `size_bytes` being created now.
-  uint64_t NextContentId(const std::string& path, int64_t size_bytes);
+  /// One interned path. `info.path` is set at intern time; the rest of
+  /// `info` is meaningful only while `live`.
+  struct FileSlot {
+    DfsFileInfo info;
+    /// Write generation. Survives Delete(): a deleted-then-rewritten path
+    /// must not reuse an old fingerprint.
+    uint64_t generation = 0;
+    bool live = false;
+  };
+
+  /// The live slot of `path`, or nullptr.
+  const FileSlot* Find(const std::string& path) const;
+  FileSlot* Find(const std::string& path);
+
+  /// Makes `path`'s slot live with `info` (blocks already placed):
+  /// stamps the next-generation fingerprint and accounts the replicas.
+  void Create(const std::string& path, DfsFileInfo info);
+
+  /// Bytes of `info` with a replica on `node`.
+  static int64_t LocalBytesIn(const DfsFileInfo& info, NodeId node);
 
   Cluster* cluster_;
   DfsOptions options_;
   mutable DfsCounters counters_;
   Rng rng_;
-  std::map<std::string, DfsFileInfo> files_;
-  /// Write generation per path. Survives Delete(): a deleted-then-
-  /// rewritten path must not reuse an old fingerprint.
-  std::map<std::string, uint64_t> generation_;
+  /// The namespace: one slot per path ever interned, indexed by FileId
+  /// (a deque, so growth never moves a slot).
+  std::deque<FileSlot> slots_;
+  /// Sorted path index. ListFiles and the replica walks (KillNode,
+  /// DecommissionNode, ReReplicate) visit files in this order; the walks
+  /// draw from rng_, so the order fixes replica placement. An absent
+  /// slot holds no blocks, so the walks pass over it.
+  std::map<std::string, FileId> ids_;
   std::set<NodeId> dead_nodes_;
   std::function<bool(const std::string&, NodeId)> read_fault_hook_;
   /// Incremental byte accounting: raw bytes of replicas per node and the

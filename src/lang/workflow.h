@@ -129,19 +129,25 @@ class StaticWorkflowSource : public WorkflowSource {
 
   std::string name() const override { return name_; }
   bool IsStatic() const override { return true; }
-  Result<std::vector<TaskSpec>> Init() override { return tasks_; }
+  /// Hands the task list over instead of copying it, since Init() runs
+  /// once per source (see the WorkflowSource contract).
+  Result<std::vector<TaskSpec>> Init() override {
+    handed_over_ = tasks_.size();
+    return std::exchange(tasks_, {});
+  }
 
   Result<std::vector<TaskSpec>> OnTaskCompleted(const TaskResult&) override {
     ++completed_;
     return std::vector<TaskSpec>{};
   }
 
-  bool IsDone() const override { return completed_ >= tasks_.size(); }
+  bool IsDone() const override { return completed_ >= task_count(); }
   std::vector<std::string> Targets() const override { return targets_; }
 
-  size_t task_count() const { return tasks_.size(); }
-  /// The full task list, as Init() returns it, without consuming the
-  /// source (footprint admission estimates from it before the AM runs).
+  size_t task_count() const { return tasks_.size() + handed_over_; }
+  /// The full task list, as Init() will return it; empty once Init() has
+  /// handed it over (footprint admission estimates from it before the AM
+  /// runs).
   const std::vector<TaskSpec>& tasks() const { return tasks_; }
 
   /// Workflow input files as (path, size in bytes or 0) pairs: consumed
@@ -162,6 +168,7 @@ class StaticWorkflowSource : public WorkflowSource {
   std::vector<std::pair<std::string, int64_t>> required_inputs_;
 
  private:
+  size_t handed_over_ = 0;
   size_t completed_ = 0;
 };
 

@@ -275,6 +275,111 @@ TEST(DfsTest, ListFilesSorted) {
   EXPECT_EQ(rig.dfs->ListFiles(), (std::vector<std::string>{"/a", "/b"}));
 }
 
+// ---- Interned file ids ----------------------------------------------------
+
+TEST(DfsFileIdTest, PathKeepsItsIdAcrossDeleteAndRecreate) {
+  DfsRig rig(4);
+  FileId early = rig.dfs->Intern("/x");  // interned before it exists
+  EXPECT_EQ(rig.dfs->SizeOf(early), -1);
+  EXPECT_EQ(rig.dfs->ContentIdOf(early), 0u);
+  ASSERT_TRUE(rig.dfs->IngestFile("/x", 10 << 20).ok());
+  EXPECT_EQ(rig.dfs->Intern("/x"), early);
+  EXPECT_EQ(rig.dfs->PathOf(early), "/x");
+  EXPECT_EQ(rig.dfs->SizeOf(early), 10 << 20);
+  uint64_t first = rig.dfs->ContentIdOf(early);
+  EXPECT_EQ(first, rig.dfs->ContentId("/x"));
+  EXPECT_NE(rig.dfs->Intern("/y"), early);
+
+  ASSERT_TRUE(rig.dfs->Delete("/x").ok());
+  EXPECT_EQ(rig.dfs->SizeOf(early), -1);
+  EXPECT_EQ(rig.dfs->ContentIdOf(early), 0u);
+  for (NodeId n = 0; n < 4; ++n) EXPECT_EQ(rig.dfs->LocalBytesOf(early, n), 0);
+
+  ASSERT_TRUE(rig.dfs->IngestFile("/x", 3 << 20).ok());
+  EXPECT_EQ(rig.dfs->Intern("/x"), early);
+  EXPECT_EQ(rig.dfs->SizeOf(early), 3 << 20);
+  uint64_t second = rig.dfs->ContentIdOf(early);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second, rig.dfs->ContentId("/x"));
+
+  // Same size again: still a new fingerprint.
+  ASSERT_TRUE(rig.dfs->Delete("/x").ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/x", 3 << 20).ok());
+  EXPECT_NE(rig.dfs->ContentIdOf(early), second);
+}
+
+TEST(DfsFileIdTest, LocalBytesByIdFollowReplicaChurn) {
+  DfsOptions options;
+  options.replication = 2;
+  options.block_size_bytes = 4 << 20;
+  DfsRig rig(6, options);
+  std::vector<std::string> paths;
+  for (int i = 0; i < 12; ++i) {
+    paths.push_back(StrFormat("/c/f%02d", i));
+    ASSERT_TRUE(rig.dfs->IngestFile(paths.back(), (i + 1) << 20).ok());
+  }
+  auto expect_agree = [&](const char* phase) {
+    for (const std::string& path : paths) {
+      FileId id = rig.dfs->Intern(path);
+      for (NodeId n = 0; n < 6; ++n) {
+        EXPECT_EQ(rig.dfs->LocalBytesOf(id, n), rig.dfs->LocalBytes(path, n))
+            << phase << " " << path << " node " << n;
+      }
+    }
+  };
+  expect_agree("placed");
+  rig.dfs->KillNode(2);
+  expect_agree("killed");
+  for (const std::string& path : paths) {
+    EXPECT_EQ(rig.dfs->LocalBytesOf(rig.dfs->Intern(path), 2), 0);
+  }
+  rig.dfs->DecommissionNode(4);
+  expect_agree("decommissioned");
+  for (const std::string& path : paths) {
+    EXPECT_EQ(rig.dfs->LocalBytesOf(rig.dfs->Intern(path), 4), 0);
+  }
+  rig.dfs->ReReplicate();
+  expect_agree("re-replicated");
+  int64_t on_survivors = 0;
+  for (const std::string& path : paths) {
+    for (NodeId n = 0; n < 6; ++n) {
+      on_survivors += rig.dfs->LocalBytesOf(rig.dfs->Intern(path), n);
+    }
+  }
+  EXPECT_EQ(on_survivors, rig.dfs->TotalStoredBytes());
+}
+
+TEST(DfsFileIdTest, ListFilesSortedWithoutAbsentSlots) {
+  DfsRig rig(2);
+  ASSERT_TRUE(rig.dfs->IngestFile("/c", 1).ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/a", 1).ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/b", 1).ok());
+  (void)rig.dfs->Intern("/0-never-written");
+  ASSERT_TRUE(rig.dfs->Delete("/b").ok());
+  EXPECT_EQ(rig.dfs->ListFiles(), (std::vector<std::string>{"/a", "/c"}));
+  EXPECT_FALSE(rig.dfs->Exists("/0-never-written"));
+  ASSERT_TRUE(rig.dfs->IngestFile("/b", 1).ok());
+  EXPECT_EQ(rig.dfs->ListFiles(),
+            (std::vector<std::string>{"/a", "/b", "/c"}));
+}
+
+TEST(DfsFileIdTest, IdQueriesAreNotMetadataOps) {
+  DfsRig rig(3);
+  ASSERT_TRUE(rig.dfs->IngestFile("/a", 5 << 20).ok());
+  int64_t before = rig.dfs->counters().metadata_ops;
+  FileId a = rig.dfs->Intern("/a");
+  FileId b = rig.dfs->Intern("/b");
+  for (FileId id : {a, b}) {
+    (void)rig.dfs->PathOf(id);
+    (void)rig.dfs->SizeOf(id);
+    (void)rig.dfs->ContentIdOf(id);
+    for (NodeId n = 0; n < 3; ++n) (void)rig.dfs->LocalBytesOf(id, n);
+  }
+  EXPECT_EQ(rig.dfs->counters().metadata_ops, before);
+  (void)rig.dfs->Stat("/a");  // the path API still counts
+  EXPECT_EQ(rig.dfs->counters().metadata_ops, before + 1);
+}
+
 TEST(DfsTest, StoredBytesAccountsReplicas) {
   DfsOptions options;
   options.replication = 2;

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
 #include "src/common/strings.h"
+#include "tests/oracles/locality_oracle.h"
 #include "tests/oracles/provenance_oracle.h"
 
 namespace hiway {
@@ -133,6 +135,147 @@ TEST(DataAwareSchedulerTest, TasksWithoutInputsStillSchedulable) {
   DataAwareScheduler scheduler(rig.dfs.get());
   scheduler.EnqueueReady(Task(1, "gen"));
   EXPECT_EQ(*scheduler.SelectTask(1), 1);
+}
+
+// Random enqueue, select and remove while replicas and staged copies churn
+// underneath: node kills and drains, re-replication, deletes and re-writes
+// at a new size, staging inserts, evictions, invalidation and content
+// drift. The id-keyed scheduler and the path-scan oracle must agree on
+// every pick and every preferred node.
+void RunLockstep(uint64_t seed) {
+  SimEngine engine;
+  FlowNetwork net{&engine};
+  constexpr int kNodes = 10;
+  Cluster cluster(&engine, &net,
+                  ClusterSpec::Uniform(kNodes, NodeSpec{}, 1000.0));
+  DfsOptions options;
+  options.replication = 2;
+  options.block_size_bytes = 8 << 20;  // multi-block files
+  options.seed = seed;
+  Dfs dfs(&cluster, options);
+  StagingCacheOptions cache_options;
+  cache_options.node_budget_bytes = 48 << 20;  // small enough to evict
+  StagingCache staging(cache_options);
+  DataAwareScheduler scheduler(&dfs, &staging);
+  PathScanLocalityOracle oracle(&dfs, &staging);
+
+  Rng rng(seed);
+  constexpr int kPaths = 16;
+  auto path = [](uint64_t i) {
+    return StrFormat("/lock/f%02d", static_cast<int>(i));
+  };
+  auto random_size = [&rng] {
+    return static_cast<int64_t>(rng.UniformInt(40)) << 20;  // 0..39 MiB
+  };
+  auto random_node = [&rng] {
+    return static_cast<NodeId>(rng.UniformInt(kNodes));
+  };
+  // A quarter of the paths start absent: tasks may name them before
+  // they are first written.
+  for (uint64_t i = 0; i < kPaths; ++i) {
+    if (rng.UniformInt(4) != 0) {
+      ASSERT_TRUE(dfs.IngestFile(path(i), random_size(), random_node()).ok());
+    }
+  }
+  std::vector<TaskSpec> queued;
+  TaskId next_id = 1;
+  int lost_nodes = 0;
+  for (int step = 0; step < 500; ++step) {
+    SCOPED_TRACE(StrFormat("step %d", step));
+    switch (rng.UniformInt(12)) {
+      case 0:
+      case 1:
+      case 2: {  // a task becomes ready
+        std::vector<std::string> inputs;
+        for (uint64_t k = rng.UniformInt(4); k > 0; --k) {
+          inputs.push_back(path(rng.UniformInt(kPaths)));
+        }
+        TaskSpec task = Task(next_id++, "t", inputs);
+        scheduler.EnqueueReady(task);
+        oracle.EnqueueReady(task);
+        queued.push_back(task);
+        break;
+      }
+      case 3:
+      case 4: {  // a container is granted
+        NodeId node = random_node();
+        std::optional<TaskId> picked = scheduler.SelectTask(node);
+        ASSERT_EQ(picked, oracle.SelectTask(node)) << "node " << node;
+        if (picked.has_value()) {
+          queued.erase(std::find_if(
+              queued.begin(), queued.end(),
+              [&picked](const TaskSpec& t) { return t.id == *picked; }));
+        }
+        break;
+      }
+      case 5: {  // workflow abort drops a queued task
+        if (queued.empty()) break;
+        size_t i = static_cast<size_t>(rng.UniformInt(queued.size()));
+        scheduler.RemoveTask(queued[i].id);
+        oracle.RemoveTask(queued[i].id);
+        queued.erase(queued.begin() + static_cast<ptrdiff_t>(i));
+        break;
+      }
+      case 6:
+      case 7:  // DataNode crash or graceful drain
+        if (lost_nodes < kNodes - 3) {
+          NodeId node = random_node();
+          if (rng.UniformInt(2) == 0) {
+            dfs.KillNode(node);
+          } else {
+            dfs.DecommissionNode(node);
+          }
+          ++lost_nodes;
+        }
+        break;
+      case 8:
+        dfs.ReReplicate();
+        break;
+      case 9: {  // GC delete, usually followed by a re-write (new size)
+        std::string p = path(rng.UniformInt(kPaths));
+        (void)dfs.Delete(p);
+        if (rng.UniformInt(4) != 0) {
+          ASSERT_TRUE(dfs.IngestFile(p, random_size(), random_node()).ok());
+        }
+        break;
+      }
+      case 10: {  // stage-in: fresh, or stale (content drift)
+        std::string p = path(rng.UniformInt(kPaths));
+        NodeId node = random_node();
+        uint64_t content = dfs.ContentId(p);
+        if (rng.UniformInt(3) == 0) ++content;
+        staging.InsertPinned(node, p, content, random_size());
+        staging.Unpin(node, p);
+        break;
+      }
+      case 11:  // NodeManager disk loss
+        staging.InvalidateNode(random_node());
+        break;
+    }
+    ASSERT_EQ(scheduler.QueuedCount(), oracle.QueuedCount());
+    for (const TaskSpec& task : queued) {
+      ASSERT_EQ(scheduler.RequestFor(task).preferred_node,
+                oracle.RequestFor(task).preferred_node)
+          << "task " << task.id;
+    }
+  }
+  // Drain: the remaining picks agree too.
+  for (NodeId node = 0; !queued.empty(); node = (node + 1) % kNodes) {
+    std::optional<TaskId> picked = scheduler.SelectTask(node);
+    ASSERT_EQ(picked, oracle.SelectTask(node));
+    ASSERT_TRUE(picked.has_value());
+    queued.erase(std::find_if(
+        queued.begin(), queued.end(),
+        [&picked](const TaskSpec& t) { return t.id == *picked; }));
+  }
+}
+
+TEST(DataAwareLockstepTest, MatchesPathScanOracleUnderReplicaChurn) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
+    RunLockstep(seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ------------------------------------------------------------ round-robin --
