@@ -2,7 +2,9 @@
 // AM's within-submission failover memoisation (src/core/hiway_am.cc,
 // TryMemoise) to *repeat submissions* — the NGS re-run pattern the paper's
 // evaluation workloads embody, where the same SNV/RNA-seq pipeline runs
-// daily with one changed input.
+// daily with one changed input. A hit completes its task exactly like a
+// memoised one: HiWayAm::CompleteInstantly queues the recorded result and
+// HiWayAm::DeliverCompletions hands it on with every other completion.
 //
 // Keying. An entry is addressed by a key derived from the task's tool
 // signature, command, parameters, and the *content fingerprints* of its

@@ -12,6 +12,8 @@ namespace {
 /// AM-assigned task ids start high so they never collide with ids chosen
 /// by language front-ends (which count from 1).
 constexpr TaskId kAmTaskIdBase = 1000000;
+/// AM -> RM liveness heartbeat period.
+constexpr double kAmHeartbeatS = 1.0;
 }  // namespace
 
 HiWayAm::HiWayAm(Cluster* cluster, ResourceManager* rm, Dfs* dfs,
@@ -61,13 +63,12 @@ void HiWayAm::Crash() {
 }
 
 void HiWayAm::HeartbeatLoop() {
-  if (finished_ || crashed_ || options_.am_heartbeat_s <= 0.0) return;
+  if (finished_ || crashed_) return;
   rm_->AmHeartbeat(app_);
-  heartbeat_event_ = cluster_->engine()->ScheduleAfter(
-      options_.am_heartbeat_s, [this] {
-        heartbeat_event_ = 0;
-        HeartbeatLoop();
-      });
+  heartbeat_event_ = cluster_->engine()->ScheduleAfter(kAmHeartbeatS, [this] {
+    heartbeat_event_ = 0;
+    HeartbeatLoop();
+  });
 }
 
 void HiWayAm::SetRecoveryTrace(const std::vector<ProvenanceEvent>& events) {
@@ -122,33 +123,38 @@ void HiWayAm::SetRecoveryTrace(const std::vector<ProvenanceEvent>& events) {
   }
 }
 
-Status HiWayAm::ApplyContainerDefaults(TaskSpec* spec) const {
-  if (spec->vcores <= 0) spec->vcores = options_.container_vcores;
-  if (spec->memory_mb <= 0.0) spec->memory_mb = options_.container_memory_mb;
-  if (options_.tailor_containers) {
-    // Sec. 5: containers "custom-tailored to the tasks that are to be
-    // executed" — cap the container at the tool's useful thread count so
-    // single-threaded stages stop reserving whole nodes.
-    auto profile = tools_->Find(spec->ToolName());
-    if (profile.ok()) {
-      int useful = std::max(1, (*profile)->max_threads);
-      spec->vcores = std::min(spec->vcores, useful);
-      // Scale memory with the core share, floored at 512 MB.
-      double per_core =
-          options_.container_memory_mb /
-          std::max(options_.container_vcores, 1);
-      spec->memory_mb =
-          std::max(512.0, per_core * static_cast<double>(spec->vcores));
+Status HiWayAm::PrepareTasks(std::vector<TaskSpec>* tasks) {
+  for (TaskSpec& spec : *tasks) {
+    if (spec.id == kInvalidTask) spec.id = next_task_id_++;
+    if (spec.vcores <= 0) spec.vcores = options_.container_vcores;
+    if (spec.memory_mb <= 0.0) spec.memory_mb = options_.container_memory_mb;
+    if (options_.tailor_containers) {
+      // Sec. 5: containers "custom-tailored to the tasks that are to be
+      // executed" — cap the container at the tool's useful thread count
+      // so single-threaded stages stop reserving whole nodes.
+      auto profile = tools_->Find(spec.ToolName());
+      if (profile.ok()) {
+        int useful = std::max(1, (*profile)->max_threads);
+        spec.vcores = std::min(spec.vcores, useful);
+        // Scale memory with the core share, floored at 512 MB.
+        double per_core =
+            options_.container_memory_mb /
+            std::max(options_.container_vcores, 1);
+        spec.memory_mb =
+            std::max(512.0, per_core * static_cast<double>(spec.vcores));
+      }
     }
+    // No node can ever host an unallocatable container, so waiting for
+    // one would hang the workflow.
+    HIWAY_RETURN_IF_ERROR(
+        rm_->CheckAllocatable(spec.vcores, spec.memory_mb)
+            .WithContext(StrFormat("task %lld ('%s') needs a %d-vcore / "
+                                   "%.0f MB container",
+                                   static_cast<long long>(spec.id),
+                                   spec.signature.c_str(), spec.vcores,
+                                   spec.memory_mb)));
   }
-  // No node can ever host an unallocatable container, so waiting for one
-  // would hang the workflow.
-  return rm_->CheckAllocatable(spec->vcores, spec->memory_mb)
-      .WithContext(StrFormat("task %lld ('%s') needs a %d-vcore / %.0f MB "
-                             "container",
-                             static_cast<long long>(spec->id),
-                             spec->signature.c_str(), spec->vcores,
-                             spec->memory_mb));
+  return Status::OK();
 }
 
 Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
@@ -215,13 +221,10 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
 
   // Assign ids and container defaults before static scheduling sees them.
   std::vector<TaskSpec> tasks = std::move(initial).value();
-  for (TaskSpec& t : tasks) {
-    if (t.id == kInvalidTask) t.id = next_task_id_++;
-    Status sized = ApplyContainerDefaults(&t);
-    if (!sized.ok()) {
-      FinishWorkflow(sized);
-      return sized;
-    }
+  Status sized = PrepareTasks(&tasks);
+  if (!sized.ok()) {
+    FinishWorkflow(sized);
+    return sized;
   }
 
   if (scheduler_->IsStatic()) {
@@ -261,19 +264,16 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
   }
 
   Status st = AdmitTasks(std::move(tasks));
-  if (st.ok()) st = DrainMemoised();
   if (!st.ok()) {
     FinishWorkflow(st);
     return st;
   }
-  MaybeFinish();  // degenerate workflows with zero tasks
-  return Status::OK();
+  // Also finishes degenerate workflows with zero tasks.
+  return DeliverCompletions();
 }
 
 Status HiWayAm::AdmitTasks(std::vector<TaskSpec> tasks) {
   for (TaskSpec& spec : tasks) {
-    if (spec.id == kInvalidTask) spec.id = next_task_id_++;
-    HIWAY_RETURN_IF_ERROR(ApplyContainerDefaults(&spec));
     if (tasks_.find(spec.id) != tasks_.end()) {
       return Status::InvalidArgument(
           StrFormat("duplicate task id %lld emitted by source",
@@ -331,59 +331,74 @@ bool HiWayAm::TryMemoise(TaskEntry* entry) {
   }
   MemoEntry memo = std::move(it->second.front());
   it->second.pop_front();
-  entry->state = TaskState::kDone;
-  ++report_.tasks_completed;
   ++report_.tasks_memoised;
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kTask, "task_memoised", app_,
                      /*container=*/-1, entry->spec.id, memo.node,
                      memo.duration);
   }
+  // Not re-recorded in provenance and not fed to the estimator: the
+  // original attempt's records already cover this completion.
+  CompleteInstantly(entry, memo.node, std::move(memo.stdout_value),
+                    std::move(produced));
+  return true;
+}
+
+void HiWayAm::Complete(TaskEntry* entry, TaskResult result) {
+  entry->state = TaskState::kDone;
+  ++report_.tasks_completed;
+  completions_.push_back(std::move(result));
+}
+
+void HiWayAm::CompleteInstantly(
+    TaskEntry* entry, NodeId node, std::string stdout_value,
+    std::vector<std::pair<std::string, int64_t>> produced) {
   double now = cluster_->engine()->Now();
   TaskResult result;
   result.id = entry->spec.id;
   result.signature = entry->spec.signature;
   result.status = Status::OK();
-  result.node = memo.node;
+  result.node = node;
   result.started_at = now;
-  result.finished_at = now;  // memoisation is instantaneous
-  result.stdout_value = std::move(memo.stdout_value);
+  result.finished_at = now;
+  result.stdout_value = std::move(stdout_value);
   result.produced_files = std::move(produced);
-  // Not re-recorded in provenance and not fed to the estimator: the
-  // original attempt's records already cover this completion.
-  memo_completions_.push_back(std::move(result));
-  return true;
+  Complete(entry, std::move(result));
 }
 
-Status HiWayAm::DrainMemoised() {
-  if (draining_memo_) return Status::OK();  // outer drain picks it up
-  draining_memo_ = true;
-  while (!memo_completions_.empty()) {
-    TaskResult result = std::move(memo_completions_.front());
-    memo_completions_.pop_front();
+Status HiWayAm::DeliverCompletions() {
+  if (delivering_) return Status::OK();  // the outer loop picks them up
+  delivering_ = true;
+  Status st;
+  while (st.ok() && !completions_.empty()) {
+    TaskResult result = std::move(completions_.front());
+    completions_.pop_front();
+    // Waiters unblocked here may be served from the result cache; their
+    // completions queue behind this one.
     RegisterProducedFiles(result);
-    // Memoised and cache-served completions release their input pins like
-    // executed ones.
+    // Input pins are released only on successful completion (executed,
+    // memoised or cache-served): preempted or drained attempts re-queue
+    // with their pins intact.
     if (gc_ != nullptr) gc_->OnConsumerDone(report_.run_id, result.id);
     auto discovered = source_->OnTaskCompleted(result);
     if (!discovered.ok()) {
-      draining_memo_ = false;
-      return discovered.status().WithContext("workflow evaluation failed");
-    }
-    if (!discovered->empty()) {
-      if (scheduler_->IsStatic()) {
-        draining_memo_ = false;
-        return Status::FailedPrecondition(
-            "a statically scheduled source discovered new tasks at runtime");
-      }
-      Status st = AdmitTasks(std::move(discovered).value());
-      if (!st.ok()) {
-        draining_memo_ = false;
-        return st;
-      }
+      st = discovered.status().WithContext("workflow evaluation failed");
+    } else if (discovered->empty()) {
+      continue;
+    } else if (scheduler_->IsStatic()) {
+      st = Status::FailedPrecondition(
+          "a statically scheduled source discovered new tasks at runtime");
+    } else {
+      st = PrepareTasks(&*discovered);
+      if (st.ok()) st = AdmitTasks(std::move(discovered).value());
     }
   }
-  draining_memo_ = false;
+  delivering_ = false;
+  if (!st.ok()) {
+    FinishWorkflow(st);
+    return st;
+  }
+  MaybeFinish();
   return Status::OK();
 }
 
@@ -411,8 +426,6 @@ bool HiWayAm::TryCacheHit(TaskEntry* entry) {
     return false;
   }
   CacheHit hit = std::move(lookup).value();
-  entry->state = TaskState::kDone;
-  ++report_.tasks_completed;
   ++report_.tasks_cached;
   int64_t output_bytes = 0;
   std::vector<std::pair<std::string, int64_t>> produced;
@@ -421,7 +434,6 @@ bool HiWayAm::TryCacheHit(TaskEntry* entry) {
     produced.emplace_back(out.path, out.size_bytes);
     output_bytes += out.size_bytes;
   }
-  double now = cluster_->engine()->Now();
   if (tracer_ != nullptr) {
     // value = compute seconds saved, aux = output bytes reused.
     tracer_->Instant(SpanCategory::kCache, "cache_hit", app_,
@@ -432,24 +444,16 @@ bool HiWayAm::TryCacheHit(TaskEntry* entry) {
     // Recorded as its own event type: replay must not mistake a reused
     // result for an execution, and the analyzer attributes saved time.
     shard_->RecordTaskCacheHit(entry->spec.id, entry->spec.signature,
-                               hit.run_id, hit.duration, now);
+                               hit.run_id, hit.duration,
+                               cluster_->engine()->Now());
     if (tracer_ != nullptr) {
       tracer_->Instant(SpanCategory::kProvenance, "prov_append", app_,
                        /*container=*/-1, entry->spec.id);
     }
   }
-  TaskResult result;
-  result.id = entry->spec.id;
-  result.signature = entry->spec.signature;
-  result.status = Status::OK();
-  result.node = hit.node;
-  result.started_at = now;
-  result.finished_at = now;  // a cache hit is instantaneous
-  result.stdout_value = hit.stdout_value;
-  result.produced_files = std::move(produced);
-  // Delivered through the memo queue (same instant-completion plumbing
-  // as recovery memoisation); not fed to the estimator — nothing ran.
-  memo_completions_.push_back(std::move(result));
+  // Not fed to the estimator: nothing ran.
+  CompleteInstantly(entry, hit.node, std::move(hit.stdout_value),
+                    std::move(produced));
   return true;
 }
 
@@ -614,17 +618,12 @@ void HiWayAm::OnAttemptDone(TaskId id, int epoch, TaskAttemptOutcome outcome) {
   if (!result.status.ok()) {
     // Transient I/O errors (Unavailable) are not the node's fault and
     // never count toward blacklisting it.
-    if (!result.status.IsUnavailable() &&
-        options_.task_retry.ShouldBlacklist(
-            ++entry->node_failures[result.node])) {
-      entry->blacklist.push_back(result.node);
-    }
-    HandleAttemptFailure(entry, result.status);
+    HandleAttemptFailure(
+        entry, result.status,
+        result.status.IsUnavailable() ? kInvalidNode : result.node);
     return;
   }
 
-  entry->state = TaskState::kDone;
-  ++report_.tasks_completed;
   estimator_->Observe(result.signature, result.node, result.Makespan());
   if (result_cache_ != nullptr) {
     // Seal only now — after stage-out put every output durably in DFS
@@ -634,39 +633,17 @@ void HiWayAm::OnAttemptDone(TaskId id, int epoch, TaskAttemptOutcome outcome) {
     result_cache_->Publish(entry->spec, result, report_.run_id,
                            cluster_->node(result.node).name);
   }
-  RegisterProducedFiles(result);
-  // Release input pins only now, on *successful* completion: preempted or
-  // drained attempts re-queue with their pins intact.
-  if (gc_ != nullptr) gc_->OnConsumerDone(report_.run_id, id);
-
-  auto discovered = source_->OnTaskCompleted(result);
-  if (!discovered.ok()) {
-    FinishWorkflow(
-        discovered.status().WithContext("workflow evaluation failed"));
-    return;
-  }
-  Status st = Status::OK();
-  if (!discovered->empty()) {
-    if (scheduler_->IsStatic()) {
-      FinishWorkflow(Status::FailedPrecondition(
-          "a statically scheduled source discovered new tasks at runtime"));
-      return;
-    }
-    st = AdmitTasks(std::move(discovered).value());
-  }
-  // Drain unconditionally: RegisterProducedFiles above may have served a
-  // newly unblocked task straight from the result cache even when the
-  // source discovered nothing, and MaybeFinish refuses to finish while
-  // memoised completions are undelivered.
-  if (st.ok()) st = DrainMemoised();
-  if (!st.ok()) {
-    FinishWorkflow(st);
-    return;
-  }
-  MaybeFinish();
+  Complete(entry, std::move(outcome.result));
+  // Finishes the workflow itself on failure.
+  DeliverCompletions();
 }
 
-void HiWayAm::HandleAttemptFailure(TaskEntry* entry, const Status& failure) {
+void HiWayAm::HandleAttemptFailure(TaskEntry* entry, const Status& failure,
+                                   NodeId blame) {
+  if (blame != kInvalidNode &&
+      options_.task_retry.ShouldBlacklist(++entry->node_failures[blame])) {
+    entry->blacklist.push_back(blame);
+  }
   ++report_.failed_attempts;
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kTask, "task_retry", app_,
@@ -681,9 +658,8 @@ void HiWayAm::HandleAttemptFailure(TaskEntry* entry, const Status& failure) {
     return;
   }
   // Retry elsewhere (Sec. 3.1: "re-try failed tasks, requesting YARN to
-  // allocate the additional containers on different compute nodes"); the
-  // caller updated the blacklist, which MarkReady forwards with the
-  // fresh container request.
+  // allocate the additional containers on different compute nodes");
+  // MarkReady forwards the blacklist with the fresh container request.
   RetryLater(entry);
 }
 
@@ -745,21 +721,26 @@ void HiWayAm::RegisterProducedFiles(const TaskResult& result) {
 void HiWayAm::MaybeFinish() {
   if (finished_) return;
   if (running_ > 0 || scheduler_->QueuedCount() > 0 ||
-      pending_retries_ > 0 || !memo_completions_.empty()) {
+      pending_retries_ > 0 || !completions_.empty()) {
     return;
   }
   if (waiting_ > 0) {
     // Nothing is running or queued, yet tasks still await inputs: those
-    // files will never appear.
+    // files will never appear. waiting_on_file_ holds each of them once,
+    // however many tasks wait on it; the list is capped.
+    constexpr size_t kMaxListedChars = 200;
     std::string missing;
-    for (const auto& [id, entry] : tasks_) {
-      if (entry.state == TaskState::kWaiting) {
-        for (const std::string& path : entry.missing_inputs) {
-          if (!missing.empty()) missing += ", ";
-          missing += path;
-          if (missing.size() > 200) break;
-        }
-      }
+    size_t listed = 0;
+    for (const auto& [path, waiters] : waiting_on_file_) {
+      if (missing.size() >= kMaxListedChars) break;
+      if (listed++ > 0) missing += ", ";
+      missing += path;
+    }
+    if (missing.size() > kMaxListedChars) {
+      missing.replace(kMaxListedChars, std::string::npos, "...");
+    }
+    if (listed < waiting_on_file_.size()) {
+      missing += StrFormat(" (+%zu more)", waiting_on_file_.size() - listed);
     }
     FinishWorkflow(Status::FailedPrecondition(
         "workflow deadlocked; unresolvable inputs: " + missing));
@@ -810,56 +791,41 @@ void HiWayAm::OnContainerLost(const Container& container,
                               ContainerLossReason reason) {
   if (finished_ || crashed_) return;
   for (auto& [id, entry] : tasks_) {
-    if (entry.state == TaskState::kRunning &&
-        entry.container == container.id) {
-      --running_;
-      entry.container = kInvalidContainer;
-      ++entry.attempt_epoch;  // discard the in-flight outcome
-      if (reason == ContainerLossReason::kPreempted) {
-        // Scheduler-initiated reclaim, not a fault: restore the attempt
-        // budget, blame no node, and re-queue immediately — the RM will
-        // re-place the task once the guarantees settle.
-        --entry.attempts;
-        ++report_.tasks_preempted;
-        if (tracer_ != nullptr) {
-          tracer_->Instant(SpanCategory::kTask, "task_preempted", app_,
-                           container.id, id, container.node);
-        }
-        MarkReady(&entry);
-        return;
+    if (entry.state != TaskState::kRunning ||
+        entry.container != container.id) {
+      continue;
+    }
+    --running_;
+    entry.container = kInvalidContainer;
+    ++entry.attempt_epoch;  // discard the in-flight outcome
+    if (reason == ContainerLossReason::kPreempted ||
+        reason == ContainerLossReason::kDrained) {
+      // A scheduler-initiated reclaim, or a container vacated off a
+      // draining node: not a fault. Restore the attempt budget, blame no
+      // node, and re-queue immediately — the RM re-places the task once
+      // the guarantees settle, and a draining node takes no placements.
+      bool preempted = reason == ContainerLossReason::kPreempted;
+      --entry.attempts;
+      ++(preempted ? report_.tasks_preempted : report_.tasks_drained);
+      if (tracer_ != nullptr) {
+        tracer_->Instant(SpanCategory::kTask,
+                         preempted ? "task_preempted" : "task_drained", app_,
+                         container.id, id, container.node);
       }
-      if (reason == ContainerLossReason::kDrained) {
-        // Vacated off a draining node — same exemption as preemption:
-        // restore the budget, blame no node, requeue immediately (the
-        // draining node takes no placements, so the retry lands on the
-        // surviving fleet).
-        --entry.attempts;
-        ++report_.tasks_drained;
-        if (tracer_ != nullptr) {
-          tracer_->Instant(SpanCategory::kTask, "task_drained", app_,
-                           container.id, id, container.node);
-        }
-        MarkReady(&entry);
-        return;
-      }
-      if (reason != ContainerLossReason::kNodeLost &&
-          options_.task_retry.ShouldBlacklist(
-              ++entry.node_failures[container.node])) {
-        // A dead node is never blacklisted — the RM already stopped
-        // placing there, and dead-listing it forever would only shrink
-        // the request's candidate set once the node recovers.
-        entry.blacklist.push_back(container.node);
-      }
-      ++report_.failed_attempts;
-      if (options_.task_retry.Exhausted(entry.attempts)) {
-        FinishWorkflow(Status::RuntimeError(StrFormat(
-            "task %lld lost its container too many times",
-            static_cast<long long>(id))));
-        return;
-      }
-      RetryLater(&entry);
+      MarkReady(&entry);
       return;
     }
+    // Every other loss is a failed attempt. A dead node is never blamed:
+    // the RM already stopped placing there, and blacklisting it forever
+    // would only shrink the request's candidate set once it recovers.
+    HandleAttemptFailure(
+        &entry,
+        Status::RuntimeError(StrFormat("container %lld lost (%s)",
+                                       static_cast<long long>(container.id),
+                                       ToString(reason))),
+        reason == ContainerLossReason::kNodeLost ? kInvalidNode
+                                                 : container.node);
+    return;
   }
 }
 

@@ -5,7 +5,10 @@
 // Lifecycle (Fig. 3): parse -> discover tasks -> request containers for
 // ready tasks -> on allocation let the scheduler pick a task -> execute ->
 // on completion register outputs, possibly discover new tasks -> repeat
-// until the source is done. Failed attempts are retried on other nodes.
+// until the source is done. Every completion (executed, memoised from a
+// recovery trace or served from the result cache) is queued and handed
+// on by one loop, DeliverCompletions. Failed attempts and lost containers
+// take one failure path, HandleAttemptFailure, and retry on other nodes.
 
 #ifndef HIWAY_CORE_HIWAY_AM_H_
 #define HIWAY_CORE_HIWAY_AM_H_
@@ -54,9 +57,6 @@ struct HiWayOptions {
   /// shared vocabulary with the service's AM-attempt loop. Defaults:
   /// 3 attempts, immediate retry, blacklist a node after one failure.
   RetryPolicy task_retry;
-  /// AM -> RM liveness heartbeat period; <= 0 disables heartbeats (the
-  /// RM then never declares this AM dead by timeout).
-  double am_heartbeat_s = 1.0;
   /// Which AM attempt of its submission this is (1 = first launch);
   /// informational, stamped into the report and the YARN app name.
   int am_attempt = 1;
@@ -230,22 +230,28 @@ class HiWayAm : public AmCallbacks {
     double duration = 0.0;
   };
 
-  /// Applies option defaults to a TaskSpec's container sizing;
-  /// ResourceExhausted when no registered node could ever host it.
-  Status ApplyContainerDefaults(TaskSpec* spec) const;
+  /// Assigns an AM task id to every spec the source left without one and
+  /// applies option defaults to its container sizing; ResourceExhausted
+  /// when no registered node could ever host a task's container.
+  Status PrepareTasks(std::vector<TaskSpec>* tasks);
 
   Status AdmitTasks(std::vector<TaskSpec> tasks);
   void MarkReady(TaskEntry* entry);
   /// MarkReady unless the result cache already holds this invocation's
-  /// sealed outputs for our tenant — then the task completes instantly
-  /// (queued on memo_completions_, like a recovery memoisation).
+  /// sealed outputs for our tenant — then the task completes instantly,
+  /// like a recovery memoisation.
   void MarkReadyOrServe(TaskEntry* entry);
   /// Attempts to complete `entry` from the result cache. False = miss
   /// (or verification evicted the entry); the task must execute.
   bool TryCacheHit(TaskEntry* entry);
   void LaunchTask(TaskEntry* entry, const Container& container);
   void OnAttemptDone(TaskId id, int epoch, TaskAttemptOutcome outcome);
-  void HandleAttemptFailure(TaskEntry* entry, const Status& failure);
+  /// The one failure path of an attempt, whether its tool failed or its
+  /// container was lost: charges `blame` (kInvalidNode = no node is at
+  /// fault) towards blacklisting, traces the retry, and re-queues the
+  /// task or, once the retry budget is spent, fails the workflow.
+  void HandleAttemptFailure(TaskEntry* entry, const Status& failure,
+                            NodeId blame);
   /// Re-queues a failed task, honouring the retry policy's backoff.
   void RetryLater(TaskEntry* entry);
   void RegisterProducedFiles(const TaskResult& result);
@@ -254,9 +260,20 @@ class HiWayAm : public AmCallbacks {
   /// Completes `entry` from the recovery memo if possible (signature
   /// recorded as successful, file outputs still present in DFS).
   bool TryMemoise(TaskEntry* entry);
-  /// Delivers queued memoised completions to the source; discovery may
-  /// admit further tasks (which can memoise in turn). Re-entrancy safe.
-  Status DrainMemoised();
+  /// Marks `entry` done and queues its result for DeliverCompletions.
+  void Complete(TaskEntry* entry, TaskResult result);
+  /// Completes `entry` without running it, at the current instant, from a
+  /// result recorded earlier (recovery memo or result cache) on `node`.
+  void CompleteInstantly(
+      TaskEntry* entry, NodeId node, std::string stdout_value,
+      std::vector<std::pair<std::string, int64_t>> produced);
+  /// The one completion loop: for each queued completion registers its
+  /// outputs (unblocking waiters), releases its GC pins, hands it to the
+  /// source and admits the tasks it discovers, which may complete
+  /// instantly in turn. Then finishes the workflow if no work is left.
+  /// Re-entrancy safe. On failure finishes the workflow and returns the
+  /// failure.
+  Status DeliverCompletions();
   void HeartbeatLoop();
 
   Cluster* cluster_;
@@ -289,9 +306,9 @@ class HiWayAm : public AmCallbacks {
   std::map<std::string, TaskId> file_producer_;
   /// Recovery memo: signature -> recorded completions, oldest first.
   std::map<std::string, std::deque<MemoEntry>> memo_;
-  /// Memoised results awaiting delivery to the source.
-  std::deque<TaskResult> memo_completions_;
-  bool draining_memo_ = false;
+  /// Completed tasks' results awaiting DeliverCompletions.
+  std::deque<TaskResult> completions_;
+  bool delivering_ = false;
   EventId heartbeat_event_ = 0;
   int pending_retries_ = 0;
   int running_ = 0;

@@ -1,12 +1,11 @@
-// Tests for the comparator baselines: the Tez-like DAG engine and the
-// Galaxy-CloudMan-like engine.
+// Tests for the Galaxy-CloudMan-like comparator baseline. (The Tez
+// comparator is Hi-WAY's own AM under FCFS with a per-task wrapping cost;
+// see bench/bench_fig4_scaling_tez.cc.)
 
 #include <gtest/gtest.h>
 
 #include "src/baseline/cloudman.h"
-#include "src/baseline/tez_am.h"
 #include "src/common/strings.h"
-#include "src/lang/cuneiform.h"
 #include "src/tools/standard_tools.h"
 
 namespace hiway {
@@ -21,94 +20,6 @@ TaskSpec MakeTask(TaskId id, std::string tool, std::vector<std::string> in,
   t.input_files = std::move(in);
   t.outputs.push_back(OutputSpec{"out", std::move(out), {}, false});
   return t;
-}
-
-// ------------------------------------------------------------------- Tez --
-
-struct TezRig {
-  SimEngine engine;
-  FlowNetwork net{&engine};
-  std::unique_ptr<Cluster> cluster;
-  std::unique_ptr<Dfs> dfs;
-  std::unique_ptr<ResourceManager> rm;
-  ToolRegistry tools;
-
-  explicit TezRig(int nodes) {
-    NodeSpec node;
-    node.cores = 4;
-    node.memory_mb = 8192;
-    cluster = std::make_unique<Cluster>(
-        &engine, &net, ClusterSpec::Uniform(nodes, node, 1000.0));
-    dfs = std::make_unique<Dfs>(cluster.get(), DfsOptions{});
-    rm = std::make_unique<ResourceManager>(cluster.get(), YarnOptions{});
-    RegisterStandardTools(&tools);
-  }
-};
-
-TEST(TezAmTest, RunsStaticDag) {
-  TezRig rig(3);
-  ASSERT_TRUE(rig.dfs->IngestFile("/in", 32 << 20).ok());
-  std::vector<TaskSpec> tasks = {
-      MakeTask(1, "bowtie2", {"/in"}, "/a.sam"),
-      MakeTask(2, "samtools-sort", {"/a.sam"}, "/a.bam"),
-  };
-  StaticWorkflowSource source("dag", tasks);
-  TezAm am(rig.cluster.get(), rig.rm.get(), rig.dfs.get(), &rig.tools,
-           TezOptions{});
-  ASSERT_TRUE(am.Submit(&source).ok());
-  auto report = am.RunToCompletion();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->status.ok()) << report->status.ToString();
-  EXPECT_EQ(report->tasks_completed, 2);
-  EXPECT_TRUE(rig.dfs->Exists("/a.bam"));
-}
-
-TEST(TezAmTest, RejectsIterativeSources) {
-  TezRig rig(2);
-  auto iterative = CuneiformSource::Parse(
-      "deftask t( o : i ) in 'bowtie2'; target t( i: '/x' );");
-  ASSERT_TRUE(iterative.ok());
-  TezAm am(rig.cluster.get(), rig.rm.get(), rig.dfs.get(), &rig.tools,
-           TezOptions{});
-  Status st = am.Submit(iterative->get());
-  EXPECT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("static"), std::string::npos);
-}
-
-TEST(TezAmTest, WrapOverheadSlowsEveryVertex) {
-  auto run_with_overhead = [](double wrap_s) -> double {
-    TezRig rig(2);
-    EXPECT_TRUE(rig.dfs->IngestFile("/in", 8 << 20).ok());
-    std::vector<TaskSpec> tasks = {
-        MakeTask(1, "bowtie2", {"/in"}, "/a"),
-        MakeTask(2, "samtools-sort", {"/a"}, "/b"),
-        MakeTask(3, "varscan", {"/b"}, "/c"),
-    };
-    StaticWorkflowSource source("chain", tasks);
-    TezOptions options;
-    options.wrap_overhead_s = wrap_s;
-    TezAm am(rig.cluster.get(), rig.rm.get(), rig.dfs.get(), &rig.tools,
-             options);
-    EXPECT_TRUE(am.Submit(&source).ok());
-    auto report = am.RunToCompletion();
-    EXPECT_TRUE(report.ok() && report->status.ok());
-    return report->Makespan();
-  };
-  double fast = run_with_overhead(0.0);
-  double slow = run_with_overhead(10.0);
-  EXPECT_NEAR(slow - fast, 30.0, 2.0);  // 3 sequential vertices x 10 s
-}
-
-TEST(TezAmTest, DeadlocksOnMissingInputs) {
-  TezRig rig(2);
-  std::vector<TaskSpec> tasks = {MakeTask(1, "bowtie2", {"/ghost"}, "/a")};
-  StaticWorkflowSource source("dag", tasks);
-  TezAm am(rig.cluster.get(), rig.rm.get(), rig.dfs.get(), &rig.tools,
-           TezOptions{});
-  ASSERT_TRUE(am.Submit(&source).ok());
-  auto report = am.RunToCompletion();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->status.IsFailedPrecondition());
 }
 
 // -------------------------------------------------------------- CloudMan --

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/strings.h"
+#include "src/obs/tracer.h"
 #include "src/tools/standard_tools.h"
 
 namespace hiway {
@@ -120,6 +121,37 @@ TEST(HiWayAmTest, MissingInputDeadlocksWithDiagnostic) {
   EXPECT_TRUE(report->status.IsFailedPrecondition());
   EXPECT_NE(report->status.message().find("never-created"),
             std::string::npos);
+}
+
+TEST(HiWayAmTest, DeadlockDiagnosticNamesEachMissingPathOnce) {
+  // `ghosts` distinct missing files shared round-robin by 500 waiting
+  // tasks: each path is named once, and the message stays bounded.
+  auto deadlock_message = [](int ghosts) {
+    TestRig rig(2);
+    std::vector<TaskSpec> tasks;
+    for (int i = 0; i < 500; ++i) {
+      tasks.push_back(MakeTask(i + 1, "bowtie2",
+                               {StrFormat("/in/ghost%d.fq", i % ghosts)},
+                               {StrFormat("/out/%d.sam", i)}));
+    }
+    StaticWorkflowSource source("deadlock", tasks);
+    FcfsScheduler scheduler;
+    HiWayAm am = rig.MakeAm();
+    EXPECT_TRUE(am.Submit(&source, &scheduler).ok());
+    auto report = am.RunToCompletion();
+    EXPECT_TRUE(report.ok() && report->status.IsFailedPrecondition());
+    return report->status.message();
+  };
+  std::string one = deadlock_message(1);
+  size_t first = one.find("/in/ghost0.fq");
+  ASSERT_NE(first, std::string::npos) << one;
+  EXPECT_EQ(one.find("/in/ghost0.fq", first + 1), std::string::npos) << one;
+  EXPECT_LT(one.size(), 300u) << one;
+
+  std::string many = deadlock_message(500);
+  EXPECT_NE(many.find("/in/ghost0.fq"), std::string::npos) << many;
+  EXPECT_NE(many.find("more)"), std::string::npos) << many;
+  EXPECT_LT(many.size(), 300u) << many;
 }
 
 TEST(HiWayAmTest, SubmitRejectsNonPositiveContainerSizing) {
@@ -274,6 +306,69 @@ TEST(HiWayAmTest, RetriesTransientToolFailuresOnOtherNodes) {
   EXPECT_EQ(report->tasks_completed, 1);
   EXPECT_EQ(report->task_attempts,
             report->failed_attempts + report->tasks_completed);
+}
+
+TEST(HiWayAmTest, LostContainersExhaustRetriesLikeFailedAttempts) {
+  // Every attempt's container is killed while it localises: each loss is
+  // a failed attempt, traced as a retry, until the retry budget is spent.
+  TestRig rig(4);
+  ASSERT_TRUE(rig.dfs->IngestFile("/in/reads.fq", 8 << 20).ok());
+  Tracer tracer(&rig.engine);
+  tracer.set_enabled(true);
+  StaticWorkflowSource source(
+      "doomed", {MakeTask(7, "bowtie2", {"/in/reads.fq"}, {"/out/a.sam"})});
+  FcfsScheduler scheduler;
+  HiWayOptions options;
+  options.task_retry.max_attempts = 3;
+  HiWayAm am = rig.MakeAm(options);
+  am.SetTracer(&tracer);
+  ASSERT_TRUE(am.Submit(&source, &scheduler).ok());
+  // A container is killed on its second sighting, a quarter second after
+  // the AM received it and well inside its 1 s launch overhead.
+  std::set<ContainerId> seen;
+  std::function<void()> kill_attempts = [&] {
+    for (const Container& c : rig.rm->RunningContainers()) {
+      if (c.app != am.app() || c.is_am) continue;
+      if (!seen.insert(c.id).second) rig.rm->KillContainer(c.id);
+    }
+    if (!am.finished()) rig.engine.ScheduleAfter(0.25, kill_attempts);
+  };
+  rig.engine.ScheduleAfter(0.25, kill_attempts);
+  auto report = am.RunToCompletion();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->status.IsRuntimeError()) << report->status.ToString();
+  EXPECT_NE(report->status.message().find("task 7 ('bowtie2')"),
+            std::string::npos)
+      << report->status.ToString();
+  EXPECT_EQ(report->task_attempts, 3);
+  EXPECT_EQ(report->failed_attempts, report->task_attempts);
+  EXPECT_EQ(report->tasks_completed, 0);
+  int retries = 0;
+  for (const TraceEvent& ev : tracer.Drain()) {
+    if (std::string(ev.name) == "task_retry") ++retries;
+  }
+  EXPECT_EQ(retries, report->task_attempts);
+}
+
+TEST(HiWayAmTest, LaunchOverheadAddsOncePerChainVertex) {
+  auto makespan = [](double launch_overhead_s) {
+    TestRig rig(2);
+    EXPECT_TRUE(rig.dfs->IngestFile("/in/reads.fq", 8 << 20).ok());
+    StaticWorkflowSource source(
+        "chain", {MakeTask(1, "bowtie2", {"/in/reads.fq"}, {"/out/a"}),
+                  MakeTask(2, "samtools-sort", {"/out/a"}, {"/out/b"}),
+                  MakeTask(3, "varscan", {"/out/b"}, {"/out/c"})});
+    FcfsScheduler scheduler;
+    HiWayOptions options;
+    options.task_launch_overhead_s = launch_overhead_s;
+    HiWayAm am = rig.MakeAm(options);
+    EXPECT_TRUE(am.Submit(&source, &scheduler).ok());
+    auto report = am.RunToCompletion();
+    EXPECT_TRUE(report.ok() && report->status.ok());
+    return report->Makespan();
+  };
+  // Three sequential vertices, 10 s more each.
+  EXPECT_NEAR(makespan(11.0) - makespan(1.0), 30.0, 2.0);
 }
 
 TEST(HiWayAmTest, StaticSchedulerRejectedForIterativeSource) {

@@ -6,7 +6,6 @@
 
 #include <set>
 
-#include "src/baseline/tez_am.h"
 #include "src/common/strings.h"
 #include "src/core/client.h"
 #include "src/lang/cuneiform.h"
@@ -252,7 +251,8 @@ TEST(IntegrationTest, ConcurrentWorkflowsShareTheCluster) {
 }
 
 // Hi-WAY vs Tez on identical inputs: both complete, Hi-WAY's data-aware
-// run moves fewer remote bytes.
+// run moves fewer remote bytes. Tez is Hi-WAY's AM without locality
+// (first come, first served) and with a 2 s per-task wrapping cost.
 TEST(IntegrationTest, DataAwareMovesFewerBytesThanTez) {
   auto d1 = SmallDeployment(6);
   ASSERT_TRUE(d1.ok());
@@ -277,10 +277,10 @@ TEST(IntegrationTest, DataAwareMovesFewerBytesThanTez) {
     tasks.push_back(std::move(align));
   }
   StaticWorkflowSource source("tez-align", tasks);
-  TezAm tez((*d2)->cluster.get(), (*d2)->rm.get(), (*d2)->dfs.get(),
-            &(*d2)->tools, TezOptions{});
-  ASSERT_TRUE(tez.Submit(&source).ok());
-  auto tez_report = tez.RunToCompletion();
+  HiWayOptions tez_options;
+  tez_options.task_launch_overhead_s = 1.0 + 2.0;
+  HiWayClient tez((*d2).get());
+  auto tez_report = tez.RunSource(&source, "fcfs", tez_options);
   ASSERT_TRUE(tez_report.ok() && tez_report->status.ok());
   int64_t tez_remote = (*d2)->dfs->counters().bytes_read_remote;
   EXPECT_LT(hiway_remote, tez_remote);
