@@ -36,21 +36,14 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
-// Start + cancel of one churn flow against `flows` permanent background
-// flows. Each background flow crosses two of 50 resources, which couples
-// all of them into one component of the flow–resource graph. The churn
-// flow either has a resource of its own, so each StartFlow/CancelFlow
-// re-solves only its one-flow component (the common case: CPU bursts and
-// local disk I/O), or also crosses a background resource, so each one
-// re-solves every background flow (the worst case: a transfer through a
-// saturated switch).
-void FlowChurn(benchmark::State& state, bool coupled) {
-  const int64_t flows = state.range(0);
-  SimEngine engine;
-  FlowNetwork net(&engine);
+// `flows` permanent background flows, each crossing two of 50 resources,
+// which couples all of them into one component of the flow–resource
+// graph. Returns the 50 resources.
+std::vector<ResourceId> AddCoupledBackground(FlowNetwork* net,
+                                             int64_t flows) {
   std::vector<ResourceId> resources;
   for (int i = 0; i < 50; ++i) {
-    resources.push_back(net.AddResource("r", 100.0));
+    resources.push_back(net->AddResource("r", 100.0));
   }
   for (int64_t i = 0; i < flows; ++i) {
     FlowSpec spec;
@@ -58,16 +51,34 @@ void FlowChurn(benchmark::State& state, bool coupled) {
                       resources[(static_cast<size_t>(i) + 7) %
                                 resources.size()]};
     spec.demand = kInfiniteDemand;
-    net.StartFlow(std::move(spec));
+    net->StartFlow(std::move(spec));
   }
+  return resources;
+}
+
+// Start + cancel of one churn flow against `flows` coupled background
+// flows, each change followed by an engine step that runs its instant's
+// solve. The churn flow either has a resource of its own, so each solve
+// covers only its one-flow component (the common case: CPU bursts and
+// local disk I/O), or also crosses a background resource, so each solve
+// covers every background flow (the worst case: a transfer through a
+// saturated switch).
+void FlowChurn(benchmark::State& state, bool coupled) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  std::vector<ResourceId> resources =
+      AddCoupledBackground(&net, state.range(0));
   ResourceId churn = net.AddResource("churn", 10.0);
   std::vector<ResourceId> path = {churn};
   if (coupled) path.push_back(resources[0]);
+  engine.Run();
   for (auto _ : state) {
     FlowId id = net.StartFlow({path, kInfiniteDemand, kNoRateCap, 1.0, {}});
+    engine.Run();
     net.CancelFlow(id);
+    engine.Run();
   }
-  state.SetItemsProcessed(state.iterations() * 2);  // two rebalances each
+  state.SetItemsProcessed(state.iterations() * 2);  // two solves each
 }
 
 void BM_FlowRebalance(benchmark::State& state) { FlowChurn(state, false); }
@@ -77,6 +88,30 @@ void BM_FlowRebalanceCoupled(benchmark::State& state) {
   FlowChurn(state, true);
 }
 BENCHMARK(BM_FlowRebalanceCoupled)->Arg(100)->Arg(600);
+
+// A burst of k transfers starts in one instant through the coupled
+// background resources (600 flows), then one engine step; the burst is
+// then cancelled the same way. One solve per instant makes that two
+// solves per iteration where solving on every change made 2k.
+void BM_FlowStartBurst(benchmark::State& state) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  std::vector<ResourceId> resources = AddCoupledBackground(&net, 600);
+  ResourceId churn = net.AddResource("churn", 10.0);
+  std::vector<FlowId> burst(static_cast<size_t>(state.range(0)));
+  engine.Run();
+  for (auto _ : state) {
+    for (size_t i = 0; i < burst.size(); ++i) {
+      burst[i] = net.StartFlow({{churn, resources[i % resources.size()]},
+                                kInfiniteDemand, kNoRateCap, 1.0, {}});
+    }
+    engine.Run();
+    for (FlowId id : burst) net.CancelFlow(id);
+    engine.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_FlowStartBurst)->Arg(8)->Arg(64);
 
 void BM_JsonParseTrapline(benchmark::State& state) {
   GeneratedWorkload workload = MakeTraplineWorkflow(RnaSeqWorkloadOptions{});

@@ -61,7 +61,7 @@ void FlowNetwork::SetCapacity(ResourceId id, double capacity) {
   HIWAY_CHECK(capacity >= 0.0);
   Settle();
   resources_[static_cast<size_t>(id)].capacity = capacity;
-  Rebalance({&id, 1});
+  MarkDirty({&id, 1});
 }
 
 double FlowNetwork::Capacity(ResourceId id) const {
@@ -91,7 +91,7 @@ FlowId FlowNetwork::StartFlow(FlowSpec spec) {
   for (ResourceId r : flow.resources) {
     resources_[static_cast<size_t>(r)].flows.push_back(slot);
   }
-  Rebalance(flow.resources);
+  MarkDirty(flow.resources);
   return flow.id;
 }
 
@@ -100,15 +100,17 @@ void FlowNetwork::CancelFlow(FlowId id) {
   if (it == slot_of_.end()) return;
   Settle();
   uint32_t slot = it->second;
-  touched_.assign(flows_[slot].resources.begin(),
-                  flows_[slot].resources.end());
+  MarkDirty(flows_[slot].resources);
   RemoveFlow(slot);
-  Rebalance(touched_);
 }
 
 bool FlowNetwork::IsActive(FlowId id) const { return slot_of_.contains(id); }
 
-double FlowNetwork::CurrentRate(FlowId id) const {
+double FlowNetwork::CurrentRate(FlowId id) {
+  if (has_flush_event_) {
+    engine_->Cancel(flush_event_);
+    Flush();
+  }
   auto it = slot_of_.find(id);
   return it == slot_of_.end() ? 0.0 : flows_[it->second].rate;
 }
@@ -150,11 +152,61 @@ void FlowNetwork::RemoveFlow(uint32_t slot) {
   flows_.pop_back();
 }
 
-void FlowNetwork::Rebalance(std::span<const ResourceId> seeds) {
-  // --- Collect the component(s) of the flow–resource graph reachable
-  // from the seeds. Flows outside it share no resource with it, so their
-  // max-min rates cannot change. ---
+void FlowNetwork::MarkDirty(std::span<const ResourceId> touched) {
+  for (ResourceId r : touched) {
+    Resource& res = resources_[static_cast<size_t>(r)];
+    if (!res.dirty) {
+      res.dirty = true;
+      dirty_.push_back(r);
+    }
+  }
+  if (has_flush_event_) return;
+  // First change this instant. The flush re-arms the completion event from
+  // the instant's final rates; until then no completion may fire.
+  if (has_pending_event_) {
+    engine_->Cancel(pending_event_);
+    has_pending_event_ = false;
+  }
+  flush_event_ = engine_->ScheduleAfter(0.0, [this] { Flush(); });
+  has_flush_event_ = true;
+}
+
+void FlowNetwork::Flush() {
+  has_flush_event_ = false;
+  ++solves_;
+  // One walk stamp for the whole flush: a dirty resource already reached
+  // from an earlier one lies in a component solved this flush.
   ++walk_;
+  for (ResourceId r : dirty_) {
+    Resource& res = resources_[static_cast<size_t>(r)];
+    res.dirty = false;
+    if (res.visit != walk_) SolveComponent(r);
+  }
+  dirty_.clear();
+
+  // Arm the next completion event.
+  double next_dt = std::numeric_limits<double>::infinity();
+  for (const Flow& flow : flows_) {
+    if (!std::isfinite(flow.remaining)) continue;
+    if (flow.remaining <= kDemandEpsilon) {
+      next_dt = 0.0;
+      break;
+    }
+    if (flow.rate > kRateEpsilon) {
+      next_dt = std::min(next_dt, flow.remaining / flow.rate);
+    }
+  }
+  if (std::isfinite(next_dt)) {
+    pending_event_ =
+        engine_->ScheduleAfter(next_dt, [this] { OnCompletionEvent(); });
+    has_pending_event_ = true;
+  }
+}
+
+void FlowNetwork::SolveComponent(ResourceId seed) {
+  // --- Collect the connected component of the flow–resource graph that
+  // contains `seed`. Flows outside it share no resource with it, so their
+  // max-min rates cannot depend on it. ---
   comp_res_.clear();
   fill_flows_.clear();
   fill_res_index_.clear();
@@ -168,7 +220,7 @@ void FlowNetwork::Rebalance(std::span<const ResourceId> seeds) {
     }
     return res.local;
   };
-  for (ResourceId r : seeds) visit(r);
+  visit(seed);
   for (size_t i = 0; i < comp_res_.size(); ++i) {
     for (uint32_t slot : resources_[static_cast<size_t>(comp_res_[i])].flows) {
       Flow& f = flows_[slot];
@@ -285,28 +337,6 @@ void FlowNetwork::Rebalance(std::span<const ResourceId> seeds) {
     res.active_count = fill_res_[k].unfrozen_count;
     res.peak_rate = std::max(res.peak_rate, res.current_rate);
   }
-
-  // (Re)schedule the next completion event.
-  if (has_pending_event_) {
-    engine_->Cancel(pending_event_);
-    has_pending_event_ = false;
-  }
-  double next_dt = std::numeric_limits<double>::infinity();
-  for (const Flow& flow : flows_) {
-    if (!std::isfinite(flow.remaining)) continue;
-    if (flow.remaining <= kDemandEpsilon) {
-      next_dt = 0.0;
-      break;
-    }
-    if (flow.rate > kRateEpsilon) {
-      next_dt = std::min(next_dt, flow.remaining / flow.rate);
-    }
-  }
-  if (std::isfinite(next_dt)) {
-    pending_event_ =
-        engine_->ScheduleAfter(next_dt, [this] { OnCompletionEvent(); });
-    has_pending_event_ = true;
-  }
 }
 
 void FlowNetwork::OnCompletionEvent() {
@@ -331,7 +361,7 @@ void FlowNetwork::OnCompletionEvent() {
                     flow.resources.end());
     RemoveFlow(slot);
   }
-  Rebalance(touched_);
+  MarkDirty(touched_);
   std::vector<std::function<void()>> callbacks = std::move(callbacks_);
   for (auto& cb : callbacks) cb();
   callbacks.clear();

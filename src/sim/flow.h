@@ -12,10 +12,12 @@
 // evaluation rests on: a saturated 1 GbE switch (Fig. 4), a shared EBS
 // volume (Fig. 8), and stress-process interference (Fig. 9).
 //
-// A max-min fair allocation decomposes over the connected components of
-// the flow–resource graph, so every change (start, cancel, completion,
-// capacity change) re-solves only the component(s) containing the
-// resources it touched (docs/simulator-model.md, "Scoped re-solves").
+// Changes (start, cancel, completion, capacity change) apply at once but
+// only mark the resources they touch dirty. One zero-delay engine event
+// per virtual instant then re-solves each dirty connected component of the
+// flow–resource graph on its own — a max-min fair allocation decomposes
+// over those components — and re-arms the completion event
+// (docs/simulator-model.md, "Scoped re-solves").
 
 #ifndef HIWAY_SIM_FLOW_H_
 #define HIWAY_SIM_FLOW_H_
@@ -89,7 +91,8 @@ class FlowNetwork {
   double Capacity(ResourceId id) const;
 
   /// Starts a flow; rates of the flows it now shares resources with
-  /// (transitively) are re-balanced immediately.
+  /// (transitively) are re-balanced once per instant, by a zero-delay
+  /// engine event at the current virtual time.
   FlowId StartFlow(FlowSpec spec);
 
   /// Cancels an in-flight flow without invoking its completion callback.
@@ -99,11 +102,16 @@ class FlowNetwork {
   /// True if the flow is still in flight.
   bool IsActive(FlowId id) const;
 
-  /// Current assigned rate of an active flow.
-  double CurrentRate(FlowId id) const;
+  /// Current assigned rate of an active flow. Runs the current instant's
+  /// pending re-solve first, if any.
+  double CurrentRate(FlowId id);
 
   /// Number of flows currently in flight.
   size_t active_flows() const { return flows_.size(); }
+
+  /// Max-min solves run so far: one per virtual instant with changes,
+  /// each re-solving every component those changes touched.
+  uint64_t solves() const { return solves_; }
 
   /// Usage statistics since the last ResetStats (or construction).
   ResourceStats Stats(ResourceId id) const;
@@ -122,6 +130,7 @@ class FlowNetwork {
     double peak_rate = 0.0;
     double current_rate = 0.0;    // sum of flow rates at `last_update`
     int active_count = 0;         // flows crossing this resource
+    bool dirty = false;           // listed in `dirty_`
     // Adjacency: slots of the flows crossing this resource, one entry per
     // crossing (unordered; the solver sorts by FlowId).
     std::vector<uint32_t> flows;
@@ -162,9 +171,16 @@ class FlowNetwork {
   /// Advances all flow progress / statistics to engine_->Now().
   void Settle();
 
-  /// Recomputes max-min fair rates on the component(s) containing `seeds`
-  /// and (re)schedules the next completion.
-  void Rebalance(std::span<const ResourceId> seeds);
+  /// Adds `touched` to the dirty set. The instant's first change cancels
+  /// the completion event and schedules the flush.
+  void MarkDirty(std::span<const ResourceId> touched);
+
+  /// Re-solves every dirty component and re-arms the completion event.
+  void Flush();
+
+  /// Recomputes max-min fair rates on the component containing `seed`.
+  /// The caller bumps `walk_`.
+  void SolveComponent(ResourceId seed);
 
   /// Removes the flow in `slot` from dense storage and the adjacency.
   void RemoveFlow(uint32_t slot);
@@ -187,6 +203,7 @@ class FlowNetwork {
   std::vector<uint32_t> unfrozen_;
   std::vector<uint8_t> freeze_;
   std::vector<ResourceId> touched_;
+  std::vector<ResourceId> dirty_;
   std::vector<FlowId> done_;
   std::vector<std::function<void()>> callbacks_;
   FlowId next_flow_id_ = 1;
@@ -194,6 +211,9 @@ class FlowNetwork {
   SimTime stats_start_ = 0.0;
   EventId pending_event_ = 0;
   bool has_pending_event_ = false;
+  EventId flush_event_ = 0;
+  bool has_flush_event_ = false;
+  uint64_t solves_ = 0;
 };
 
 }  // namespace hiway

@@ -286,18 +286,21 @@ void ResourceManager::UnregisterApplication(ApplicationId app) {
 void ResourceManager::SubmitRequest(ApplicationId app,
                                     const ContainerRequest& request) {
   HIWAY_CHECK(apps_.find(app) != apps_.end());
-  AccrueFairness();
   ++counters_.requests;
   ++StatsOf(app).counters.requests;
   ++QueueStatsOf(app).counters.requests;
-  AddPending(app, request);
-  queue_.push_back(
-      PendingRequest{app, request, cluster_->engine()->Now()});
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kContainer, "container_requested", app,
                      /*container=*/-1, /*task=*/request.cookie,
                      request.preferred_node);
   }
+  Enqueue({app, request, cluster_->engine()->Now()});
+}
+
+void ResourceManager::Enqueue(PendingRequest p) {
+  AccrueFairness();
+  AddPending(p.app, p.request);
+  queue_.push_back(std::move(p));
   ScheduleAllocationPass();
 }
 
@@ -884,11 +887,16 @@ void ResourceManager::CommitAllocation(PassSlot& s, NodeId chosen,
                      s.req.app, c->id, /*task=*/r.cookie, chosen, wait);
   }
   AmCallbacks* cb = apps_.at(s.req.app).callbacks;
-  Container copy = *c;
-  int64_t cookie = r.cookie;
-  // Deliver the allocation asynchronously (AM heartbeat).
-  cluster_->engine()->ScheduleAfter(
-      0.0, [cb, copy, cookie] { cb->OnContainerAllocated(copy, cookie); });
+  // Deliver the allocation asynchronously (AM heartbeat). A container lost
+  // before then (killed, preempted, its node gone) was reported while no
+  // task owned it: it never reaches the AM, and its request is re-queued.
+  cluster_->engine()->ScheduleAfter(0.0, [this, cb, copy = *c, req = s.req] {
+    if (containers_.contains(copy.id)) {
+      cb->OnContainerAllocated(copy, req.request.cookie);
+    } else if (apps_.contains(req.app)) {
+      Enqueue(req);
+    }
+  });
 }
 
 void ResourceManager::FifoPass(std::vector<PassSlot>& slots,

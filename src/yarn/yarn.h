@@ -556,6 +556,8 @@ class ResourceManager {
   TenantStats& QueueStatsOf(ApplicationId app);
   void AddPending(ApplicationId app, const ContainerRequest& r);
   void RemovePending(ApplicationId app, const ContainerRequest& r);
+  /// Queues `p` behind every pending request and schedules a pass.
+  void Enqueue(PendingRequest p);
   /// `app`'s current fairness cell (empty for apps without stats).
   FairCell FairnessCellOf(ApplicationId app) const;
   /// Integrates the fairness index up to Now() from the incremental

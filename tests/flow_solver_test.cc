@@ -3,9 +3,11 @@
 //
 // Seeded random networks (1–40 resources, flows over 1–5 resources with
 // finite and infinite rate caps, weights and demands) are driven through
-// starts, cancels, capacity changes and completions. After every engine
-// event each active flow's CurrentRate must equal the oracle's rate for the
-// same active set, exactly or within 1e-12 relative.
+// starts, cancels, capacity changes and completions. Each active flow's
+// CurrentRate must equal the oracle's rate for the same active set, exactly
+// or within 1e-12 relative. One mode checks after every engine event, so
+// its reads force the instant's pending solve; the other checks only after
+// each flush, when no solve is pending, so solves coalesce as in a real run.
 //
 // Known divergence: the global solver raises one shared level across all
 // components, and a flow freezes once its bottleneck is within
@@ -20,9 +22,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/strings.h"
@@ -90,6 +95,31 @@ struct Harness {
     active.emplace(*id, std::move(f));
   }
 
+  // Random resources, plus 120 actions as engine events at random times,
+  // interleaved with the network's own completion events.
+  void ScheduleRandomActions() {
+    size_t num_resources = 1 + rng.UniformInt(40);
+    for (size_t i = 0; i < num_resources; ++i) {
+      resources.push_back(net.AddResource(
+          StrFormat("r%d", static_cast<int>(i)), RandomCapacity()));
+    }
+    const int kActions = 120;
+    for (int i = 0; i < kActions; ++i) {
+      double at = rng.Uniform(0.0, 50.0);
+      double u = rng.NextDouble();
+      if (u < 0.6) {
+        engine.ScheduleAt(at, [this] { StartRandomFlow(); });
+      } else if (u < 0.85) {
+        engine.ScheduleAt(at, [this] { CancelRandomFlow(); });
+      } else {
+        engine.ScheduleAt(at, [this] {
+          ResourceId r = resources[rng.UniformInt(resources.size())];
+          net.SetCapacity(r, RandomCapacity());
+        });
+      }
+    }
+  }
+
   void CancelRandomFlow() {
     if (active.empty()) return;
     auto it = active.begin();
@@ -119,28 +149,7 @@ class FlowSolverOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlowSolverOracleTest, ScopedRatesMatchGlobalSolver) {
   Harness h(static_cast<uint64_t>(GetParam()) * 104729 + 17);
-  size_t num_resources = 1 + h.rng.UniformInt(40);
-  for (size_t i = 0; i < num_resources; ++i) {
-    h.resources.push_back(h.net.AddResource(
-        StrFormat("r%d", static_cast<int>(i)), h.RandomCapacity()));
-  }
-  // Actions are engine events at random times, interleaved with the
-  // network's own completion events.
-  const int kActions = 120;
-  for (int i = 0; i < kActions; ++i) {
-    double at = h.rng.Uniform(0.0, 50.0);
-    double u = h.rng.NextDouble();
-    if (u < 0.6) {
-      h.engine.ScheduleAt(at, [&h] { h.StartRandomFlow(); });
-    } else if (u < 0.85) {
-      h.engine.ScheduleAt(at, [&h] { h.CancelRandomFlow(); });
-    } else {
-      h.engine.ScheduleAt(at, [&h] {
-        ResourceId r = h.resources[h.rng.UniformInt(h.resources.size())];
-        h.net.SetCapacity(r, h.RandomCapacity());
-      });
-    }
-  }
+  h.ScheduleRandomActions();
   h.engine.RunUntilPredicate([&h] {
     h.Check();
     return ::testing::Test::HasFatalFailure();
@@ -155,6 +164,33 @@ TEST_P(FlowSolverOracleTest, ScopedRatesMatchGlobalSolver) {
   }
   EXPECT_GT(h.checks, 0);
   // Ties within kRateEpsilon are vanishingly rare for these inputs.
+  EXPECT_GE(h.exact, h.checks - h.checks / 100);
+}
+
+TEST_P(FlowSolverOracleTest, FlushedRatesMatchGlobalSolver) {
+  Harness h(static_cast<uint64_t>(GetParam()) * 104729 + 17);
+  h.ScheduleRandomActions();
+  // solves() moves only when a flush event runs; right after one, nothing
+  // is dirty, so reading rates cannot force a solve.
+  uint64_t seen = 0;
+  h.engine.RunUntilPredicate([&h, &seen] {
+    if (h.net.solves() == seen) return false;
+    seen = h.net.solves();
+    h.Check();
+    EXPECT_EQ(h.net.solves(), seen) << "a read forced a solve";
+    return ::testing::Test::HasFailure();
+  });
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  EXPECT_EQ(h.engine.pending_events(), 0u);
+  while (!h.active.empty()) {
+    h.CancelRandomFlow();
+    h.engine.Run();
+    uint64_t solves = h.net.solves();
+    h.Check();
+    ASSERT_EQ(h.net.solves(), solves);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  EXPECT_GT(h.checks, 0);
   EXPECT_GE(h.exact, h.checks - h.checks / 100);
 }
 
@@ -197,6 +233,93 @@ TEST(FlowSolverTest, CancelSplitsComponent) {
   EXPECT_DOUBLE_EQ(net.CurrentRate(fa), 10.0);
   EXPECT_DOUBLE_EQ(net.CurrentRate(fb), 30.0);
   EXPECT_EQ(net.active_flows(), 2u);
+}
+
+TEST(FlowSolverTest, RatesDoNotDependOnHistory) {
+  // A bridge couples a and b, whose own levels differ by less than
+  // kRateEpsilon. Once it leaves, each side is solved alone, so b's flow
+  // gets exactly the rate a fresh start gives it.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  const double kTie = 1.0 + 5e-13;
+  ResourceId a = net.AddResource("a", 1.0);
+  ResourceId b = net.AddResource("b", kTie);
+  FlowId fa = net.StartFlow({{a}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  FlowId fb = net.StartFlow({{b}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  engine.Run();
+  const double fresh = net.CurrentRate(fb);
+  EXPECT_EQ(fresh, 1.0000000000005);
+  FlowId bridge =
+      net.StartFlow({{a, b}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+  engine.Run();
+  net.CancelFlow(bridge);
+  engine.Run();
+  EXPECT_EQ(net.CurrentRate(fa), 1.0);
+  EXPECT_EQ(net.CurrentRate(fb), fresh);
+}
+
+TEST(FlowSolverTest, SameInstantStartsCostOneSolve) {
+  // k transfers start in one instant through a shared switch: one
+  // component, one solve, and the oracle's rates for the k flows.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  const int kFlows = 8;
+  std::vector<double> capacities;
+  ResourceId sw = net.AddResource("switch", 250.0);
+  capacities.push_back(250.0);
+  std::vector<ResourceId> nics;
+  for (int i = 0; i < kFlows; ++i) {
+    nics.push_back(net.AddResource(StrFormat("nic%d", i), 40.0 + 10.0 * i));
+    capacities.push_back(40.0 + 10.0 * i);
+  }
+  std::map<FlowId, OracleFlow> flows;
+  engine.ScheduleAt(1.0, [&] {
+    for (int i = 0; i < kFlows; ++i) {
+      OracleFlow f;
+      f.resources = {nics[static_cast<size_t>(i)], sw,
+                     nics[static_cast<size_t>((i + 1) % kFlows)]};
+      f.rate_cap = i % 3 == 0 ? 20.0 : kNoRateCap;
+      f.weight = 1.0 + i % 2;
+      FlowId id = net.StartFlow(
+          {f.resources, 1000.0, f.rate_cap, f.weight, {}});
+      flows.emplace(id, std::move(f));
+    }
+  });
+  engine.RunUntil(1.0);
+  EXPECT_EQ(net.solves(), 1u);
+  std::map<FlowId, double> want = GlobalMaxMinRates(capacities, flows);
+  for (const auto& [id, rate] : want) EXPECT_EQ(net.CurrentRate(id), rate);
+  EXPECT_EQ(net.solves(), 1u);
+}
+
+TEST(FlowSolverTest, ZeroDemandFlowsCompleteInTheirInstantInIdOrder) {
+  // Flow 1 finishes at t = 2. An event at t = 2 starts two zero-demand
+  // flows first, and flow 1's callback starts a third: all complete at
+  // t = 2, callbacks in FlowId order.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ResourceId r = net.AddResource("r", 10.0);
+  ResourceId s = net.AddResource("s", 10.0);
+  std::vector<std::pair<FlowId, SimTime>> done;
+  std::function<FlowId(ResourceId, double)> start;
+  start = [&](ResourceId res, double demand) {
+    auto id = std::make_shared<FlowId>(0);
+    *id = net.StartFlow({{res}, demand, kNoRateCap, 1.0, [&, id] {
+                           done.emplace_back(*id, engine.Now());
+                           if (*id == 1) start(s, 0.0);
+                         }});
+    return *id;
+  };
+  engine.ScheduleAt(2.0, [&] {
+    start(s, 0.0);
+    start(r, 0.0);
+  });
+  EXPECT_EQ(start(r, 20.0), 1);
+  engine.Run();
+  std::vector<std::pair<FlowId, SimTime>> want = {
+      {1, 2.0}, {2, 2.0}, {3, 2.0}, {4, 2.0}};
+  EXPECT_EQ(done, want);
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 }  // namespace

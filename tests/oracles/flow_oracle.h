@@ -1,7 +1,8 @@
 // Test-only reference solver for FlowNetwork: weighted progressive-filling
 // max-min fairness with rate caps, solved over the whole network at once.
 //
-// FlowNetwork re-solves only the connected component(s) a change touches
+// FlowNetwork re-solves, once per virtual instant, each connected
+// component its changes touched, one component at a time
 // (docs/simulator-model.md, "Scoped re-solves"). This oracle re-solves
 // everything, visiting flows in FlowId order and applying each round's
 // freezes in reverse FlowId order, so for any active set the two agree bit

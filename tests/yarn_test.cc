@@ -248,6 +248,38 @@ TEST(YarnTest, KillTaskContainerReportsKilledReason) {
   EXPECT_FALSE(rig.rm->KillContainer(999999));
 }
 
+TEST(YarnTest, ContainerLostBeforeDeliveryIsReRequested) {
+  // The RM hands an allocation to the AM through a zero-delay event. A
+  // container killed at the instant it is allocated must not reach the
+  // AM; its request goes back into the queue and is served again.
+  YarnRig rig(2);
+  ContainerRequest request;
+  request.vcores = 1;
+  request.memory_mb = 256;
+  request.cookie = 7;
+  rig.rm->SubmitRequest(rig.app, request);
+  ContainerId killed = kInvalidContainer;
+  rig.engine.RunUntilPredicate([&] {
+    if (killed != kInvalidContainer) return false;
+    for (const Container& c : rig.rm->RunningContainers()) {
+      if (c.app == rig.app && !c.is_am) {
+        killed = c.id;
+        EXPECT_TRUE(rig.am.allocations.empty());
+        EXPECT_TRUE(rig.rm->KillContainer(c.id));
+      }
+    }
+    return false;
+  });
+  ASSERT_NE(killed, kInvalidContainer);
+  ASSERT_EQ(rig.am.lost.size(), 1u);
+  EXPECT_EQ(rig.am.lost[0].id, killed);
+  ASSERT_EQ(rig.am.allocations.size(), 1u);
+  EXPECT_NE(rig.am.allocations[0].first.id, killed);
+  EXPECT_EQ(rig.am.allocations[0].second, 7);
+  EXPECT_EQ(rig.rm->running_containers(), 2);  // the AM + the replacement
+  EXPECT_EQ(rig.rm->counters().requests, 1);
+}
+
 TEST(YarnTest, KillingTheAmNodeFailsTheApplication) {
   YarnRig rig(2, 4, 4096);
   // AM sits on node 0; give it a task container on node 1.
