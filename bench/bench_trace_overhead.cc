@@ -7,11 +7,11 @@
 //                   change a single scheduling decision, so the
 //                   traced run's virtual makespan must equal the
 //                   untraced run's EXACTLY (same seed, same events).
-//   wall cost     — the recording fast path (one relaxed load when
-//                   disabled; a ring append when enabled) is gated at
-//                   < 5 % overhead: the median, over paired reps, of
-//                   the traced/untraced ratio of wall time per run
-//                   (see docs/observability.md).
+//   wall cost     — the recording fast path (one load and a branch
+//                   when disabled; a buffer append when enabled) is
+//                   gated at < 5 % overhead: the median, over paired
+//                   reps, of the traced/untraced ratio of wall time
+//                   per run (see docs/observability.md).
 //
 // One run of the workload takes milliseconds, far too short to resolve
 // 5 %. So each rep alternates untraced and traced runs until each arm

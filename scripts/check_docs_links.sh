@@ -3,11 +3,14 @@
 # an existing file, that intra-page `#anchor` fragments (same-file or
 # `file.md#anchor`) resolve to a real heading in the target page, and
 # that backticked repo paths (src/..., docs/..., bench/..., scripts/...)
-# still exist. Run from anywhere; CI runs it in the build-and-test job.
+# still exist, and that every span name src/ records is documented in
+# the span taxonomy of docs/observability.md. Run from anywhere; CI runs
+# it in the build-and-test job.
 #
 #   scripts/check_docs_links.sh            # check and report
 #
-# Exits non-zero listing every dead link/path/anchor found.
+# Exits non-zero listing every dead link/path/anchor and undocumented
+# span name found.
 
 set -u
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -110,8 +113,29 @@ for page in docs/architecture.md docs/observability.md docs/data-cache.md \
   fi
 done
 
+# --- span taxonomy ----------------------------------------------------
+# Every name literal passed to Tracer::Instant/Begin/End in src/ (calls
+# may span lines; a ternary passes two names) must appear in the first
+# column of the table in docs/observability.md section 3.
+span_names=$(for f in $(git ls-files 'src/*.cc' 'src/*.h'); do
+               tr '\n' ' ' < "$f" \
+                 | grep -oE '(Instant|Begin|End)\([[:space:]]*SpanCategory::k[A-Za-z]+,[^;]*'
+             done | grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+documented=$(sed -n '/^## 3\. Span taxonomy/,/^## 4\./p' docs/observability.md \
+               | grep '^| `' | cut -d'|' -f2 | grep -oE '`[a-z_]+`' | tr -d '`')
+if [ -z "$span_names" ]; then
+  echo "NO SPANS   found no Instant/Begin/End span names in src/"
+  fail=1
+fi
+for name in $span_names; do
+  if ! printf '%s\n' "$documented" | grep -qx "$name"; then
+    echo "UNDOCUMENTED span name \"$name\" (src/) is missing from the table in docs/observability.md section 3"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs_links: FAILED" >&2
   exit 1
 fi
-echo "check_docs_links: all markdown links and repo paths resolve"
+echo "check_docs_links: all markdown links and repo paths resolve; all span names documented"

@@ -19,65 +19,23 @@ const char* ToString(SpanCategory category) {
   return "unknown";
 }
 
-TraceRing::TraceRing(size_t capacity)
-    : slots_(std::max<size_t>(capacity, 1)) {}
-
-void TraceRing::Push(const TraceEvent& event) {
-  uint64_t h = head_.load(std::memory_order_relaxed);
-  slots_[static_cast<size_t>(h % slots_.size())] = event;
-  // Publish: readers only trust slots strictly behind the head.
-  head_.store(h + 1, std::memory_order_release);
-}
-
-std::vector<TraceEvent> TraceRing::Snapshot() const {
-  uint64_t h = head_.load(std::memory_order_acquire);
-  size_t cap = slots_.size();
-  uint64_t first = h > cap ? h - cap : 0;
-  std::vector<TraceEvent> out;
-  out.reserve(static_cast<size_t>(h - first));
-  for (uint64_t i = first; i < h; ++i) {
-    out.push_back(slots_[static_cast<size_t>(i % cap)]);
-  }
-  return out;
-}
-
-namespace {
-std::atomic<uint64_t> g_next_tracer_id{1};
-}  // namespace
-
 Tracer::Tracer(const SimEngine* clock, size_t ring_capacity)
-    : clock_(clock),
-      ring_capacity_(ring_capacity),
-      tracer_id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-Tracer::~Tracer() = default;
-
-TraceRing* Tracer::RingForThisThread() {
-  // Per-thread cache keyed by the tracer's unique id (never reused, so
-  // a stale cache entry of a destroyed tracer can never be returned for
-  // a new one that landed at the same address).
-  struct CacheEntry {
-    uint64_t tracer_id;
-    TraceRing* ring;
-  };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.tracer_id == tracer_id_) return e.ring;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));
-  TraceRing* ring = rings_.back().get();
-  cache.push_back(CacheEntry{tracer_id_, ring});
-  return ring;
-}
+    : clock_(clock), capacity_(std::max<size_t>(ring_capacity, 1)) {}
 
 void Tracer::Record(TraceEvent event) {
   if (!enabled()) return;
   if (event.timestamp == 0.0 && clock_ != nullptr) {
     event.timestamp = clock_->Now();
   }
-  event.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  RingForThisThread()->Push(event);
+  event.seq = recorded_++;
+  if (events_.size() < capacity_) {
+    // First chunk sized for a typical run, so that a traced run does not
+    // pay for a dozen small reallocations.
+    if (events_.empty()) events_.reserve(std::min<size_t>(capacity_, 4096));
+    events_.push_back(event);
+  } else {
+    events_[static_cast<size_t>(event.seq % capacity_)] = event;
+  }
 }
 
 void Tracer::Instant(SpanCategory category, const char* name, int64_t app,
@@ -127,41 +85,32 @@ void Tracer::End(SpanCategory category, const char* name, int64_t app,
 }
 
 std::vector<TraceEvent> Tracer::Drain() const {
-  std::vector<TraceEvent> all;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) {
-      std::vector<TraceEvent> part = ring->Snapshot();
-      all.insert(all.end(), part.begin(), part.end());
-    }
+  // Rotate the oldest surviving event to the front: the buffer is then
+  // in seq order, and a stable sort on timestamp keeps that order
+  // among ties.
+  std::vector<TraceEvent> all(events_);
+  if (recorded_ > capacity_) {
+    std::rotate(all.begin(),
+                all.begin() + static_cast<ptrdiff_t>(recorded_ % capacity_),
+                all.end());
   }
-  std::sort(all.begin(), all.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.seq < b.seq;
-            });
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.timestamp < b.timestamp;
+                   });
   return all;
 }
 
 TracerStats Tracer::Stats() const {
   TracerStats stats;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats.rings = static_cast<int>(rings_.size());
-  for (const auto& ring : rings_) {
-    stats.recorded += ring->pushed();
-    stats.dropped += ring->dropped();
-  }
+  stats.recorded = recorded_;
+  stats.dropped = recorded_ > capacity_ ? recorded_ - capacity_ : 0;
   return stats;
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Reset every ring in place: thread-local caches keep their ring
-  // pointers, so the rings themselves must survive.
-  for (auto& ring : rings_) {
-    ring->Reset();
-  }
-  seq_.store(0, std::memory_order_relaxed);
+  events_.clear();
+  recorded_ = 0;
 }
 
 }  // namespace hiway

@@ -7,21 +7,18 @@
 // container lifecycle (requested / allocated / localized / running /
 // completed), plus RM scheduling passes, preemption kills, AM failover
 // and provenance appends — timestamped with the simulated clock. The
-// write path is designed to disappear: each thread appends to its own
-// fixed-capacity ring buffer (single producer, no locks, no allocation;
-// only a relaxed global sequence counter is shared), and a disabled
-// tracer costs one relaxed atomic load per call site. Analysis is
-// offline: Drain() merges the rings into global order for the
-// TraceAnalyzer (src/obs/trace_analyzer.h) and the exporters
-// (src/obs/exporters.h). See docs/observability.md.
+// write path is designed to disappear: every producer runs on the
+// simulation thread, so recording is a plain append to one bounded
+// buffer (no locks, no atomics), and a disabled tracer costs one load
+// and a branch per call site. Analysis is offline: Drain() orders the
+// buffer for the TraceAnalyzer (src/obs/trace_analyzer.h) and the
+// exporters (src/obs/exporters.h). See docs/observability.md.
 
 #ifndef HIWAY_OBS_TRACER_H_
 #define HIWAY_OBS_TRACER_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -47,10 +44,10 @@ const char* ToString(SpanCategory category);
 /// task/container id) form durations; kInstant marks a point in time.
 enum class SpanPhase : uint8_t { kBegin, kEnd, kInstant };
 
-/// One trace record. Plain data, fixed size, no heap: a producer writes
-/// a slot with ordinary stores, so recording never allocates or locks.
-/// `name` MUST point to a string with static storage duration (a
-/// literal) — the ring stores the pointer, not the bytes.
+/// One trace record. Plain data, fixed size, no heap: recording copies
+/// it into a slot of the tracer's buffer. `name` MUST point to a string
+/// with static storage duration (a literal) — the buffer stores the
+/// pointer, not the bytes.
 struct TraceEvent {
   SpanCategory category = SpanCategory::kWorkflow;
   SpanPhase phase = SpanPhase::kInstant;
@@ -72,64 +69,30 @@ struct TraceEvent {
   int64_t aux = -1;
 };
 
-/// Fixed-capacity single-producer ring. The owning thread appends with
-/// plain stores plus one release publish; once writers are quiescent
-/// (or for slots safely behind the head) readers see whole events —
-/// never torn ones. When more than `capacity` events are pushed the
-/// oldest are overwritten and counted in dropped().
-class TraceRing {
- public:
-  explicit TraceRing(size_t capacity);
-
-  /// Single-producer append (the owning thread only).
-  void Push(const TraceEvent& event);
-
-  /// Events still held (the most recent min(pushed, capacity)), oldest
-  /// first. Safe concurrently with the producer: a slot being written
-  /// while read is skipped via the published head, so no torn reads.
-  std::vector<TraceEvent> Snapshot() const;
-
-  /// Forgets all events (producer must be quiescent).
-  void Reset() { head_.store(0, std::memory_order_release); }
-
-  size_t capacity() const { return slots_.size(); }
-  uint64_t pushed() const { return head_.load(std::memory_order_acquire); }
-  /// Events lost to overwrite (pushed beyond capacity).
-  uint64_t dropped() const {
-    uint64_t p = pushed();
-    return p > slots_.size() ? p - slots_.size() : 0;
-  }
-
- private:
-  std::vector<TraceEvent> slots_;
-  /// Number of completed pushes; slot i of push n is n % capacity.
-  std::atomic<uint64_t> head_{0};
-};
-
 struct TracerStats {
-  uint64_t recorded = 0;  // events accepted across all rings
-  uint64_t dropped = 0;   // events overwritten (ring capacity exceeded)
-  int rings = 0;          // per-thread rings created
+  uint64_t recorded = 0;  // events accepted since construction / Clear()
+  uint64_t dropped = 0;   // events overwritten (buffer capacity exceeded)
 };
 
 /// The recording front door. One Tracer per Deployment; disabled by
-/// default (a disabled tracer's Record is one relaxed load and a
-/// branch, so call sites need no guards). Thread-safe: every thread
-/// writes to its own ring, created on first use.
+/// default (a disabled tracer's Record is one load and a branch, so call
+/// sites need no guards). Not thread-safe: every producer runs on the
+/// thread that drives the deployment's SimEngine.
 class Tracer {
  public:
   static constexpr size_t kDefaultRingCapacity = 1 << 18;
 
   /// `clock` stamps events that carry no explicit timestamp; nullptr
   /// leaves them at 0 (callers then pass timestamps themselves).
+  /// `ring_capacity` bounds the buffer: beyond it the oldest events are
+  /// overwritten and counted as dropped.
   explicit Tracer(const SimEngine* clock = nullptr,
                   size_t ring_capacity = kDefaultRingCapacity);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-  ~Tracer();
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) { enabled_ = on; }
+  bool enabled() const { return enabled_; }
 
   /// Records one event (no-op while disabled). Stamps the sequence
   /// number, and the clock time when `event.timestamp` is unset (0) and
@@ -146,28 +109,25 @@ class Tracer {
            int64_t container = -1, int64_t task = -1, int64_t node = -1,
            double value = 0.0);
 
-  /// Merges every ring's surviving events into one list ordered by
-  /// (timestamp, seq) — the global record order. Call when producers
-  /// are quiescent (between runs); events stay in the rings, so
-  /// repeated drains return the same (growing) history.
+  /// The surviving events ordered by (timestamp, seq) — the global
+  /// record order. Events stay in the buffer, so repeated drains return
+  /// the same (growing) history.
   std::vector<TraceEvent> Drain() const;
 
   TracerStats Stats() const;
 
-  /// Forgets all recorded events (new rings start empty; existing
-  /// per-thread rings are reset). Producers must be quiescent.
+  /// Forgets all recorded events and restarts the sequence numbers.
   void Clear();
 
  private:
-  TraceRing* RingForThisThread();
-
   const SimEngine* clock_;
-  const size_t ring_capacity_;
-  const uint64_t tracer_id_;  // keys the thread-local ring cache
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> seq_{0};
-  mutable std::mutex mu_;  // guards ring creation/list, never Push
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  const size_t capacity_;
+  bool enabled_ = false;
+  /// Events recorded since Clear(); the next event's seq. Event `seq`
+  /// lives in slot seq % capacity_.
+  uint64_t recorded_ = 0;
+  /// Grows on demand up to capacity_, then wraps.
+  std::vector<TraceEvent> events_;
 };
 
 }  // namespace hiway

@@ -1,14 +1,15 @@
-// Tests for the execution-tracing subsystem (src/obs/): ring-buffer
-// integrity under concurrent writers, critical-path extraction against
+// Tests for the execution-tracing subsystem (src/obs/): trace-buffer
+// overwrite and drain order, critical-path extraction against
 // brute-force enumeration, exporter round-trips, and an end-to-end
 // traced deployment run.
 
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <set>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,56 +24,7 @@
 namespace hiway {
 namespace {
 
-// ---- TraceRing / Tracer ---------------------------------------------------
-
-// N threads each record M distinguishable events; below per-ring
-// capacity nothing is dropped and every event survives un-torn.
-TEST(TracerTest, ConcurrentWritersNeverDropOrTearBelowCapacity) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2000;
-  Tracer tracer(/*clock=*/nullptr, /*ring_capacity=*/4096);
-  tracer.set_enabled(true);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
-      for (int e = 0; e < kPerThread; ++e) {
-        TraceEvent ev;
-        ev.category = SpanCategory::kTask;
-        ev.phase = SpanPhase::kInstant;
-        ev.name = "payload";
-        // Distinguishable payload; torn writes would break the
-        // app/task/aux consistency checked below.
-        ev.app = t;
-        ev.task = e;
-        ev.aux = static_cast<int64_t>(t) * kPerThread + e;
-        ev.value = static_cast<double>(ev.aux);
-        ev.timestamp = 1.0;  // explicit so no clock is consulted
-        tracer.Record(ev);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  TracerStats stats = tracer.Stats();
-  EXPECT_EQ(stats.recorded, static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.rings, kThreads);
-
-  std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * kPerThread));
-  std::set<int64_t> seen;
-  for (const TraceEvent& ev : events) {
-    // No tear: all fields of one event agree with each other.
-    EXPECT_EQ(ev.aux, ev.app * kPerThread + ev.task);
-    EXPECT_EQ(ev.value, static_cast<double>(ev.aux));
-    EXPECT_TRUE(seen.insert(ev.aux).second) << "duplicate event " << ev.aux;
-  }
-  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
-  // Sequence numbers are unique too (one atomic counter across rings).
-  std::set<uint64_t> seqs;
-  for (const TraceEvent& ev : events) seqs.insert(ev.seq);
-  EXPECT_EQ(seqs.size(), events.size());
-}
+// ---- Tracer --------------------------------------------------------------
 
 TEST(TracerTest, OverflowOverwritesOldestAndCountsDrops) {
   Tracer tracer(/*clock=*/nullptr, /*ring_capacity=*/16);
@@ -95,6 +47,62 @@ TEST(TracerTest, OverflowOverwritesOldestAndCountsDrops) {
   }
 }
 
+// Drain orders by timestamp, and events with equal timestamps keep the
+// order they were recorded in — before the buffer wraps and after,
+// when the oldest survivor no longer sits in the first slot.
+TEST(TracerTest, DrainOrdersByTimestampThenRecordOrder) {
+  Tracer tracer(/*clock=*/nullptr, /*ring_capacity=*/8);
+  tracer.set_enabled(true);
+  auto record = [&tracer](std::initializer_list<double> timestamps) {
+    for (double ts : timestamps) {
+      TraceEvent ev;
+      ev.name = "e";
+      ev.task = static_cast<int64_t>(tracer.Stats().recorded);
+      ev.timestamp = ts;
+      tracer.Record(ev);
+    }
+  };
+  auto drained_tasks = [&tracer] {
+    std::vector<int64_t> tasks;
+    for (const TraceEvent& ev : tracer.Drain()) {
+      EXPECT_EQ(ev.seq, static_cast<uint64_t>(ev.task));
+      tasks.push_back(ev.task);
+    }
+    return tasks;
+  };
+
+  record({3.0, 1.0, 2.0, 1.0, 3.0, 0.5});  // tasks 0..5
+  EXPECT_EQ(tracer.Stats().dropped, 0u);
+  EXPECT_EQ(drained_tasks(), (std::vector<int64_t>{5, 1, 3, 2, 0, 4}));
+
+  // Tasks 6..12: 13 events in 8 slots, so tasks 0..4 are overwritten
+  // and task 5 is the oldest survivor, in slot 5.
+  record({2.0, 1.0, 3.0, 1.0, 2.0, 0.5, 1.0});
+  EXPECT_EQ(tracer.Stats().recorded, 13u);
+  EXPECT_EQ(tracer.Stats().dropped, 5u);
+  EXPECT_EQ(drained_tasks(),
+            (std::vector<int64_t>{5, 11, 7, 9, 12, 6, 10, 8}));
+
+  // Long runs of ties in a wrapped buffer, against a sort on
+  // (timestamp, seq) of the events that survive.
+  Tracer wrapped(/*clock=*/nullptr, /*ring_capacity=*/64);
+  wrapped.set_enabled(true);
+  std::vector<std::pair<double, uint64_t>> want;
+  for (int e = 0; e < 200; ++e) {
+    TraceEvent ev;
+    ev.name = "e";
+    ev.timestamp = 1.0 + (e * 7) % 5;
+    wrapped.Record(ev);
+    if (e >= 200 - 64) want.emplace_back(ev.timestamp, e);
+  }
+  std::sort(want.begin(), want.end());
+  std::vector<std::pair<double, uint64_t>> got;
+  for (const TraceEvent& ev : wrapped.Drain()) {
+    got.emplace_back(ev.timestamp, ev.seq);
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
   TraceEvent ev;
@@ -105,7 +113,7 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   EXPECT_TRUE(tracer.Drain().empty());
 }
 
-TEST(TracerTest, ClearForgetsEventsAndKeepsRingsUsable) {
+TEST(TracerTest, ClearForgetsEventsAndKeepsTracerUsable) {
   Tracer tracer(/*clock=*/nullptr, /*ring_capacity=*/64);
   tracer.set_enabled(true);
   tracer.Instant(SpanCategory::kTask, "before", -1, -1, -1, -1, 0.0, -1);
