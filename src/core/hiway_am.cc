@@ -12,8 +12,6 @@ namespace {
 /// AM-assigned task ids start high so they never collide with ids chosen
 /// by language front-ends (which count from 1).
 constexpr TaskId kAmTaskIdBase = 1000000;
-/// AM -> RM liveness heartbeat period.
-constexpr double kAmHeartbeatS = 1.0;
 }  // namespace
 
 HiWayAm::HiWayAm(Cluster* cluster, ResourceManager* rm, Dfs* dfs,
@@ -37,10 +35,6 @@ void HiWayAm::SetStagingCache(StagingCache* staging) {
 }
 
 HiWayAm::~HiWayAm() {
-  if (heartbeat_event_ != 0) {
-    cluster_->engine()->Cancel(heartbeat_event_);
-    heartbeat_event_ = 0;
-  }
   if (submitted_ && !finished_ && !crashed_) {
     rm_->UnregisterApplication(app_);
   }
@@ -49,10 +43,8 @@ HiWayAm::~HiWayAm() {
 void HiWayAm::Crash() {
   if (finished_ || crashed_) return;
   crashed_ = true;
-  if (heartbeat_event_ != 0) {
-    cluster_->engine()->Cancel(heartbeat_event_);
-    heartbeat_event_ = 0;
-  }
+  // The heartbeats stop; the RM times the AM out.
+  if (submitted_) rm_->AmSilent(app_);
   // A dead attempt's shard is sealed: in-flight executor callbacks that
   // race past the crash are dropped (and counted) instead of polluting
   // the crash-prefix trace that the next attempt replays.
@@ -60,15 +52,6 @@ void HiWayAm::Crash() {
   // Freeze the GC scope: its pins survive until a replacement attempt has
   // re-registered every interest and the service dissolves this scope.
   if (gc_ != nullptr && submitted_) gc_->MarkDormant(report_.run_id);
-}
-
-void HiWayAm::HeartbeatLoop() {
-  if (finished_ || crashed_) return;
-  rm_->AmHeartbeat(app_);
-  heartbeat_event_ = cluster_->engine()->ScheduleAfter(kAmHeartbeatS, [this] {
-    heartbeat_event_ = 0;
-    HeartbeatLoop();
-  });
 }
 
 void HiWayAm::SetRecoveryTrace(const std::vector<ProvenanceEvent>& events) {
@@ -205,7 +188,6 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
   if (tracer_ != nullptr) {
     tracer_->Begin(SpanCategory::kWorkflow, "workflow", app_);
   }
-  HeartbeatLoop();
 
   auto initial = source_->Init();
   if (!initial.ok()) {
@@ -757,10 +739,6 @@ void HiWayAm::MaybeFinish() {
 void HiWayAm::FinishWorkflow(Status status) {
   if (finished_) return;
   finished_ = true;
-  if (heartbeat_event_ != 0) {
-    cluster_->engine()->Cancel(heartbeat_event_);
-    heartbeat_event_ = 0;
-  }
   report_.status = status;
   report_.finished_at = cluster_->engine()->Now();
   if (gc_ != nullptr && submitted_ && source_ != nullptr) {

@@ -132,9 +132,10 @@ class HiWayAm : public AmCallbacks {
   /// frontier of incomplete work.
   void SetRecoveryTrace(const std::vector<ProvenanceEvent>& events);
 
-  /// Simulates the AM process dying: every subsequent callback, executor
-  /// completion, and heartbeat is ignored, so the RM's liveness timeout
-  /// (or a node kill) is what surfaces the failure. Irreversible.
+  /// Simulates the AM process dying: every subsequent callback and
+  /// executor completion is ignored, and the RM is told the heartbeats
+  /// stopped (ResourceManager::AmSilent), so its liveness timeout (or a
+  /// node kill) is what surfaces the failure. Irreversible.
   void Crash();
   bool crashed() const { return crashed_; }
 
@@ -274,7 +275,6 @@ class HiWayAm : public AmCallbacks {
   /// Re-entrancy safe. On failure finishes the workflow and returns the
   /// failure.
   Status DeliverCompletions();
-  void HeartbeatLoop();
 
   Cluster* cluster_;
   ResourceManager* rm_;
@@ -309,7 +309,6 @@ class HiWayAm : public AmCallbacks {
   /// Completed tasks' results awaiting DeliverCompletions.
   std::deque<TaskResult> completions_;
   bool delivering_ = false;
-  EventId heartbeat_event_ = 0;
   int pending_retries_ = 0;
   int running_ = 0;
   int waiting_ = 0;

@@ -79,8 +79,8 @@ bool ElasticCluster::DecommissionNode(NodeId node) {
   return true;
 }
 
-void ElasticCluster::RevokeNode(NodeId node, double warn_s) {
-  if (!rm_->IsNodeAlive(node)) return;
+bool ElasticCluster::RevokeNode(NodeId node, double warn_s) {
+  if (!rm_->IsNodeAlive(node) || rm_->IsNodeDraining(node)) return false;
   Accrue();
   ++stats_.nodes_revoked;
   double deadline = engine_->Now() + std::max(0.0, warn_s);
@@ -105,6 +105,7 @@ void ElasticCluster::RevokeNode(NodeId node, double warn_s) {
     if (staging_ != nullptr) staging_->InvalidateNode(node);
     SweepCaches();
   });
+  return true;
 }
 
 void ElasticCluster::ScaleOut(int count) {

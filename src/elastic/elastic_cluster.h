@@ -94,8 +94,9 @@ class ElasticCluster {
   /// staging entries, and kills it `warn_s` seconds later (RM node
   /// loss + DFS decommission-with-rescue + re-replication + cache
   /// sweeps). warn_s = 0 degenerates to an immediate graceful-less
-  /// kill. No-op for dead nodes.
-  void RevokeNode(NodeId node, double warn_s);
+  /// kill. No-op (returns false) for dead nodes and for nodes already
+  /// draining.
+  bool RevokeNode(NodeId node, double warn_s);
 
   /// Gracefully retires one specific node right now (scale-in path):
   /// false when the RM refuses (an AM lives there) or the node is dead.

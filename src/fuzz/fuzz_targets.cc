@@ -1,5 +1,6 @@
 #include "src/fuzz/fuzz_targets.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "src/lang/galaxy_source.h"
 #include "src/lang/trace_source.h"
 #include "src/lang/workflow_validate.h"
+#include "src/service/workflow_service.h"
 #include "src/sim/fault_injector.h"
 
 namespace hiway {
@@ -229,6 +231,37 @@ void FuzzTrace(const uint8_t* data, size_t size) {
   }
 }
 
+/// Fires accepted specs for real: armed on a 2-worker service that runs a
+/// 2-task static workflow for 600 virtual seconds, so a fault handler that
+/// mishandles a target (a node beyond the fleet, say) shows up under the
+/// sanitizers. Budget clamps: at most 16 clauses, periods of at least 1 s.
+void FireFaultSpecs(std::vector<FaultSpec> specs) {
+  if (specs.size() > 16) specs.resize(16);
+  for (FaultSpec& spec : specs) spec.every = std::max(spec.every, 1.0);
+  Karamel karamel;
+  karamel.SetAttribute("cluster/workers", "2");
+  karamel.AddRecipe(HadoopInstallRecipe());
+  karamel.AddRecipe(HiWayInstallRecipe());
+  karamel.AddRecipe(ElasticInstallRecipe());
+  auto d = karamel.Converge();
+  HIWAY_FUZZ_INVARIANT(d.ok(), "fault harness deployment failed");
+  (*d)->workflows["pair"] = {"dax", R"(<adag>
+      <job id="a" name="bowtie2"><uses file="/in"/>
+        <uses file="/mid" link="output"/></job>
+      <job id="b" name="samtools-sort"><uses file="/mid"/>
+        <uses file="/out" link="output"/></job></adag>)", {}, {}};
+  auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
+  HIWAY_FUZZ_INVARIANT(service.ok() &&
+                           (*d)->dfs->IngestFile("/in", 16 << 20).ok() &&
+                           (*service)->SubmitStaged("pair").ok(),
+                       "fault harness could not submit its workflow");
+  FaultInjector injector(&(*d)->engine, /*seed=*/1);
+  (*service)->InstallFaultHandlers(&injector);
+  HIWAY_FUZZ_INVARIANT(injector.Arm(std::move(specs)).ok(),
+                       "fault injector refused parsed specs");
+  (*d)->engine.RunUntil(600.0);
+}
+
 void FuzzFaultSpec(const uint8_t* data, size_t size) {
   auto specs = ParseFaultSpecs(AsView(data, size));
   if (!specs.ok()) return;
@@ -252,6 +285,7 @@ void FuzzFaultSpec(const uint8_t* data, size_t size) {
     HIWAY_FUZZ_INVARIANT(spec.submission >= -1,
                          "fault spec parsed a garbage submission id");
   }
+  FireFaultSpecs(*std::move(specs));
 }
 
 /// Clamps a numeric attribute the mutator produced to a harness budget so

@@ -16,8 +16,10 @@ namespace {
 /// cluster is momentarily full).
 constexpr double kStartRetryS = 5.0;
 
-/// Unwarned node loss: NodeManager and DataNode die together.
-void KillNode(Deployment* dep, NodeId node) {
+/// Unwarned node loss: NodeManager and DataNode die together. False (and
+/// nothing happens) unless `node` is a live node of the fleet.
+bool KillNode(Deployment* dep, NodeId node) {
+  if (!dep->rm->IsNodeAlive(node)) return false;
   // Node-hours integrate the live-node count: flush the node's life up to
   // now before it stops counting.
   if (dep->elastic != nullptr) dep->elastic->Accrue();
@@ -30,6 +32,7 @@ void KillNode(Deployment* dep, NodeId node) {
   if (dep->staging_cache != nullptr) dep->staging_cache->InvalidateNode(node);
   // No sealed result-cache entry may reference a replica that died here.
   if (dep->result_cache != nullptr) dep->result_cache->EvictUnreadable();
+  return true;
 }
 
 }  // namespace
@@ -516,26 +519,24 @@ void WorkflowService::Failover(SubmissionId id) {
   deployment_->engine.ScheduleAfter(kStartRetryS, [this, id] { Failover(id); });
 }
 
-Result<NodeId> WorkflowService::AmNode(SubmissionId id) const {
+Result<HiWayAm*> WorkflowService::LiveAm(SubmissionId id) const {
   auto it = subs_.find(id);
   if (it == subs_.end() || it->second.am == nullptr ||
       it->second.am->crashed() || it->second.am->finished()) {
     return Status::NotFound("submission " + std::to_string(id) +
                             " has no live AM");
   }
-  return deployment_->rm->AmNode(it->second.am->app());
+  return it->second.am.get();
+}
+
+Result<NodeId> WorkflowService::AmNode(SubmissionId id) const {
+  HIWAY_ASSIGN_OR_RETURN(HiWayAm * am, LiveAm(id));
+  return deployment_->rm->AmNode(am->app());
 }
 
 Status WorkflowService::InjectAmCrash(SubmissionId id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end() || it->second.am == nullptr ||
-      it->second.am->crashed() || it->second.am->finished()) {
-    return Status::NotFound("submission " + std::to_string(id) +
-                            " has no live AM");
-  }
-  // The process dies silently; the RM's heartbeat timeout notices and
-  // drives the failover path.
-  it->second.am->Crash();
+  HIWAY_ASSIGN_OR_RETURN(HiWayAm * am, LiveAm(id));
+  am->Crash();  // silently: the RM times out its heartbeat lease
   return Status::OK();
 }
 
@@ -549,7 +550,9 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
     }
     return nodes;
   };
-  h.kill_node = [dep](NodeId node) { KillNode(dep, node); };
+  // Node ids beyond the fleet are skipped when they fire (no live node
+  // there), not rejected at parse time: elastic joins grow the fleet.
+  h.kill_node = [dep](NodeId node) { return KillNode(dep, node); };
   h.list_am_nodes = [this] {
     std::vector<NodeId> nodes;
     for (const auto& [id, rec] : records_) {
@@ -572,7 +575,7 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
     }
     return running;
   };
-  h.crash_am = [this](int64_t id) { (void)InjectAmCrash(id); };
+  h.crash_am = [this](int64_t id) { return InjectAmCrash(id).ok(); };
   h.list_containers = [dep] {
     std::vector<int64_t> ids;
     for (const Container& c : dep->rm->RunningContainers()) {
@@ -582,13 +585,10 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
   };
   h.fail_container = [dep](int64_t id) { dep->rm->KillContainer(id); };
   h.revoke_node = [dep](NodeId node, double warn_s) {
-    if (dep->elastic != nullptr) {
-      dep->elastic->RevokeNode(node, warn_s);
-      return;
-    }
+    if (dep->elastic != nullptr) return dep->elastic->RevokeNode(node, warn_s);
     // No elastic control plane: a revocation degrades to the unwarned
     // kill (same consequences, no drain window).
-    KillNode(dep, node);
+    return KillNode(dep, node);
   };
   if (spot_fraction_ > 0.0) {
     double f = spot_fraction_;

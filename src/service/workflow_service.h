@@ -202,8 +202,8 @@ class WorkflowService {
   Result<NodeId> AmNode(SubmissionId id) const;
 
   /// Simulates the AM process of a running submission crashing (the node
-  /// stays healthy); the RM's heartbeat timeout detects the death and
-  /// the failover path takes over.
+  /// stays healthy); the RM times out the AM's heartbeat lease and the
+  /// failover path takes over. NotFound when it has no live AM.
   Status InjectAmCrash(SubmissionId id);
 
   /// Wires a FaultInjector's handlers to this service's deployment:
@@ -212,7 +212,9 @@ class WorkflowService {
   /// am-crash targets running submissions, fail-container targets
   /// running task (non-AM) containers, spot-revoke drains through the
   /// elastic control plane (falling back to an unwarned kill when the
-  /// deployment has none). Call once after Create().
+  /// deployment has none). A fault whose target is dead, draining (for
+  /// spot-revoke), beyond the fleet or not running does nothing and is
+  /// not counted. Call once after Create().
   void InstallFaultHandlers(FaultInjector* injector);
 
   /// Marks the highest ⌈f·workers⌉ worker nodes as spot instances:
@@ -267,6 +269,9 @@ class WorkflowService {
     std::unique_ptr<WorkflowScheduler> scheduler;
     std::unique_ptr<HiWayAm> am;
   };
+
+  /// The submission's AM if it is running (not crashed or finished).
+  Result<HiWayAm*> LiveAm(SubmissionId id) const;
 
   WorkflowService(Deployment* deployment, WorkflowServiceOptions options);
 

@@ -11,9 +11,9 @@
 // only records the id, and a cancelled event is discarded when it
 // surfaces at the heap top — except that once cancelled entries make up
 // a large fraction of the heap, the engine compacts: it filters them out
-// in one O(n) sweep and re-heapifies, so a cancel-heavy workload (e.g.
-// thousands of AMs re-arming heartbeat timers) cannot grow the heap
-// without bound. docs/scaling.md describes the scale model.
+// in one O(n) sweep and re-heapifies, so a cancel-heavy workload (the
+// flow network re-arms its completion event on every rate change) cannot
+// grow the heap without bound. docs/scaling.md describes the scale model.
 
 #ifndef HIWAY_SIM_ENGINE_H_
 #define HIWAY_SIM_ENGINE_H_

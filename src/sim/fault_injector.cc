@@ -217,73 +217,53 @@ void FaultInjector::Fire(const FaultSpec& spec) {
   switch (spec.type) {
     case FaultType::kKillNode: {
       if (!handlers_.kill_node) return;
-      NodeId target = spec.node;
-      if (target == kInvalidNode) {
-        if (!handlers_.list_nodes) return;
-        std::vector<NodeId> nodes = handlers_.list_nodes();
-        if (nodes.empty()) return;
-        target = nodes[rng_.UniformInt(nodes.size())];
-      }
-      handlers_.kill_node(target);
-      ++counters_.node_kills;
+      std::optional<NodeId> target = spec.node;
+      if (spec.node == kInvalidNode) target = Draw(handlers_.list_nodes);
+      if (target && handlers_.kill_node(*target)) ++counters_.node_kills;
       return;
     }
     case FaultType::kKillAmNode: {
       if (!handlers_.kill_node) return;
-      NodeId target = kInvalidNode;
-      if (spec.submission >= 0) {
-        if (!handlers_.am_node_of) return;
+      std::optional<NodeId> target;
+      if (spec.submission < 0) {
+        target = Draw(handlers_.list_am_nodes);
+      } else if (handlers_.am_node_of) {
         target = handlers_.am_node_of(spec.submission);
-      } else {
-        if (!handlers_.list_am_nodes) return;
-        std::vector<NodeId> nodes = handlers_.list_am_nodes();
-        if (nodes.empty()) return;
-        target = nodes[rng_.UniformInt(nodes.size())];
       }
-      if (target == kInvalidNode) return;
-      handlers_.kill_node(target);
-      ++counters_.node_kills;
+      if (target.value_or(kInvalidNode) != kInvalidNode &&
+          handlers_.kill_node(*target)) {
+        ++counters_.node_kills;
+      }
       return;
     }
     case FaultType::kAmCrash: {
       if (!handlers_.crash_am) return;
-      int64_t target = spec.submission;
-      if (target < 0) {
-        if (!handlers_.list_submissions) return;
-        std::vector<int64_t> subs = handlers_.list_submissions();
-        if (subs.empty()) return;
-        target = subs[rng_.UniformInt(subs.size())];
-      }
-      handlers_.crash_am(target);
-      ++counters_.am_crashes;
+      std::optional<int64_t> target = spec.submission;
+      if (spec.submission < 0) target = Draw(handlers_.list_submissions);
+      if (target && handlers_.crash_am(*target)) ++counters_.am_crashes;
       return;
     }
     case FaultType::kFailContainer: {
-      if (!handlers_.fail_container || !handlers_.list_containers) return;
-      std::vector<int64_t> containers = handlers_.list_containers();
-      if (containers.empty()) return;
-      handlers_.fail_container(containers[rng_.UniformInt(containers.size())]);
+      if (!handlers_.fail_container) return;
+      std::optional<int64_t> target = Draw(handlers_.list_containers);
+      if (!target) return;
+      handlers_.fail_container(*target);
       ++counters_.container_kills;
       return;
     }
     case FaultType::kSpotRevoke: {
       if (!handlers_.revoke_node) return;
-      NodeId target = spec.node;
-      if (target == kInvalidNode) {
+      std::optional<NodeId> target = spec.node;
+      if (spec.node == kInvalidNode) {
         // Prefer the fleet's spot partition; any worker is revocable
         // when no partition is declared.
-        std::vector<NodeId> nodes = handlers_.list_spot_nodes
-                                        ? handlers_.list_spot_nodes()
-                                        : std::vector<NodeId>{};
-        if (nodes.empty() && handlers_.list_nodes) {
-          nodes = handlers_.list_nodes();
-        }
-        if (nodes.empty()) return;
-        target = nodes[rng_.UniformInt(nodes.size())];
+        target = Draw(handlers_.list_spot_nodes);
+        if (!target) target = Draw(handlers_.list_nodes);
       }
       double warn = spec.warn >= 0.0 ? spec.warn : default_revoke_warning_s_;
-      handlers_.revoke_node(target, warn);
-      ++counters_.spot_revocations;
+      if (target && handlers_.revoke_node(*target, warn)) {
+        ++counters_.spot_revocations;
+      }
       return;
     }
     case FaultType::kHdfsError:

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,14 +92,16 @@ Result<std::vector<FaultSpec>> ParseFaultSpecs(std::string_view text);
 struct FaultHandlers {
   /// Nodes eligible for kill-node (alive workers).
   std::function<std::vector<NodeId>()> list_nodes;
-  std::function<void(NodeId)> kill_node;
+  /// kill_node, crash_am and revoke_node return whether the fault took
+  /// effect (a live target); only those that did are counted.
+  std::function<bool(NodeId)> kill_node;
   /// Nodes currently hosting at least one AM container.
   std::function<std::vector<NodeId>()> list_am_nodes;
   /// Node hosting a specific submission's AM; < 0 when unknown.
   std::function<NodeId(int64_t submission)> am_node_of;
   /// Running submissions eligible for am-crash.
   std::function<std::vector<int64_t>()> list_submissions;
-  std::function<void(int64_t submission)> crash_am;
+  std::function<bool(int64_t submission)> crash_am;
   /// Running non-AM task containers.
   std::function<std::vector<int64_t>()> list_containers;
   std::function<void(int64_t container)> fail_container;
@@ -107,12 +110,13 @@ struct FaultHandlers {
   std::function<std::vector<NodeId>()> list_spot_nodes;
   /// Announces a revocation: `node` drains for `warn_s` seconds, then
   /// dies (the handler owns the drain + deferred kill sequence).
-  std::function<void(NodeId node, double warn_s)> revoke_node;
+  std::function<bool(NodeId node, double warn_s)> revoke_node;
   /// True while the workload is still running; recurring faults stop
   /// once this turns false after having been true.
   std::function<bool()> active;
 };
 
+/// Faults that took effect, by type.
 struct FaultCounters {
   int node_kills = 0;
   int am_crashes = 0;
@@ -151,6 +155,14 @@ class FaultInjector {
 
  private:
   void Fire(const FaultSpec& spec);
+  /// A uniform draw from what `list` returns; none if it is unset or
+  /// returns nothing.
+  template <typename T>
+  std::optional<T> Draw(const std::function<std::vector<T>()>& list) {
+    std::vector<T> items = list ? list() : std::vector<T>{};
+    if (items.empty()) return std::nullopt;
+    return items[rng_.UniformInt(items.size())];
+  }
   /// Schedules the next tick of a recurring fault. `seen_activity`
   /// remembers whether the workload was ever observed running, so the
   /// chain neither stops before the workload starts nor outlives it.

@@ -241,6 +241,7 @@ Result<ApplicationId> ResourceManager::RegisterApplication(
   state.name = name;
   state.callbacks = callbacks;
   state.am_container = am->id;
+  state.beat_phase = cluster_->engine()->Now();
   apps_.emplace(app, std::move(state));
   // The app entered the registry after its AM allocation; fold its cell
   // into the fairness aggregates now.
@@ -551,8 +552,7 @@ bool ResourceManager::DrainContainer(ContainerId id) {
 }
 
 bool ResourceManager::IsNodeDraining(NodeId node) const {
-  const NodeState& ns = nodes_[static_cast<size_t>(node)];
-  return ns.alive && ns.draining;
+  return IsNodeAlive(node) && nodes_[static_cast<size_t>(node)].draining;
 }
 
 int ResourceManager::containers_on(NodeId node) const {
@@ -617,30 +617,18 @@ bool ResourceManager::KillContainer(ContainerId id) {
   return true;
 }
 
-void ResourceManager::AmHeartbeat(ApplicationId app) {
+void ResourceManager::AmSilent(ApplicationId app) {
   auto it = apps_.find(app);
   if (it == apps_.end()) return;
-  it->second.last_heartbeat = cluster_->engine()->Now();
-  if (!it->second.liveness_check_scheduled &&
-      options_.am_liveness_timeout_s > 0.0) {
-    it->second.liveness_check_scheduled = true;
-    ScheduleLivenessCheck(
-        app, it->second.last_heartbeat + options_.am_liveness_timeout_s);
-  }
-}
-
-void ResourceManager::ScheduleLivenessCheck(ApplicationId app, double at) {
-  cluster_->engine()->ScheduleAt(at, [this, app] {
-    auto it = apps_.find(app);
-    if (it == apps_.end()) return;  // finished or already failed
-    double deadline =
-        it->second.last_heartbeat + options_.am_liveness_timeout_s;
-    if (cluster_->engine()->Now() + 1e-9 < deadline) {
-      ScheduleLivenessCheck(app, deadline);  // heartbeats kept coming
-      return;
-    }
+  // Each beat was scheduled from the one before, so repeating the same
+  // additions rebuilds the beat times bit for bit. A beat due exactly now
+  // counts as missed: the crash event was queued before it.
+  SimTime now = cluster_->engine()->Now();
+  SimTime last_beat = it->second.beat_phase;
+  while (last_beat + kAmHeartbeatS < now) last_beat += kAmHeartbeatS;
+  cluster_->engine()->ScheduleAt(last_beat + kAmLivenessTimeoutS, [this, app] {
     FailApplication(app, StrFormat("AM heartbeat timeout (%.1fs)",
-                                   options_.am_liveness_timeout_s));
+                                   kAmLivenessTimeoutS));
   });
 }
 
@@ -654,7 +642,8 @@ std::vector<Container> ResourceManager::RunningContainers() const {
 }
 
 bool ResourceManager::IsNodeAlive(NodeId node) const {
-  return nodes_[static_cast<size_t>(node)].alive;
+  return node >= 0 && static_cast<size_t>(node) < nodes_.size() &&
+         nodes_[static_cast<size_t>(node)].alive;
 }
 
 Result<NodeId> ResourceManager::AmNode(ApplicationId app) const {

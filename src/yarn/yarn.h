@@ -217,16 +217,18 @@ struct TenantStats {
   std::vector<double> restoration_latency_s;
 };
 
+/// AM liveness is a lease: an AM beats at registration and then every
+/// kAmHeartbeatS, and is dead once silent for kAmLivenessTimeoutS. The
+/// beats are implied, not simulated; only AmSilent() schedules an event.
+constexpr double kAmHeartbeatS = 1.0;
+constexpr double kAmLivenessTimeoutS = 10.0;
+
 struct YarnOptions {
   /// Latency between a request (or a release) and the allocation pass,
   /// modelling the NM/AM heartbeat cadence.
   double allocation_delay_s = 0.5;
   /// RM scheduling policy.
   RmPolicy scheduler = RmPolicy::kFifo;
-  /// An application that has sent at least one AmHeartbeat() and then
-  /// stays silent this long is declared failed (AM liveness tracking).
-  /// Applications that never heartbeat are not monitored.
-  double am_liveness_timeout_s = 10.0;
   /// Container preemption (docs/scheduling-model.md): when enabled, a
   /// queue that stays starved (backlogged below its guaranteed share)
   /// longer than `preemption_grace_s` reclaims capacity by killing task
@@ -320,7 +322,7 @@ class ResourceManager {
   /// False for unknown ids; AM containers are refused.
   bool DrainContainer(ContainerId id);
 
-  bool IsNodeDraining(NodeId node) const;
+  bool IsNodeDraining(NodeId node) const;  // false outside the fleet
 
   /// Containers (tasks + AMs) currently hosted on `node`.
   int containers_on(NodeId node) const;
@@ -336,10 +338,10 @@ class ResourceManager {
   /// container fails the whole application. False for unknown ids.
   bool KillContainer(ContainerId id);
 
-  /// AM liveness signal. The first heartbeat opts the application into
-  /// liveness monitoring: miss `am_liveness_timeout_s` of heartbeats and
-  /// the RM fails the application.
-  void AmHeartbeat(ApplicationId app);
+  /// The application's AM died now: fail it kAmLivenessTimeoutS after its
+  /// last beat before now, unless it is gone by then. Unknown apps are
+  /// ignored.
+  void AmSilent(ApplicationId app);
 
   /// Invoked whenever the RM declares an application failed, with the
   /// application's registered name and a human-readable reason. The
@@ -354,6 +356,7 @@ class ResourceManager {
   /// ascending container id.
   std::vector<Container> RunningContainers() const;
 
+  /// False for ids outside the fleet (a fault may aim beyond it).
   bool IsNodeAlive(NodeId node) const;
 
   /// Node hosting an application's AM container.
@@ -470,10 +473,9 @@ class ResourceManager {
     AmCallbacks* callbacks = nullptr;
     ContainerId am_container = kInvalidContainer;
     bool active = true;
-    /// Last AmHeartbeat() time; < 0 until the first heartbeat (the app
-    /// is then exempt from liveness monitoring).
-    double last_heartbeat = -1.0;
-    bool liveness_check_scheduled = false;
+    /// Registration time: the AM's first heartbeat, which it repeats
+    /// every kAmHeartbeatS while it lives.
+    double beat_phase = 0.0;
     /// This app's contribution to the aggregate Jain sums (FairnessTouch).
     FairCell fair;
   };
@@ -543,9 +545,6 @@ class ResourceManager {
 
   Container* AllocateOn(ApplicationId app, NodeId node, int vcores,
                         double memory_mb);
-
-  /// Arms/re-arms the liveness timer for `app` to fire at `at`.
-  void ScheduleLivenessCheck(ApplicationId app, double at);
 
   /// Frees one container's resources and accounting; reports the loss to
   /// the owning AM only when `notify` (dead masters are never called).

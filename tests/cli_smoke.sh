@@ -2,8 +2,9 @@
 # Smoke test of the `hiway` CLI: run a Cuneiform workflow, export its
 # provenance trace, and replay the trace — asserting both runs succeed and
 # produce the same task count — then run the example CWL workflow ($2)
-# through the --cwl front-end. Also checks that README.md's flag table
-# and the attribute keys the docs name match `hiway --help`.
+# through the --cwl front-end. Also drives AM crashes and node kills
+# through --faults, and checks that README.md's flag table and the
+# attribute keys the docs name match `hiway --help`.
 set -e
 
 HIWAY_BIN="$1"
@@ -79,6 +80,26 @@ for big in "--vcores 4" "--memory 100000"; do
     grep -q "task 1 ('align')" "$WORKDIR/out5.out"
   done
 done
+
+# The fault path through --faults: a crashed AM is timed out by the RM
+# and replaced, and the submission still succeeds. Faults that hit
+# nothing (a node beyond the fleet, an unknown submission) are skipped
+# and not counted.
+"$HIWAY_BIN" --service --workflow "$WORKDIR/wf.cf" -a cluster/workers=4 \
+    --input /in/reads.fq=64MB --faults am-crash@5 > "$WORKDIR/out8.out"
+grep -q "#1 .*wf.cf *succeeded" "$WORKDIR/out8.out"
+grep -q "1 am crash(es)" "$WORKDIR/out8.out"
+grep -q "am failovers survived: 1" "$WORKDIR/out8.out"
+"$HIWAY_BIN" --service --workflow "$WORKDIR/wf.cf" -a cluster/workers=4 \
+    --input /in/reads.fq=64MB --faults kill-node@1:node=99 \
+    > "$WORKDIR/out9.out"
+grep -q "#1 .*wf.cf *succeeded" "$WORKDIR/out9.out"
+grep -q "faults injected: 0 node kill(s)" "$WORKDIR/out9.out"
+"$HIWAY_BIN" --service --workflow "$WORKDIR/wf.cf" -a cluster/workers=4 \
+    --input /in/reads.fq=64MB --faults am-crash@1:sub=7 \
+    > "$WORKDIR/out10.out"
+grep -q "0 am crash(es)" "$WORKDIR/out10.out"
+grep -q "am failovers survived: 0" "$WORKDIR/out10.out"
 
 # Deployment attributes are checked against one table before any recipe
 # runs: an unknown key (a typo of cluster/workers) and a switch spelled

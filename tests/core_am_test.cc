@@ -194,8 +194,8 @@ TEST(HiWayAmTest, OversizedContainerFailsInsteadOfHanging) {
     options.container_memory_mb = c.default_memory_mb;
     HiWayAm am = rig.MakeAm(options);
     EXPECT_TRUE(am.Submit(&source, &scheduler).IsResourceExhausted());
-    // An unplaceable request must not wait forever (the AM heartbeat
-    // would keep the engine busy): bound the run in virtual time.
+    // An unplaceable request must fail the workflow at once, not leave
+    // it waiting: the run is bounded in virtual time to prove it.
     rig.engine.RunUntil(3600.0);
     ASSERT_TRUE(am.finished());
     const Status& status = am.report().status;
@@ -446,6 +446,48 @@ TEST(HiWayAmTest, TailoredContainersCapAtToolThreads) {
   EXPECT_LT(tailored_report->Makespan(), 0.5 * fat_report->Makespan());
 }
 
+TEST(HiWayAmTest, RunThatCanNeverProgressEndsInsteadOfSpinning) {
+  // Node 1 is the only node big enough for the 8-vcore task container;
+  // the AM sits on node 0. Killing node 1 before the allocation pass
+  // strands the request: nothing can ever happen again. A live AM costs
+  // the engine no events, so the engine drains and RunToCompletion
+  // reports the stuck run instead of spinning forever.
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  ClusterSpec spec;
+  NodeSpec small;
+  small.cores = 2;
+  small.memory_mb = 8192;
+  NodeSpec big;
+  big.cores = 8;
+  big.memory_mb = 8192;
+  spec.nodes = {small, big};
+  Cluster cluster(&engine, &net, spec);
+  DfsOptions dfs_opts;
+  dfs_opts.replication = 1;
+  Dfs dfs(&cluster, dfs_opts);
+  ResourceManager rm(&cluster, YarnOptions());
+  ToolRegistry tools;
+  RegisterStandardTools(&tools);
+  ProvenanceManager provenance;
+  RuntimeEstimator estimator;
+  ASSERT_TRUE(dfs.IngestFile("/in/a.fq", 1 << 20).ok());
+  StaticWorkflowSource source(
+      "stranded", {MakeTask(7, "bowtie2", {"/in/a.fq"}, {"/out/a.sam"})});
+  FcfsScheduler scheduler;
+  HiWayOptions options;
+  options.container_vcores = 8;
+  HiWayAm am(&cluster, &rm, &dfs, &tools, &provenance, &estimator, options);
+  ASSERT_TRUE(am.Submit(&source, &scheduler).ok());
+  ASSERT_EQ(*rm.AmNode(am.app()), 0);
+  rm.KillNode(1);
+  auto report = am.RunToCompletion();
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsRuntimeError()) << report.status().ToString();
+  EXPECT_FALSE(am.finished());
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
 TEST(HiWayAmTest, DeclinedTailoredContainerIsReRequestedAtItsOwnSize) {
   // The AM defaults (8 vcores) fit no 4-core node; tailoring shrinks
   // every annovar container to one core. Node 0 looks terrible to the
@@ -469,8 +511,8 @@ TEST(HiWayAmTest, DeclinedTailoredContainerIsReRequestedAtItsOwnSize) {
   options.tailor_containers = true;
   HiWayAm am = rig.MakeAm(options);
   ASSERT_TRUE(am.Submit(&source, &scheduler).ok());
-  // Bounded in virtual time: a hung request keeps the AM heartbeat (and
-  // so the engine) alive forever.
+  // Bounded in virtual time, so a hung request fails the assertion below
+  // instead of running the engine on.
   rig.engine.RunUntil(3600.0);
   ASSERT_TRUE(am.finished());
   EXPECT_TRUE(am.report().status.ok()) << am.report().status.ToString();

@@ -315,6 +315,35 @@ TEST(ElasticClusterTest, WarnedRevocationFinishesWorkflowWithoutCharges) {
 // An unwarned kill-node fault costs the node's life up to the kill: with
 // the autoscaler off nothing else accrues on the way, so node-seconds are
 // exactly the summed node lifetimes.
+
+// A revocation only takes effect on a live, not yet draining node of the
+// fleet; the rest are skipped (an id beyond the fleet too, since joins
+// grow it after parsing) and counted neither by the injector nor by the
+// elastic control plane.
+TEST(ElasticClusterTest, RevocationsThatHitNothingAreNotCounted) {
+  auto d = ElasticDeployment();
+  ASSERT_TRUE(d.ok());
+  auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
+  ASSERT_TRUE(service.ok());
+  FaultInjector injector(&(*d)->engine, /*seed=*/13);
+  (*service)->InstallFaultHandlers(&injector);
+  ASSERT_TRUE(injector
+                  .ArmSpec("spot-revoke@1:node=999, spot-revoke@5:node=5, "
+                           "spot-revoke@10:node=5, kill-node@200:node=999, "
+                           "spot-revoke@300:node=5")
+                  .ok());
+  auto id = (*service)->SubmitStaged("snv-calling");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE((*service)->RunToCompletion().ok());
+  (*d)->engine.RunUntil(1000.0);  // faults due after the workflow, too
+  const SubmissionRecord* rec = (*service)->record(*id);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->state, SubmissionState::kSucceeded);
+  EXPECT_EQ(injector.counters().spot_revocations, 1);
+  EXPECT_EQ(injector.counters().node_kills, 0);
+  EXPECT_EQ((*d)->elastic->stats().nodes_revoked, 1);
+  EXPECT_FALSE((*d)->rm->IsNodeAlive(5));
+}
 TEST(ElasticClusterTest, KillNodeFaultAccruesTheDeadNodesLifetime) {
   auto d = ElasticDeployment();
   ASSERT_TRUE(d.ok());

@@ -139,6 +139,7 @@ TEST(FaultInjectorTest, OneShotFiresAtTheScheduledTime) {
   FaultHandlers handlers;
   handlers.kill_node = [&](NodeId node) {
     kills.emplace_back(engine.Now(), node);
+    return true;
   };
   injector.SetHandlers(std::move(handlers));
   ASSERT_TRUE(injector.ArmSpec("kill-node@42:node=3").ok());
@@ -155,7 +156,10 @@ TEST(FaultInjectorTest, RandomTargetComesFromTheAliveList) {
   NodeId killed = kInvalidNode;
   FaultHandlers handlers;
   handlers.list_nodes = [] { return std::vector<NodeId>{5}; };
-  handlers.kill_node = [&](NodeId node) { killed = node; };
+  handlers.kill_node = [&](NodeId node) {
+    killed = node;
+    return true;
+  };
   injector.SetHandlers(std::move(handlers));
   ASSERT_TRUE(injector.ArmSpec("kill-node@1").ok());
   engine.Run();
@@ -240,6 +244,7 @@ TEST(FaultInjectorTest, SpotRevokeUsesSpotListAndDefaultWarning) {
   handlers.list_spot_nodes = [] { return std::vector<NodeId>{7}; };
   handlers.revoke_node = [&](NodeId node, double warn_s) {
     revocations.emplace_back(node, warn_s);
+    return true;
   };
   injector.SetHandlers(std::move(handlers));
   ASSERT_TRUE(injector.ArmSpec("spot-revoke@30, spot-revoke@60:warn=45").ok());
@@ -263,6 +268,7 @@ TEST(FaultInjectorTest, SpotRevokeFallsBackToAliveListAndCliDefault) {
   handlers.list_nodes = [] { return std::vector<NodeId>{4}; };
   handlers.revoke_node = [&](NodeId node, double warn_s) {
     revocations.emplace_back(node, warn_s);
+    return true;
   };
   injector.SetHandlers(std::move(handlers));
   ASSERT_TRUE(injector.ArmSpec("spot-revoke@10").ok());

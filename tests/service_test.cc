@@ -13,6 +13,7 @@
 
 #include "src/common/strings.h"
 #include "src/core/client.h"
+#include "src/obs/tracer.h"
 #include "src/sim/fault_injector.h"
 
 namespace hiway {
@@ -434,6 +435,7 @@ TEST(ServiceFailoverTest, RecoveryReadsOwnPriorAttemptShardsOnly) {
 TEST(ServiceFailoverTest, HeartbeatTimeoutRecoversACrashedAm) {
   auto d = SmallDeployment(6);
   ASSERT_TRUE(d.ok());
+  (*d)->tracer.set_enabled(true);
   auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
   ASSERT_TRUE(service.ok());
   auto id = (*service)->SubmitStaged("kmeans");
@@ -443,6 +445,28 @@ TEST(ServiceFailoverTest, HeartbeatTimeoutRecoversACrashedAm) {
     ASSERT_TRUE((*service)->InjectAmCrash(*id).ok());
   });
   ASSERT_TRUE((*service)->RunToCompletion().ok());
+
+  // The RM fails the AM exactly 10 s after its last heartbeat before the
+  // crash. The AM beat at registration and then every 1 s, each beat
+  // scheduled from the one before; a beat due at the crash instant was
+  // queued after the crash and never sent.
+  std::vector<TraceEvent> events = (*d)->tracer.Drain();
+  const TraceEvent* failure = nullptr;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "am_failure") failure = &e;
+  }
+  ASSERT_NE(failure, nullptr);
+  double registered_at = -1.0;
+  for (const TraceEvent& e : events) {
+    if (e.phase == SpanPhase::kBegin && std::string(e.name) == "workflow" &&
+        e.app == failure->app) {
+      registered_at = e.timestamp;
+    }
+  }
+  ASSERT_GE(registered_at, 0.0);
+  double last_beat = registered_at;
+  while (last_beat + 1.0 < 15.0) last_beat += 1.0;
+  EXPECT_EQ(failure->timestamp, last_beat + 10.0);
 
   const SubmissionRecord* rec = (*service)->record(*id);
   ASSERT_NE(rec, nullptr);
@@ -547,6 +571,35 @@ TEST(ServiceFailoverTest, BurstSurvivesRepeatedAmNodeKills) {
     recovered += rec->am_failures;
   }
   EXPECT_GE(recovered, 2);  // each node kill took down at least one AM
+}
+
+// A node fault aimed beyond the fleet is skipped, not rejected at parse
+// time (elastic joins grow the fleet later), and the injector counts
+// only faults that took effect: a kill of a dead node, a revocation of a
+// dead node and a crash of an unknown submission hit nothing.
+TEST(ServiceFailoverTest, FaultsThatHitNothingAreSkippedAndNotCounted) {
+  auto d = SmallDeployment(4);
+  ASSERT_TRUE(d.ok());
+  auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
+  ASSERT_TRUE(service.ok());
+  auto id = (*service)->SubmitStaged("montage");
+  ASSERT_TRUE(id.ok());
+  FaultInjector injector(&(*d)->engine, /*seed=*/7);
+  (*service)->InstallFaultHandlers(&injector);
+  ASSERT_TRUE(injector
+                  .ArmSpec("kill-node@1:node=999, spot-revoke@1:node=999, "
+                           "am-crash@1:sub=7, kill-node@2:node=3, "
+                           "kill-node@3:node=3, spot-revoke@4:node=3")
+                  .ok());
+  ASSERT_TRUE((*service)->RunToCompletion().ok());
+  EXPECT_EQ(injector.counters().node_kills, 1);
+  EXPECT_EQ(injector.counters().am_crashes, 0);
+  EXPECT_EQ(injector.counters().spot_revocations, 0);
+  EXPECT_FALSE((*d)->rm->IsNodeAlive(3));
+  const SubmissionRecord* rec = (*service)->record(*id);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->state, SubmissionState::kSucceeded)
+      << rec->report.status.ToString();
 }
 
 TEST(ServiceTest, PreemptionRestoresGuaranteeAndChargesNoAttempts) {

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <deque>
+#include <random>
 
 #include "src/yarn/rm_scheduler.h"
+#include "tests/oracles/liveness_oracle.h"
 #include "tests/oracles/rm_oracle.h"
 
 namespace hiway {
@@ -326,52 +330,68 @@ TEST(YarnTest, KillContainerOnTheAmFailsTheApplication) {
 
 TEST(YarnTest, HeartbeatTimeoutFailsASilentAm) {
   YarnRig rig(1, 4, 4096);
-  std::vector<std::string> reasons;
+  std::vector<std::pair<double, std::string>> failures;
   rig.rm->SetAppFailureListener(
       [&](ApplicationId, const std::string&, const std::string& reason) {
-        reasons.push_back(reason);
+        failures.emplace_back(rig.engine.Now(), reason);
       });
-  // Opt into liveness monitoring, then fall silent.
-  rig.rm->AmHeartbeat(rig.app);
+  // Registered at 0, the AM beat at 0, 1, 2 and 3 before dying at 3.5.
+  rig.engine.ScheduleAt(3.5, [&] { rig.rm->AmSilent(rig.app); });
   rig.engine.Run();
-  ASSERT_EQ(reasons.size(), 1u);
-  EXPECT_NE(reasons[0].find("heartbeat timeout"), std::string::npos);
-  EXPECT_GE(rig.engine.Now(), rig.rm->options().am_liveness_timeout_s);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].first, 3.0 + kAmLivenessTimeoutS);
+  EXPECT_EQ(failures[0].second, "AM heartbeat timeout (10.0s)");
+  EXPECT_EQ(rig.rm->counters().app_failures, 1);
+  EXPECT_EQ(rig.rm->running_containers(), 0);
 }
 
-TEST(YarnTest, AmThatKeepsHeartbeatingIsNotFailed) {
+TEST(YarnTest, AmThatUnregistersWhileLiveIsNotFailed) {
   YarnRig rig(1, 4, 4096);
   int failures = 0;
   rig.rm->SetAppFailureListener(
       [&](ApplicationId, const std::string&, const std::string&) {
         ++failures;
       });
-  // Heartbeat every second for 30 s — well past the 10 s timeout — then
-  // finish (unregister) while still healthy.
-  std::function<void(int)> beat = [&](int remaining) {
-    if (remaining == 0) {
-      rig.rm->UnregisterApplication(rig.app);
-      return;
-    }
-    rig.rm->AmHeartbeat(rig.app);
-    rig.engine.ScheduleAfter(1.0, [&, remaining] { beat(remaining - 1); });
-  };
-  beat(30);
+  // Live for 30 s — well past the 10 s timeout — then finish
+  // (unregister) while still healthy; a late AmSilent is ignored.
+  rig.engine.ScheduleAt(30.0, [&] {
+    rig.rm->UnregisterApplication(rig.app);
+    rig.rm->AmSilent(rig.app);
+  });
   rig.engine.Run();
   EXPECT_EQ(failures, 0);
   EXPECT_GE(rig.engine.Now(), 30.0);
 }
 
-TEST(YarnTest, NeverHeartbeatingAmIsExemptFromLiveness) {
+TEST(YarnTest, AmThatNeverFallsSilentIsNeverFailed) {
   YarnRig rig(1, 4, 4096);
   int failures = 0;
   rig.rm->SetAppFailureListener(
       [&](ApplicationId, const std::string&, const std::string&) {
         ++failures;
       });
+  // A live AM costs the engine nothing: no beat or check is pending.
+  EXPECT_EQ(rig.engine.pending_events(), 0u);
   rig.engine.ScheduleAt(100.0, [] {});
   rig.engine.Run();
   EXPECT_EQ(failures, 0);
+  EXPECT_EQ(rig.engine.events_executed(), 1u);
+}
+
+TEST(YarnTest, SilentAmFailedMeanwhileIsNotFailedAgain) {
+  YarnRig rig(2, 4, 4096);
+  std::vector<std::string> reasons;
+  rig.rm->SetAppFailureListener(
+      [&](ApplicationId, const std::string&, const std::string& reason) {
+        reasons.push_back(reason);
+      });
+  rig.engine.ScheduleAt(2.5, [&] { rig.rm->AmSilent(rig.app); });
+  // The AM's node dies before the timeout lapses.
+  rig.engine.ScheduleAt(5.0, [&] { rig.rm->KillNode(0); });
+  rig.engine.Run();
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0], "AM node 0 lost");
+  EXPECT_EQ(rig.rm->counters().app_failures, 1);
 }
 
 TEST(YarnTest, DeadNodeReceivesNoAllocations) {
@@ -963,6 +983,139 @@ TEST(YarnPreemptionTest, VictimSelectionOrdersAndExemptions) {
 
 TEST(YarnPreemptionTest, LossReasonToString) {
   EXPECT_STREQ(ToString(ContainerLossReason::kPreempted), "preempted");
+}
+
+// ---------------------------------------------------------------------
+// AM liveness lease vs the polling oracle (tests/oracles/liveness_oracle.h).
+// ---------------------------------------------------------------------
+
+struct LivenessOutcome {
+  double failed_at = -1.0;
+  std::string reason;
+  int failures = 0;
+};
+
+/// Registers an AM at `phase` and crashes it at `crash`. The crash event
+/// is queued before the run starts — before any beat, as the fault
+/// injector queues it — unless `queue_at` >= 0 queues it from an event at
+/// that time. `lease` picks ResourceManager::AmSilent over the oracle.
+LivenessOutcome RunLiveness(bool lease, double phase, double crash,
+                            double queue_at = -1.0) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  NodeSpec node;
+  node.cores = 4;
+  node.memory_mb = 4096;
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(1, node, 1000.0));
+  ResourceManager rm(&cluster, YarnOptions{});
+  RecordingAm am;
+  ApplicationId app = -1;
+  LivenessOutcome out;
+  auto record = [&](const std::string& reason) {
+    out.failed_at = engine.Now();
+    out.reason = reason;
+    ++out.failures;
+  };
+  rm.SetAppFailureListener(
+      [&](ApplicationId, const std::string&, const std::string& reason) {
+        record(reason);
+      });
+  PollingLivenessOracle oracle(&engine, record);
+  engine.ScheduleAt(phase, [&] {
+    if (!lease) {
+      oracle.Register();
+      return;
+    }
+    auto registered = rm.RegisterApplication("am", &am, 1, 512);
+    ASSERT_TRUE(registered.ok());
+    app = *registered;
+  });
+  auto crash_now = [&] {
+    if (lease) {
+      rm.AmSilent(app);
+    } else {
+      oracle.Crash();
+    }
+  };
+  if (queue_at < 0.0) {
+    engine.ScheduleAt(crash, crash_now);
+  } else {
+    engine.ScheduleAt(queue_at,
+                      [&] { engine.ScheduleAt(crash, crash_now); });
+  }
+  engine.Run();
+  return out;
+}
+
+/// The AM's k-th beat after registering at `phase`, by the same repeated
+/// additions its ticks were scheduled with.
+double BeatTime(double phase, int k) {
+  double t = phase;
+  for (int i = 0; i < k; ++i) t += kAmHeartbeatS;
+  return t;
+}
+
+TEST(LivenessLeaseTest, MatchesThePollingOracleOnRandomCrashes) {
+  std::mt19937_64 rng(20170321);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int on_beat = 0;
+  for (int draw = 0; draw < 1500; ++draw) {
+    // Integer phases, fractional ones, and large ones whose repeated
+    // additions drift away from phase + k.
+    double phase;
+    switch (draw % 3) {
+      case 0: phase = static_cast<double>(rng() % 20); break;
+      case 1: phase = 100.0 * unit(rng); break;
+      default: phase = 1e3 + 1e5 * unit(rng); break;
+    }
+    int k = static_cast<int>(rng() % 300);
+    double crash;
+    // Anywhere, exactly on a beat, exactly on a liveness check, and one
+    // ulp either side of a beat.
+    double beat = BeatTime(phase, k);
+    switch ((draw / 3) % 5) {
+      case 0: crash = phase + 300.0 * unit(rng); break;
+      case 1: crash = beat; ++on_beat; break;
+      case 2: crash = beat + kAmLivenessTimeoutS; break;
+      case 3: crash = std::nextafter(beat + kAmHeartbeatS, 0.0); break;
+      default: crash = std::nextafter(beat, 1e300); break;
+    }
+    LivenessOutcome oracle = RunLiveness(/*lease=*/false, phase, crash);
+    LivenessOutcome lease = RunLiveness(/*lease=*/true, phase, crash);
+    ASSERT_EQ(oracle.failures, 1) << "phase " << phase << " crash " << crash;
+    ASSERT_EQ(lease.failures, 1) << "phase " << phase << " crash " << crash;
+    // Bit-equal failure times, identical reasons.
+    ASSERT_EQ(std::memcmp(&oracle.failed_at, &lease.failed_at, sizeof(double)),
+              0)
+        << "phase " << phase << " crash " << crash << ": oracle "
+        << oracle.failed_at << " lease " << lease.failed_at;
+    ASSERT_EQ(oracle.reason, lease.reason);
+  }
+  EXPECT_GE(on_beat, 250);
+}
+
+// A crash queued within the last beat period that lands exactly on a beat
+// is the one case the two disagree on: the beat was queued first, so the
+// polling AM still sent it, while the lease counts every beat due at the
+// crash instant as missed (right for crashes queued earlier, such as every
+// injected one). The lease then fails the AM one period early.
+TEST(LivenessLeaseTest,
+     CrashQueuedWithinTheLastPeriodOnABeatIsTheKnownDivergence) {
+  const double phase = 0.3;
+  const double beat4 = BeatTime(phase, 4);
+  const double beat5 = BeatTime(phase, 5);
+  // Queued at 4.8, after the beat at 5.3 was: the two disagree.
+  LivenessOutcome oracle =
+      RunLiveness(/*lease=*/false, phase, beat5, /*queue_at=*/4.8);
+  LivenessOutcome lease =
+      RunLiveness(/*lease=*/true, phase, beat5, /*queue_at=*/4.8);
+  EXPECT_EQ(oracle.failed_at, beat5 + kAmLivenessTimeoutS);
+  EXPECT_EQ(lease.failed_at, beat4 + kAmLivenessTimeoutS);
+  // Queued at 4.0, before that beat: both fail at beat 4 + timeout.
+  oracle = RunLiveness(/*lease=*/false, phase, beat5, /*queue_at=*/4.0);
+  lease = RunLiveness(/*lease=*/true, phase, beat5, /*queue_at=*/4.0);
+  EXPECT_EQ(oracle.failed_at, beat4 + kAmLivenessTimeoutS);
+  EXPECT_EQ(lease.failed_at, beat4 + kAmLivenessTimeoutS);
 }
 
 }  // namespace
