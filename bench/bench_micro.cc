@@ -256,20 +256,24 @@ void BM_HeftScheduleBuild(benchmark::State& state) {
   const int tasks_n = static_cast<int>(state.range(0));
   RuntimeEstimator estimator;
   for (int n = 0; n < 24; ++n) estimator.Observe("t", n, 10.0 + n);
+  // Binary-tree DAG: task id reads the file its parent id / 2 writes.
+  auto file = [](TaskId id) {
+    return StrFormat("/tree/%lld", static_cast<long long>(id));
+  };
   std::vector<TaskSpec> tasks;
-  TaskDependencies deps;
   for (TaskId id = 1; id <= tasks_n; ++id) {
     TaskSpec t;
     t.id = id;
     t.signature = "t";
+    if (id > 1) t.input_files.push_back(file(id / 2));
+    t.outputs.push_back(OutputSpec{"out", file(id), {}, false});
     tasks.push_back(std::move(t));
-    if (id > 1) deps[id] = {id / 2};  // binary-tree DAG
   }
   std::vector<NodeId> nodes;
   for (NodeId n = 0; n < 24; ++n) nodes.push_back(n);
   for (auto _ : state) {
     HeftScheduler scheduler(&estimator);
-    Status st = scheduler.BuildStaticSchedule(tasks, deps, nodes);
+    Status st = scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), nodes);
     benchmark::DoNotOptimize(st);
   }
   state.SetItemsProcessed(state.iterations() * tasks_n);

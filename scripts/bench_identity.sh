@@ -12,10 +12,11 @@
 # The default bench list covers the service and scheduler layers: the
 # multi-tenant service, AM failover, preemption, elastic membership,
 # footprint admission and cache reuse, plus the workflow-scheduler
-# ablations (data-aware locality, adaptive policies, HEFT) and the Fig. 4
-# Hi-WAY-vs-Tez scaling run. Their stdout is virtual-time only, so a
-# behaviour-preserving change must reproduce it byte for byte. The
-# temporary tree goes under $TMPDIR (default /tmp) and is removed on exit.
+# ablations (data-aware locality, adaptive policies, HEFT, HEFT under
+# three runtime-estimator strategies) and the Fig. 4 Hi-WAY-vs-Tez
+# scaling run. Their stdout is virtual-time only, so a behaviour-
+# preserving change must reproduce it byte for byte. The temporary tree
+# goes under $TMPDIR (default /tmp) and is removed on exit.
 
 set -eu
 
@@ -29,7 +30,7 @@ if [ $# -eq 0 ]; then
   set -- bench_service_multitenant bench_failover bench_preemption \
     bench_elastic bench_footprint bench_cache_reuse \
     bench_ablation_locality bench_ablation_adaptive_policies \
-    bench_fig9_heft_adaptive bench_fig4_scaling_tez
+    bench_fig9_heft_adaptive bench_ablation_estimator bench_fig4_scaling_tez
 fi
 
 repo=$(cd "$(dirname "$0")/.." && pwd)

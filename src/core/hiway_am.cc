@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/lang/workflow_validate.h"
 #include "src/obs/tracer.h"
 
 namespace hiway {
@@ -210,23 +211,6 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
   }
 
   if (scheduler_->IsStatic()) {
-    // Derive data dependencies from produced/consumed files.
-    std::map<std::string, TaskId> producer;
-    for (const TaskSpec& t : tasks) {
-      for (const OutputSpec& out : t.outputs) {
-        if (!out.is_value) producer[out.path] = t.id;
-      }
-    }
-    TaskDependencies deps;
-    for (const TaskSpec& t : tasks) {
-      auto& parents = deps[t.id];
-      for (const std::string& in : t.input_files) {
-        auto it = producer.find(in);
-        if (it != producer.end() && it->second != t.id) {
-          parents.push_back(it->second);
-        }
-      }
-    }
     // Static placements may only target nodes that can actually host task
     // containers (dedicated master VMs or otherwise exhausted nodes are
     // excluded).
@@ -238,7 +222,8 @@ Status HiWayAm::Submit(WorkflowSource* source, WorkflowScheduler* scheduler) {
         schedulable.push_back(n);
       }
     }
-    Status st = scheduler_->BuildStaticSchedule(tasks, deps, schedulable);
+    Status st = scheduler_->BuildStaticSchedule(tasks, TaskGraph(tasks),
+                                                schedulable);
     if (!st.ok()) {
       FinishWorkflow(st.WithContext("static scheduling failed"));
       return st;

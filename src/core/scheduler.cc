@@ -116,49 +116,6 @@ void DataAwareScheduler::RemoveTask(TaskId id) {
       queue_.end());
 }
 
-// ---------------------------------------------------------- round-robin ---
-
-namespace {
-
-/// Kahn topological order; tasks missing from `deps` count as sources.
-/// Returns InvalidArgument on cycles.
-Result<std::vector<const TaskSpec*>> TopologicalOrder(
-    const std::vector<TaskSpec>& tasks, const TaskDependencies& deps) {
-  std::map<TaskId, const TaskSpec*> by_id;
-  std::map<TaskId, int> in_degree;
-  std::map<TaskId, std::vector<TaskId>> dependents;
-  for (const TaskSpec& t : tasks) {
-    by_id[t.id] = &t;
-    in_degree[t.id] = 0;
-  }
-  for (const auto& [task, parents] : deps) {
-    for (TaskId parent : parents) {
-      if (by_id.find(parent) == by_id.end()) continue;
-      ++in_degree[task];
-      dependents[parent].push_back(task);
-    }
-  }
-  std::deque<TaskId> frontier;
-  for (const TaskSpec& t : tasks) {
-    if (in_degree[t.id] == 0) frontier.push_back(t.id);
-  }
-  std::vector<const TaskSpec*> order;
-  while (!frontier.empty()) {
-    TaskId id = frontier.front();
-    frontier.pop_front();
-    order.push_back(by_id[id]);
-    for (TaskId dep : dependents[id]) {
-      if (--in_degree[dep] == 0) frontier.push_back(dep);
-    }
-  }
-  if (order.size() != tasks.size()) {
-    return Status::InvalidArgument("task graph contains a cycle");
-  }
-  return order;
-}
-
-}  // namespace
-
 // ------------------------------------------------------ static policies ---
 
 std::deque<TaskId>& StaticPlacementScheduler::QueueOf(TaskId id) {
@@ -202,17 +159,17 @@ Result<NodeId> StaticPlacementScheduler::AssignedNode(TaskId id) const {
 }
 
 Status RoundRobinScheduler::BuildStaticSchedule(
-    const std::vector<TaskSpec>& tasks, const TaskDependencies& deps,
+    const std::vector<TaskSpec>& tasks, const TaskGraph& graph,
     const std::vector<NodeId>& nodes) {
   if (nodes.empty()) {
     return Status::InvalidArgument("round-robin needs at least one node");
   }
-  HIWAY_ASSIGN_OR_RETURN(std::vector<const TaskSpec*> order,
-                         TopologicalOrder(tasks, deps));
-  size_t next = 0;
-  for (const TaskSpec* t : order) {
-    assignment_[t->id] = nodes[next];
-    next = (next + 1) % nodes.size();
+  if (!graph.cyclic().empty()) {
+    return Status::InvalidArgument("task graph contains a cycle");
+  }
+  const std::vector<size_t>& order = graph.order();
+  for (size_t k = 0; k < order.size(); ++k) {
+    assignment_[tasks[order[k]].id] = nodes[k % nodes.size()];
   }
   return Status::OK();
 }
@@ -225,23 +182,17 @@ void RoundRobinScheduler::EnqueueReady(const TaskSpec& task) {
 // ----------------------------------------------------------------- HEFT ---
 
 Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
-                                          const TaskDependencies& deps,
+                                          const TaskGraph& graph,
                                           const std::vector<NodeId>& nodes) {
   if (nodes.empty()) {
     return Status::InvalidArgument("HEFT needs at least one node");
   }
-  HIWAY_ASSIGN_OR_RETURN(std::vector<const TaskSpec*> order,
-                         TopologicalOrder(tasks, deps));
-
-  // Successor lists for the upward-rank recursion.
-  std::map<TaskId, std::vector<TaskId>> successors;
-  for (const auto& [task, parents] : deps) {
-    for (TaskId parent : parents) successors[parent].push_back(task);
+  if (!graph.cyclic().empty()) {
+    return Status::InvalidArgument("task graph contains a cycle");
   }
-  std::map<TaskId, const TaskSpec*> by_id;
-  for (const TaskSpec& t : tasks) by_id[t.id] = &t;
+  const std::vector<size_t>& order = graph.order();
 
-  // rank_u(t) = w̄(t) + max over successors of rank_u(succ); computed in
+  // rank_u(t) = w̄(t) + max over children of rank_u(child); computed in
   // reverse topological order. w̄ averages the estimates over the
   // schedulable nodes.
   auto mean_estimate = [&](const std::string& signature) {
@@ -249,40 +200,35 @@ Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
     for (NodeId n : nodes) total += estimator_->Estimate(signature, n);
     return total / static_cast<double>(nodes.size());
   };
+  std::vector<double> rank(tasks.size(), 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const TaskSpec* t = *it;
-    double succ_rank = 0.0;
-    for (TaskId s : successors[t->id]) {
-      succ_rank = std::max(succ_rank, rank_[s]);
+    double child_rank = 0.0;
+    for (size_t child : graph.children(*it)) {
+      child_rank = std::max(child_rank, rank[child]);
     }
-    rank_[t->id] = mean_estimate(t->signature) + succ_rank;
+    rank[*it] = mean_estimate(tasks[*it].signature) + child_rank;
+    rank_[tasks[*it].id] = rank[*it];
   }
 
   // Placement: tasks by decreasing rank onto the node with the earliest
   // estimated finish time. EST respects both the node's accumulated load
-  // and the estimated finish times of the task's parents.
-  std::vector<const TaskSpec*> by_rank(order.begin(), order.end());
+  // and the estimated finish times of the task's parents (a parent ranks
+  // at least as high, so it is placed first).
+  std::vector<size_t> by_rank(order.begin(), order.end());
   std::stable_sort(by_rank.begin(), by_rank.end(),
-                   [this](const TaskSpec* a, const TaskSpec* b) {
-                     return rank_[a->id] > rank_[b->id];
-                   });
+                   [&rank](size_t a, size_t b) { return rank[a] > rank[b]; });
   std::map<NodeId, double> node_free;
   std::map<NodeId, int> node_tasks;
   for (NodeId n : nodes) {
     node_free[n] = 0.0;
     node_tasks[n] = 0;
   }
-  std::map<TaskId, double> finish_time;
-  for (const TaskSpec* t : by_rank) {
+  std::vector<double> finish_time(tasks.size(), 0.0);
+  for (size_t i : by_rank) {
+    const TaskSpec& t = tasks[i];
     double parents_done = 0.0;
-    auto dep_it = deps.find(t->id);
-    if (dep_it != deps.end()) {
-      for (TaskId parent : dep_it->second) {
-        auto fit = finish_time.find(parent);
-        if (fit != finish_time.end()) {
-          parents_done = std::max(parents_done, fit->second);
-        }
-      }
+    for (size_t parent : graph.parents(i)) {
+      parents_done = std::max(parents_done, finish_time[parent]);
     }
     // EFT ties (common while estimates default to zero) break towards the
     // least-loaded node, so exploration spreads over all unobserved
@@ -292,7 +238,7 @@ Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
     NodeId best_node = nodes.front();
     for (NodeId n : nodes) {
       double est = std::max(node_free[n], parents_done);
-      double eft = est + estimator_->Estimate(t->signature, n);
+      double eft = est + estimator_->Estimate(t.signature, n);
       if (eft < best_eft - 1e-12 ||
           (eft < best_eft + 1e-12 && node_tasks[n] < best_count)) {
         best_eft = eft;
@@ -300,10 +246,10 @@ Status HeftScheduler::BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
         best_node = n;
       }
     }
-    assignment_[t->id] = best_node;
+    assignment_[t.id] = best_node;
     node_free[best_node] = best_eft;
     ++node_tasks[best_node];
-    finish_time[t->id] = best_eft;
+    finish_time[i] = best_eft;
   }
   return Status::OK();
 }

@@ -13,7 +13,8 @@
 //
 // Static policies need the full task graph up front and are therefore
 // incompatible with iterative (Cuneiform) workflows — the driver enforces
-// this, mirroring the paper.
+// this, mirroring the paper. They read the graph's edges and topological
+// order from the one TaskGraph (src/lang/workflow_validate.h).
 
 #ifndef HIWAY_CORE_SCHEDULER_H_
 #define HIWAY_CORE_SCHEDULER_H_
@@ -29,12 +30,10 @@
 #include "src/core/runtime_estimator.h"
 #include "src/hdfs/dfs.h"
 #include "src/lang/workflow.h"
+#include "src/lang/workflow_validate.h"
 #include "src/yarn/yarn.h"
 
 namespace hiway {
-
-/// Dependency edges of a static task graph: deps[t] = tasks t reads from.
-using TaskDependencies = std::map<TaskId, std::vector<TaskId>>;
 
 class WorkflowScheduler {
  public:
@@ -45,14 +44,15 @@ class WorkflowScheduler {
   /// Static schedulers pre-build a full placement and pin containers.
   virtual bool IsStatic() const { return false; }
 
-  /// Called once with the complete task graph (static schedulers only).
-  /// `nodes` are the compute nodes that can actually host task containers
-  /// (dedicated master VMs are excluded).
+  /// Called once with the complete task list and its graph (static
+  /// schedulers only); `graph` must be built from `tasks`. `nodes` are the
+  /// compute nodes that can actually host task containers (dedicated
+  /// master VMs are excluded).
   virtual Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
-                                     const TaskDependencies& deps,
+                                     const TaskGraph& graph,
                                      const std::vector<NodeId>& nodes) {
     (void)tasks;
-    (void)deps;
+    (void)graph;
     (void)nodes;
     return Status::OK();
   }
@@ -153,13 +153,13 @@ class StaticPlacementScheduler : public WorkflowScheduler {
   size_t queued_ = 0;
 };
 
-/// Static round-robin: tasks are dealt to nodes in turn (topological
-/// order), and each container is pinned to its task's node.
+/// Static round-robin: tasks are dealt to nodes in turn along the graph's
+/// topological order, and each container is pinned to its task's node.
 class RoundRobinScheduler : public StaticPlacementScheduler {
  public:
   std::string name() const override { return "round-robin"; }
   Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
-                             const TaskDependencies& deps,
+                             const TaskGraph& graph,
                              const std::vector<NodeId>& nodes) override;
   void EnqueueReady(const TaskSpec& task) override;
 };
@@ -175,7 +175,7 @@ class HeftScheduler : public StaticPlacementScheduler {
       : estimator_(estimator) {}
   std::string name() const override { return "heft"; }
   Status BuildStaticSchedule(const std::vector<TaskSpec>& tasks,
-                             const TaskDependencies& deps,
+                             const TaskGraph& graph,
                              const std::vector<NodeId>& nodes) override;
   /// Keeps each node's queue in decreasing rank order.
   void EnqueueReady(const TaskSpec& task) override;

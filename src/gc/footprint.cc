@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <set>
+
+#include "src/lang/workflow_validate.h"
 
 namespace hiway {
 
@@ -13,13 +14,10 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
   FootprintEstimate est;
   std::set<std::string> target_set(targets.begin(), targets.end());
 
-  // Producer / consumer indices over file (non-value) paths.
-  std::map<std::string, size_t> producer_of;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    for (const OutputSpec& out : tasks[i].outputs) {
-      if (!out.is_value) producer_of[out.path] = i;
-    }
-  }
+  TaskGraph graph(tasks);
+  auto produced = [&](const std::string& path) {
+    return graph.ProducerOf(path).has_value();
+  };
   std::map<std::string, int> remaining_consumers;
   std::vector<std::set<std::string>> inputs_of(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
@@ -34,7 +32,7 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
   int64_t live = 0;
   for (const auto& [path, count] : remaining_consumers) {
     (void)count;
-    if (producer_of.find(path) != producer_of.end()) continue;
+    if (produced(path)) continue;
     int64_t size = 0;
     if (dfs != nullptr) {
       auto stat = dfs->Stat(path);
@@ -46,43 +44,11 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
   }
   est.peak_bytes = live;
 
-  // Kahn topological order over producer -> consumer edges.
-  std::vector<int> missing_deps(tasks.size(), 0);
-  std::vector<std::vector<size_t>> dependents(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    for (const std::string& path : inputs_of[i]) {
-      auto producer = producer_of.find(path);
-      if (producer != producer_of.end() && producer->second != i) {
-        ++missing_deps[i];
-        dependents[producer->second].push_back(i);
-      }
-    }
-  }
-  std::queue<size_t> ready;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (missing_deps[i] == 0) ready.push(i);
-  }
-  std::vector<size_t> order;
-  order.reserve(tasks.size());
-  while (!ready.empty()) {
-    size_t i = ready.front();
-    ready.pop();
-    order.push_back(i);
-    for (size_t dep : dependents[i]) {
-      if (--missing_deps[dep] == 0) ready.push(dep);
-    }
-  }
-  // Cycles / unresolvable deps (malformed graphs): append leftovers in
-  // declaration order so the walk still terminates.
-  if (order.size() < tasks.size()) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (missing_deps[i] > 0) order.push_back(i);
-    }
-  }
-
-  // Serial GC-enabled walk: produce outputs, then retire inputs whose
-  // last consumer just finished.
-  for (size_t i : order) {
+  // Serial GC-enabled walk in topological order: produce outputs, then
+  // retire inputs whose last consumer just finished. Tasks on a cycle
+  // (malformed graphs) follow in declaration order, so the walk still
+  // visits every task.
+  auto run = [&](size_t i) {
     const TaskSpec& task = tasks[i];
     int64_t input_sum = 0;
     for (const std::string& path : inputs_of[i]) {
@@ -115,13 +81,14 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
       remaining_consumers.erase(count);
       // Only scope-produced, non-target files are collectible; staged
       // external inputs stay for the whole run.
-      if (producer_of.find(path) != producer_of.end() &&
-          target_set.count(path) == 0) {
+      if (produced(path) && target_set.count(path) == 0) {
         auto size = size_of.find(path);
         if (size != size_of.end()) live -= size->second;
       }
     }
-  }
+  };
+  for (size_t i : graph.order()) run(i);
+  for (size_t i : graph.cyclic()) run(i);
   return est;
 }
 

@@ -31,9 +31,11 @@ struct FootprintEstimate {
 };
 
 /// Estimates the storage footprint of executing `tasks` with GC enabled.
-/// Walks the graph in topological order, adding each task's outputs to
-/// the live set and retiring inputs whose last consumer completed
-/// (targets and external inputs are never retired). `dfs` supplies sizes
+/// Walks TaskGraph(tasks).order() (src/lang/workflow_validate.h), the
+/// topological order the static schedulers use, adding each task's
+/// outputs to the live set and retiring inputs whose last consumer
+/// completed (targets and external inputs are never retired); tasks on a
+/// cycle follow in declaration order. `dfs` supplies sizes
 /// of already-staged external inputs and may be nullptr (inputs then
 /// count as zero bytes). Logical bytes — multiply by the effective DFS
 /// replication factor for raw capacity.

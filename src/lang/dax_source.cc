@@ -87,11 +87,9 @@ Result<std::unique_ptr<DaxSource>> DaxSource::Parse(
     source->tasks_.push_back(std::move(task));
   }
 
-  // Validate explicit dependency edges against the file-derived ones.
-  std::map<std::string, const TaskSpec*> producer_of;
-  for (const TaskSpec& t : source->tasks_) {
-    for (const OutputSpec& o : t.outputs) producer_of[o.path] = &t;
-  }
+  // <child>/<parent> refs are only checked to name declared jobs. The
+  // edges follow from the files (TaskGraph), and the refs are not checked
+  // against them.
   for (const XmlElement* child : root->Children("child")) {
     std::string child_ref = child->Attr("ref");
     auto cit = id_by_job.find(child_ref);

@@ -1,6 +1,6 @@
 #include "src/lang/workflow_validate.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -8,10 +8,52 @@
 
 namespace hiway {
 
+TaskGraph::TaskGraph(const std::vector<TaskSpec>& tasks)
+    : parents_(tasks.size()), children_(tasks.size()) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (const OutputSpec& out : tasks[i].outputs) {
+      if (!out.is_value) producer_of_.emplace(out.path, i);
+    }
+  }
+  // last_child[p] == i once p is recorded as a parent of task i.
+  std::vector<size_t> last_child(tasks.size(), tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (const std::string& path : tasks[i].input_files) {
+      std::optional<size_t> p = ProducerOf(path);
+      if (!p.has_value() || *p == i || last_child[*p] == i) continue;
+      last_child[*p] = i;
+      parents_[i].push_back(*p);
+      children_[*p].push_back(i);
+    }
+  }
+  // Kahn's algorithm, with order_ itself as the FIFO queue.
+  std::vector<size_t> in_degree(tasks.size());
+  order_.reserve(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    in_degree[i] = parents_[i].size();
+    if (in_degree[i] == 0) order_.push_back(i);
+  }
+  for (size_t head = 0; head < order_.size(); ++head) {
+    for (size_t child : children_[order_[head]]) {
+      if (--in_degree[child] == 0) order_.push_back(child);
+    }
+  }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (in_degree[i] > 0) cyclic_.push_back(i);
+  }
+}
+
+std::optional<size_t> TaskGraph::ProducerOf(std::string_view path) const {
+  auto it = producer_of_.find(path);
+  if (it == producer_of_.end()) return std::nullopt;
+  return it->second;
+}
+
 Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
+  TaskGraph graph(tasks);
   std::set<TaskId> ids;
-  std::map<std::string, TaskId> producer_of;
-  for (const TaskSpec& task : tasks) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const TaskSpec& task = tasks[i];
     if (task.id <= 0) {
       return Status::InvalidArgument(
           StrFormat("task '%s' has non-positive id %lld",
@@ -51,52 +93,23 @@ Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
             "task %lld uses '%s' as both input and output (self-dependency)",
             static_cast<long long>(task.id), out.path.c_str()));
       }
-      auto [it, inserted] = producer_of.emplace(out.path, task.id);
-      if (!inserted && it->second != task.id) {
+      if (out.is_value) continue;
+      size_t first = *graph.ProducerOf(out.path);
+      if (first != i) {
         return Status::InvalidArgument(StrFormat(
             "output '%s' is produced by both task %lld and task %lld",
-            out.path.c_str(), static_cast<long long>(it->second),
+            out.path.c_str(), static_cast<long long>(tasks[first].id),
             static_cast<long long>(task.id)));
       }
     }
   }
-  // Cycle check over the file-induced dependency graph (Kahn's algorithm):
-  // an edge producer(task) -> consumer(task) exists when the consumer reads
-  // a path the producer writes. A cycle would deadlock the driver.
-  std::map<TaskId, std::set<TaskId>> consumers;
-  std::map<TaskId, int> indegree;
-  for (const TaskSpec& task : tasks) indegree[task.id] = 0;
-  for (const TaskSpec& task : tasks) {
-    for (const std::string& in : task.input_files) {
-      auto it = producer_of.find(in);
-      if (it == producer_of.end() || it->second == task.id) continue;
-      if (consumers[it->second].insert(task.id).second) ++indegree[task.id];
-    }
-  }
-  std::vector<TaskId> ready;
-  for (const auto& [id, deg] : indegree) {
-    if (deg == 0) ready.push_back(id);
-  }
-  size_t visited = 0;
-  while (!ready.empty()) {
-    TaskId id = ready.back();
-    ready.pop_back();
-    ++visited;
-    auto it = consumers.find(id);
-    if (it == consumers.end()) continue;
-    for (TaskId next : it->second) {
-      if (--indegree[next] == 0) ready.push_back(next);
-    }
-  }
-  if (visited != tasks.size()) {
-    for (const auto& [id, deg] : indegree) {
-      if (deg > 0) {
-        return Status::InvalidArgument(StrFormat(
-            "task dependency cycle through task %lld (workflow would "
-            "deadlock)",
-            static_cast<long long>(id)));
-      }
-    }
+  // A cycle would deadlock the AM; name its smallest task id.
+  if (!graph.cyclic().empty()) {
+    TaskId id = tasks[graph.cyclic().front()].id;
+    for (size_t i : graph.cyclic()) id = std::min(id, tasks[i].id);
+    return Status::InvalidArgument(StrFormat(
+        "task dependency cycle through task %lld (workflow would deadlock)",
+        static_cast<long long>(id)));
   }
   return Status::OK();
 }

@@ -1,4 +1,11 @@
-// Structural validity checks for front-end task graphs.
+// The static task graph of a front-end's task list, and its validity
+// checks.
+//
+// A static workflow's edges follow from its files: a task depends on the
+// task that writes a file it reads. TaskGraph derives those edges and a
+// topological order once; the validator, the footprint estimator
+// (src/gc/footprint.h) and the static workflow schedulers
+// (src/core/scheduler.h) all read it.
 //
 // Every static front-end (DAX, Galaxy, trace, CWL) runs its parsed task
 // vector through ValidateWorkflowTasks before handing it to the driver, and
@@ -9,6 +16,10 @@
 #ifndef HIWAY_LANG_WORKFLOW_VALIDATE_H_
 #define HIWAY_LANG_WORKFLOW_VALIDATE_H_
 
+#include <cstddef>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/result.h"
@@ -16,12 +27,46 @@
 
 namespace hiway {
 
+/// File-induced dependency graph over a task vector. Tasks are named by
+/// their position in that vector. Task p is a parent of task c when c
+/// reads a path p writes as a file output; value outputs name no file and
+/// make no edge, and a task reading its own output is no edge either.
+/// Building never fails: a malformed list (a cycle, a path written twice)
+/// still yields a graph, and the validator turns it into an error.
+///
+/// The graph keeps views of the tasks' output paths, so the task vector
+/// must outlive it and stay unmodified.
+class TaskGraph {
+ public:
+  explicit TaskGraph(const std::vector<TaskSpec>& tasks);
+
+  /// The first task that writes `path` as a file output, if any.
+  std::optional<size_t> ProducerOf(std::string_view path) const;
+  /// Distinct producers of task `i`'s inputs, in the order it reads them.
+  const std::vector<size_t>& parents(size_t i) const { return parents_[i]; }
+  /// Distinct readers of task `i`'s outputs, in declaration order.
+  const std::vector<size_t>& children(size_t i) const { return children_[i]; }
+  /// Kahn topological order: sources in declaration order, then each
+  /// task's children in declaration order as their last parent is
+  /// visited. Tasks on (or downstream of) a cycle are left out.
+  const std::vector<size_t>& order() const { return order_; }
+  /// The tasks order() leaves out, in declaration order; empty for a DAG.
+  const std::vector<size_t>& cyclic() const { return cyclic_; }
+
+ private:
+  std::unordered_map<std::string_view, size_t> producer_of_;
+  std::vector<std::vector<size_t>> parents_;
+  std::vector<std::vector<size_t>> children_;
+  std::vector<size_t> order_;
+  std::vector<size_t> cyclic_;
+};
+
 /// Checks that `tasks` form a well-formed static task graph:
 ///  - task ids are positive and unique,
 ///  - signatures and file paths are non-empty,
 ///  - declared output sizes are non-negative,
 ///  - no task lists the same path as both input and output (self-dependency),
-///  - no two tasks produce the same output path (ambiguous producer),
+///  - no two tasks produce the same file path (ambiguous producer),
 ///  - the file-induced dependency graph is acyclic.
 /// Returns OK or an InvalidArgument naming the offending task/path.
 Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks);

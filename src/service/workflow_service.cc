@@ -378,9 +378,6 @@ Status WorkflowService::LaunchAttempt(SubmissionId id) {
   rec.state = SubmissionState::kRunning;
   ++live_ams_;
   app_of_[sub.am->app()] = id;
-  if (sub.admission_bytes > 0) {
-    deployment_->rm->RegisterAppFootprint(sub.am->app(), sub.admission_bytes);
-  }
   return Status::OK();
 }
 

@@ -312,9 +312,7 @@ class WorkflowService {
   /// (called once at Submit when footprint admission is active).
   void EstimateSubmissionFootprint(SubmissionId id);
   /// Charges / releases a started submission's footprint against the
-  /// ledger, mirroring the running_ counter. (The RM-side per-application
-  /// mirror is registered separately, once the AM's application id is
-  /// known, and the RM drops it itself on app unregister/failure.)
+  /// ledger, mirroring the running_ counter.
   void CommitFootprint(SubmissionId id, int sign);
   /// Ends the GC scopes of the submission's dead attempts (no-op without
   /// a GC or once they are gone).

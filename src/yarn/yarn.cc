@@ -249,25 +249,10 @@ Result<ApplicationId> ResourceManager::RegisterApplication(
   return app;
 }
 
-void ResourceManager::RegisterAppFootprint(ApplicationId app, int64_t bytes) {
-  if (apps_.find(app) == apps_.end()) return;
-  auto [it, inserted] = app_footprint_.emplace(app, 0);
-  committed_footprint_bytes_ += bytes - it->second;
-  it->second = bytes;
-}
-
-void ResourceManager::DropAppFootprint(ApplicationId app) {
-  auto it = app_footprint_.find(app);
-  if (it == app_footprint_.end()) return;
-  committed_footprint_bytes_ -= it->second;
-  app_footprint_.erase(it);
-}
-
 void ResourceManager::UnregisterApplication(ApplicationId app) {
   auto it = apps_.find(app);
   if (it == apps_.end()) return;
   AccrueFairness();
-  DropAppFootprint(app);
   it->second.active = false;
   FairnessDrop(app);
   // Drop pending requests (this application's only).
@@ -568,7 +553,6 @@ void ResourceManager::FailApplication(ApplicationId app,
   auto it = apps_.find(app);
   if (it == apps_.end()) return;
   AccrueFairness();
-  DropAppFootprint(app);
   it->second.active = false;
   FairnessDrop(app);
   // Drop the failed application's pending requests.

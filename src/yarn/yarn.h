@@ -388,16 +388,6 @@ class ResourceManager {
 
   const RmCounters& counters() const { return counters_; }
 
-  /// Footprint co-scheduling (docs/storage-model.md): the admission layer
-  /// registers each application's projected raw DFS footprint so the RM's
-  /// accounting shows how much of the storage budget the running mix has
-  /// committed. Cleared automatically when the application unregisters or
-  /// fails. No-op for unknown apps.
-  void RegisterAppFootprint(ApplicationId app, int64_t bytes);
-  /// Sum of registered footprints of live applications.
-  int64_t committed_footprint_bytes() const {
-    return committed_footprint_bytes_;
-  }
 
   /// Per-application accounting; survives UnregisterApplication so
   /// finished tenants remain attributable. nullptr for unknown apps.
@@ -574,9 +564,6 @@ class ResourceManager {
   /// floating-point drift of the incremental +=/-= sums.
   void FairnessRebuild();
 
-  /// Releases `app`'s footprint registration (unregister / failure).
-  void DropAppFootprint(ApplicationId app);
-
   Cluster* cluster_;
   YarnOptions options_;
   RmCounters counters_;
@@ -584,10 +571,6 @@ class ResourceManager {
   FlatHashMap<ApplicationId, AppState> apps_;
   FlatHashMap<ContainerId, Container> containers_;
   std::deque<PendingRequest> queue_;
-  /// Projected raw DFS bytes per live application (footprint
-  /// co-scheduling; see RegisterAppFootprint) and their running sum.
-  FlatHashMap<ApplicationId, int64_t> app_footprint_;
-  int64_t committed_footprint_bytes_ = 0;
   ApplicationId next_app_ = 1;
   ContainerId next_container_ = 1;
   bool pass_scheduled_ = false;

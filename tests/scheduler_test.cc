@@ -8,6 +8,8 @@
 
 #include "src/common/random.h"
 #include "src/common/strings.h"
+#include "src/gc/footprint.h"
+#include "src/lang/workflow_validate.h"
 #include "tests/oracles/locality_oracle.h"
 #include "tests/oracles/provenance_oracle.h"
 
@@ -284,7 +286,8 @@ TEST(RoundRobinSchedulerTest, DealsTasksInTurn) {
   RoundRobinScheduler scheduler;
   std::vector<TaskSpec> tasks;
   for (TaskId id = 1; id <= 6; ++id) tasks.push_back(Task(id, "t"));
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(3)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(3)).ok());
   // Topological order == insertion order here; assignments cycle 0,1,2.
   std::map<NodeId, int> per_node;
   for (TaskId id = 1; id <= 6; ++id) {
@@ -298,10 +301,11 @@ TEST(RoundRobinSchedulerTest, DealsTasksInTurn) {
 
 TEST(RoundRobinSchedulerTest, RespectsTopologicalOrder) {
   RoundRobinScheduler scheduler;
-  std::vector<TaskSpec> tasks = {Task(1, "child"), Task(2, "parent")};
-  TaskDependencies deps;
-  deps[1] = {2};  // 1 depends on 2
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, deps, Nodes(2)).ok());
+  // 1 reads the file 2 writes.
+  std::vector<TaskSpec> tasks = {Task(1, "child", {"/p"}),
+                                 Task(2, "parent", {}, {"/p"})};
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(2)).ok());
   // Parent must be placed first in round-robin order -> node 0.
   EXPECT_EQ(*scheduler.AssignedNode(2), 0);
   EXPECT_EQ(*scheduler.AssignedNode(1), 1);
@@ -310,7 +314,8 @@ TEST(RoundRobinSchedulerTest, RespectsTopologicalOrder) {
 TEST(RoundRobinSchedulerTest, SelectOnlyOnAssignedNode) {
   RoundRobinScheduler scheduler;
   std::vector<TaskSpec> tasks = {Task(1, "t"), Task(2, "t")};
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(2)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(2)).ok());
   scheduler.EnqueueReady(tasks[0]);  // assigned to node 0
   EXPECT_FALSE(scheduler.SelectTask(1).has_value());
   EXPECT_EQ(*scheduler.SelectTask(0), 1);
@@ -319,7 +324,8 @@ TEST(RoundRobinSchedulerTest, SelectOnlyOnAssignedNode) {
 TEST(RoundRobinSchedulerTest, StrictRequests) {
   RoundRobinScheduler scheduler;
   std::vector<TaskSpec> tasks = {Task(1, "t")};
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(4)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(4)).ok());
   ContainerRequest r = scheduler.RequestFor(tasks[0]);
   EXPECT_TRUE(r.strict_locality);
   EXPECT_EQ(r.preferred_node, *scheduler.AssignedNode(1));
@@ -327,12 +333,71 @@ TEST(RoundRobinSchedulerTest, StrictRequests) {
 
 TEST(RoundRobinSchedulerTest, CycleDetected) {
   RoundRobinScheduler scheduler;
-  std::vector<TaskSpec> tasks = {Task(1, "a"), Task(2, "b")};
-  TaskDependencies deps;
-  deps[1] = {2};
-  deps[2] = {1};
-  EXPECT_TRUE(scheduler.BuildStaticSchedule(tasks, deps, Nodes(2))
+  // Each task reads the file the other writes.
+  std::vector<TaskSpec> tasks = {Task(1, "a", {"/b"}, {"/a"}),
+                                 Task(2, "b", {"/a"}, {"/b"})};
+  EXPECT_TRUE(scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(2))
                   .IsInvalidArgument());
+}
+
+// ------------------------------------------------------------ task graph --
+
+// One graph feeds the validator, the footprint walk and the static
+// schedulers. Ids descend as declared, so visiting children by id would
+// put "left" before "join"; the graph visits them in declaration order.
+TEST(TaskGraphTest, OneGraphForValidatorFootprintAndRoundRobin) {
+  constexpr int64_t kMiB = int64_t{1} << 20;
+  std::vector<TaskSpec> tasks = {
+      Task(5, "split", {"/in"}, {"/a", "/b"}),  // two files, one producer
+      Task(4, "join", {"/a", "/b"}, {"/j"}),
+      Task(3, "left", {"/a", "/v"}, {"/l", "/doa"}),  // nobody reads /doa
+      Task(2, "sink", {"/j", "/l"}, {"/out", "/v"}),
+  };
+  const int64_t sizes[4][2] = {{4, 2}, {1, 0}, {1, 8}, {1, 0}};
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (size_t k = 0; k < tasks[i].outputs.size(); ++k) {
+      tasks[i].outputs[k].size_bytes = sizes[i][k] * kMiB;
+    }
+  }
+  // "sink"'s stdout is a value that "left" reads: no file, so no edge
+  // (and no cycle).
+  tasks[3].outputs[1].is_value = true;
+
+  TaskGraph graph(tasks);
+  EXPECT_EQ(graph.parents(0), std::vector<size_t>{});
+  EXPECT_EQ(graph.parents(1), std::vector<size_t>{0});
+  EXPECT_EQ(graph.parents(2), std::vector<size_t>{0});
+  EXPECT_EQ(graph.parents(3), (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(graph.children(0), (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(graph.order(), (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(graph.cyclic().empty());
+  EXPECT_EQ(graph.ProducerOf("/b"), std::optional<size_t>(0));
+  EXPECT_FALSE(graph.ProducerOf("/v").has_value());
+  EXPECT_TRUE(ValidateWorkflowTasks(tasks).ok());
+
+  // Serial walk split, join, left, sink: /a and /b (6 MiB) are live when
+  // join adds /j and retires /b (5 MiB); left's /l and the dead-on-arrival
+  // /doa peak at 6 + 8 = 14 MiB. Visiting left before join would peak at
+  // 15 MiB.
+  FootprintEstimate est = EstimateFootprint(tasks, {"/out"}, nullptr);
+  EXPECT_EQ(est.peak_bytes, 14 * kMiB);
+  EXPECT_EQ(est.total_produced_bytes, 17 * kMiB);
+  EXPECT_TRUE(est.exact_sizes);
+
+  RoundRobinScheduler scheduler;
+  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, graph, Nodes(2)).ok());
+  EXPECT_EQ(*scheduler.AssignedNode(5), 0);
+  EXPECT_EQ(*scheduler.AssignedNode(4), 1);
+  EXPECT_EQ(*scheduler.AssignedNode(3), 0);
+  EXPECT_EQ(*scheduler.AssignedNode(2), 1);
+
+  // A second writer of /j is an ambiguous producer for the validator;
+  // the graph keeps the first one. (A copy: `graph` views `tasks`.)
+  std::vector<TaskSpec> twice = tasks;
+  twice[2].outputs.push_back(twice[1].outputs[0]);
+  EXPECT_EQ(TaskGraph(twice).ProducerOf("/j"), std::optional<size_t>(1));
+  EXPECT_EQ(ValidateWorkflowTasks(twice).message(),
+            "output '/j' is produced by both task 4 and task 3");
 }
 
 // ------------------------------------------------------------------ HEFT --
@@ -342,7 +407,8 @@ TEST(HeftSchedulerTest, ColdEstimatesPlaceEverywhere) {
   HeftScheduler scheduler(&estimator);
   std::vector<TaskSpec> tasks;
   for (TaskId id = 1; id <= 4; ++id) tasks.push_back(Task(id, "t"));
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(4)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(4)).ok());
   // With zero estimates EFT is 0 everywhere; the tie-break keeps node 0 —
   // the paper's "subpar performance in the absence of provenance".
   for (TaskId id = 1; id <= 4; ++id) {
@@ -359,7 +425,8 @@ TEST(HeftSchedulerTest, AvoidsSlowNodesOnceObserved) {
   HeftScheduler scheduler(&estimator);
   std::vector<TaskSpec> tasks;
   for (TaskId id = 1; id <= 4; ++id) tasks.push_back(Task(id, "t"));
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(3)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(3)).ok());
   int on_slow = 0;
   for (TaskId id = 1; id <= 4; ++id) {
     if (*scheduler.AssignedNode(id) == 0) ++on_slow;
@@ -381,9 +448,8 @@ TEST(HeftSchedulerTest, UpwardRankOrdersCriticalPath) {
   std::vector<TaskSpec> tasks = {Task(1, "long", {}, {"/l"}),
                                  Task(2, "short", {}, {"/s"}),
                                  Task(3, "sink", {"/l", "/s"})};
-  TaskDependencies deps;
-  deps[3] = {1, 2};
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, deps, Nodes(2)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(2)).ok());
   EXPECT_GT(*scheduler.UpwardRank(1), *scheduler.UpwardRank(2));
   EXPECT_GT(*scheduler.UpwardRank(1), *scheduler.UpwardRank(3));
 }
@@ -394,7 +460,8 @@ TEST(HeftSchedulerTest, PerNodeQueueOrderedByRank) {
   estimator.Observe("b", 0, 10.0);
   HeftScheduler scheduler(&estimator);
   std::vector<TaskSpec> tasks = {Task(1, "b"), Task(2, "a")};
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(1)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(1)).ok());
   scheduler.EnqueueReady(tasks[0]);
   scheduler.EnqueueReady(tasks[1]);
   // Higher-rank task ("a", longer) launches first despite later enqueue.
@@ -407,7 +474,8 @@ TEST(HeftSchedulerTest, IsStaticAndStrict) {
   HeftScheduler scheduler(&estimator);
   EXPECT_TRUE(scheduler.IsStatic());
   std::vector<TaskSpec> tasks = {Task(1, "t")};
-  ASSERT_TRUE(scheduler.BuildStaticSchedule(tasks, {}, Nodes(2)).ok());
+  ASSERT_TRUE(
+      scheduler.BuildStaticSchedule(tasks, TaskGraph(tasks), Nodes(2)).ok());
   EXPECT_TRUE(scheduler.RequestFor(tasks[0]).strict_locality);
 }
 
