@@ -112,7 +112,6 @@ Result<RunResult> RunBurst(const FleetConfig& config, bool quick) {
                        StrFormat("%d", config.max_nodes));
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   HIWAY_ASSIGN_OR_RETURN(std::unique_ptr<Deployment> d, karamel.Converge());
 
   std::vector<BurstEntry> burst = MakeBurst(quick);

@@ -425,7 +425,6 @@ Result<std::unique_ptr<Deployment>> ConvergeDeployment(
                                          (unsigned long long)cli.seed));
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   HIWAY_ASSIGN_OR_RETURN(std::unique_ptr<Deployment> d, karamel.Converge());
   if (!cli.chrome_trace_out.empty() || !cli.metrics_out.empty()) {
     d->tracer.set_enabled(true);
@@ -663,9 +662,8 @@ Result<int> RunService(const CliOptions& cli) {
                                service->footprint_budget_bytes()))
                     .c_str());
   }
-  if (d->elastic != nullptr &&
-      (d->elastic->options().policy.enabled ||
-       d->elastic->stats().nodes_revoked > 0)) {
+  if (d->elastic->options().policy.enabled ||
+      d->elastic->stats().nodes_revoked > 0) {
     const ElasticStats& e = d->elastic->stats();
     std::printf("elastic ('%s'): %d scale-out(s) (+%d node(s)), "
                 "%d scale-in(s), %d decommission(s), %d revocation(s), "

@@ -25,6 +25,12 @@ uint64_t ParseHexU64(const std::string& s) {
   return static_cast<uint64_t>(std::strtoull(s.c_str(), nullptr, 16));
 }
 
+/// The persistent index's key of the (key, tenant) entry.
+std::string IndexKey(const std::string& key, const std::string& tenant) {
+  return StrFormat("%s%s/%s", kIndexPrefix, key.c_str(),
+                   HexU64(Fnv1a64(tenant)).c_str());
+}
+
 }  // namespace
 
 ResultCache::ResultCache(Dfs* dfs, ProvenanceManager* provenance,
@@ -124,26 +130,19 @@ bool ResultCache::ResolvedByProvenance(const Entry& entry) const {
          shard->HasSuccessfulTaskEnd(entry.signature, entry.task_id);
 }
 
-namespace {
-
-Json EntryToJson(const std::string& key, const std::string& signature,
-                 TaskId task_id, const std::string& run_id,
-                 const std::string& tenant, int32_t node,
-                 const std::string& node_name, double duration,
-                 const std::string& stdout_value,
-                 const std::vector<CachedOutput>& outputs, uint64_t digest) {
+Json ResultCache::EntryToJson(const Entry& entry) {
   Json obj = Json::MakeObject();
-  obj.Set("key", key);
-  obj.Set("signature", signature);
-  obj.Set("task", static_cast<int64_t>(task_id));
-  obj.Set("run", run_id);
-  obj.Set("tenant", tenant);
-  obj.Set("node", static_cast<int64_t>(node));
-  obj.Set("node_name", node_name);
-  obj.Set("duration", duration);
-  if (!stdout_value.empty()) obj.Set("stdout", stdout_value);
+  obj.Set("key", entry.key);
+  obj.Set("signature", entry.signature);
+  obj.Set("task", static_cast<int64_t>(entry.task_id));
+  obj.Set("run", entry.run_id);
+  obj.Set("tenant", entry.tenant);
+  obj.Set("node", static_cast<int64_t>(entry.node));
+  obj.Set("node_name", entry.node_name);
+  obj.Set("duration", entry.duration);
+  if (!entry.stdout_value.empty()) obj.Set("stdout", entry.stdout_value);
   Json outs = Json::MakeArray();
-  for (const CachedOutput& out : outputs) {
+  for (const CachedOutput& out : entry.outputs) {
     Json o = Json::MakeObject();
     o.Set("param", out.param);
     o.Set("path", out.path);
@@ -154,25 +153,30 @@ Json EntryToJson(const std::string& key, const std::string& signature,
     outs.Append(std::move(o));
   }
   obj.Set("outputs", std::move(outs));
-  obj.Set("digest", HexU64(digest));
+  obj.Set("digest", HexU64(entry.outputs_digest));
   return obj;
 }
 
-}  // namespace
-
 void ResultCache::PersistLocked(const Entry& entry) {
   if (!index_) return;
-  Json obj = EntryToJson(entry.key, entry.signature, entry.task_id,
-                         entry.run_id, entry.tenant, entry.node,
-                         entry.node_name, entry.duration, entry.stdout_value,
-                         entry.outputs, entry.outputs_digest);
-  std::string index_key = StrFormat("%s%s/%s", kIndexPrefix,
-                                    entry.key.c_str(),
-                                    HexU64(Fnv1a64(entry.tenant)).c_str());
-  Status st = index_->Put(index_key, obj.Dump());
+  Status st =
+      index_->Put(IndexKey(entry.key, entry.tenant), EntryToJson(entry).Dump());
   if (!st.ok()) {
     HIWAY_LOG_WARN << "result cache: index write failed: " << st.message();
   }
+}
+
+void ResultCache::EraseLocked(const std::string& key,
+                              const std::string& tenant,
+                              const char* instant) {
+  auto it = entries_.find(key);
+  auto tit = it->second.find(tenant);
+  if (index_) index_->Delete(IndexKey(key, tenant)).ok();
+  PinOutputsLocked(tit->second, -1);
+  if (tracer_) tracer_->Instant(SpanCategory::kCache, instant);
+  // `key` and `tenant` may refer into the entry: not used past here.
+  it->second.erase(tit);
+  if (it->second.empty()) entries_.erase(it);
 }
 
 Status ResultCache::OpenIndex(const std::string& path) {
@@ -294,20 +298,8 @@ Status ResultCache::Publish(const TaskSpec& spec, const TaskResult& result,
         }
       }
       if (victim_key.empty()) break;
-      auto vit = entries_.find(victim_key);
-      PinOutputsLocked(vit->second.at(victim_tenant), -1);
-      if (index_) {
-        index_
-            ->Delete(StrFormat("%s%s/%s", kIndexPrefix, victim_key.c_str(),
-                               HexU64(Fnv1a64(victim_tenant)).c_str()))
-            .ok();
-      }
-      vit->second.erase(victim_tenant);
-      if (vit->second.empty()) entries_.erase(vit);
+      EraseLocked(victim_key, victim_tenant, "cache_evict");
       ++stats_.capacity_evictions;
-      if (tracer_) {
-        tracer_->Instant(SpanCategory::kCache, "cache_evict");
-      }
     }
   }
 
@@ -364,19 +356,9 @@ Result<CacheHit> ResultCache::Lookup(const TaskSpec& spec,
   if (!OutputsFresh(entry)) {
     ++stats_.stale_evictions;
     ++stats_.misses;
-    std::string k = *key;
-    std::string t = entry.tenant;
-    if (index_) {
-      index_
-          ->Delete(StrFormat("%s%s/%s", kIndexPrefix, k.c_str(),
-                             HexU64(Fnv1a64(t)).c_str()))
-          .ok();
-    }
-    PinOutputsLocked(tit->second, -1);
-    it->second.erase(tit);
-    if (it->second.empty()) entries_.erase(it);
-    if (tracer_) tracer_->Instant(SpanCategory::kCache, "cache_evict");
-    return Status::NotFound("cache entry stale (DFS content drifted): " + k);
+    EraseLocked(*key, want, "cache_evict");
+    return Status::NotFound("cache entry stale (DFS content drifted): " +
+                            *key);
   }
 
   // Spot-check audit (--cache-verify): re-hash a sampled hit's outputs
@@ -415,22 +397,9 @@ Result<CacheHit> ResultCache::Lookup(const TaskSpec& spec,
       HIWAY_LOG_ERROR << "result cache: VERIFY MISMATCH for key " << *key
                       << " (signature " << entry.signature
                       << "): evicting corrupt entry";
-      std::string k = *key;
-      std::string t = entry.tenant;
-      if (index_) {
-        index_
-            ->Delete(StrFormat("%s%s/%s", kIndexPrefix, k.c_str(),
-                               HexU64(Fnv1a64(t)).c_str()))
-            .ok();
-      }
-      PinOutputsLocked(tit->second, -1);
-      it->second.erase(tit);
-      if (it->second.empty()) entries_.erase(it);
-      if (tracer_) {
-        tracer_->Instant(SpanCategory::kCache, "cache_verify_mismatch");
-      }
+      EraseLocked(*key, want, "cache_verify_mismatch");
       return Status::IoError(
-          "cache verification mismatch (corrupt entry evicted): " + k);
+          "cache verification mismatch (corrupt entry evicted): " + *key);
     }
   }
 
@@ -472,40 +441,23 @@ int64_t ResultCache::AuditAgainstDfs() const {
 
 int64_t ResultCache::EvictUnreadable() {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t evicted = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    for (auto tit = it->second.begin(); tit != it->second.end();) {
-      bool readable = true;
-      for (const CachedOutput& out : tit->second.outputs) {
+  std::vector<std::pair<std::string, std::string>> unreadable;
+  for (const auto& [key, by_tenant] : entries_) {
+    for (const auto& [tenant, entry] : by_tenant) {
+      for (const CachedOutput& out : entry.outputs) {
         if (out.is_value) continue;
         if (!dfs_->Exists(out.path) || !dfs_->FileReadable(out.path)) {
-          readable = false;
+          unreadable.emplace_back(key, tenant);
           break;
         }
       }
-      if (readable) {
-        ++tit;
-        continue;
-      }
-      if (index_) {
-        index_
-            ->Delete(StrFormat("%s%s/%s", kIndexPrefix, it->first.c_str(),
-                               HexU64(Fnv1a64(tit->first)).c_str()))
-            .ok();
-      }
-      if (tracer_) tracer_->Instant(SpanCategory::kCache, "cache_evict");
-      PinOutputsLocked(tit->second, -1);
-      tit = it->second.erase(tit);
-      ++evicted;
-      ++stats_.churn_evictions;
-    }
-    if (it->second.empty()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
     }
   }
-  return evicted;
+  for (const auto& [key, tenant] : unreadable) {
+    EraseLocked(key, tenant, "cache_evict");
+  }
+  stats_.churn_evictions += static_cast<int64_t>(unreadable.size());
+  return static_cast<int64_t>(unreadable.size());
 }
 
 size_t ResultCache::size() const {

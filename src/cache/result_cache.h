@@ -54,6 +54,7 @@
 
 namespace hiway {
 
+class Json;
 class ProvDb;
 class ProvenanceManager;
 class Tracer;
@@ -222,7 +223,13 @@ class ResultCache {
   /// True when every file output of `entry` is in DFS with the recorded
   /// size and content fingerprint.
   bool OutputsFresh(const Entry& entry) const;
+  static Json EntryToJson(const Entry& entry);
   void PersistLocked(const Entry& entry);
+  /// Erases the sealed (key, tenant) entry, which must exist: its index
+  /// record and output pins go with it, an emptied key is dropped, and a
+  /// kCache `instant` is emitted. Counters are the caller's.
+  void EraseLocked(const std::string& key, const std::string& tenant,
+                   const char* instant);
   size_t TotalEntriesLocked() const;
   std::string TenantOfLocked(const std::string& run_id) const;
   /// True when the producing run's provenance shard vouches for the

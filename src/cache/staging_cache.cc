@@ -69,43 +69,35 @@ bool StagingCache::EvictToFit(NodeBucket* bucket, NodeId node,
   return true;
 }
 
+bool StagingCache::PutLocked(NodeBucket* bucket, NodeId node,
+                             const std::string& path, Entry entry) {
+  auto eit = bucket->entries.find(path);
+  if (eit != bucket->entries.end()) {
+    // Same path staged again (content drifted, or a concurrent attempt
+    // raced us): replace the bytes, keep existing pins honest.
+    entry.pins += eit->second.pins;
+    bucket->bytes -= eit->second.bytes;
+    bucket->entries.erase(eit);
+  }
+  if (!EvictToFit(bucket, node, entry.bytes)) return false;
+  entry.tick = ++tick_;
+  bucket->entries.emplace(path, entry);
+  bucket->bytes += entry.bytes;
+  return true;
+}
+
 void StagingCache::InsertPinned(NodeId node, const std::string& path,
                                 uint64_t content_id, int64_t bytes) {
   if (bytes < 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  NodeBucket& bucket = nodes_[node];
-  auto eit = bucket.entries.find(path);
-  if (eit != bucket.entries.end()) {
-    // Same path staged again (content drifted, or a concurrent attempt
-    // raced us): replace the bytes, keep existing pins honest.
-    bucket.bytes -= eit->second.bytes;
-    int pins = eit->second.pins;
-    bucket.entries.erase(eit);
-    if (!EvictToFit(&bucket, node, bytes)) {
-      ++stats_.rejected;
-      return;
-    }
-    Entry e;
-    e.content_id = content_id;
-    e.bytes = bytes;
-    e.pins = pins + 1;
-    e.tick = ++tick_;
-    bucket.entries.emplace(path, e);
-    bucket.bytes += bytes;
-    ++stats_.insertions;
-    return;
-  }
-  if (!EvictToFit(&bucket, node, bytes)) {
-    ++stats_.rejected;
-    return;
-  }
   Entry e;
   e.content_id = content_id;
   e.bytes = bytes;
   e.pins = 1;
-  e.tick = ++tick_;
-  bucket.entries.emplace(path, e);
-  bucket.bytes += bytes;
+  if (!PutLocked(&nodes_[node], node, path, e)) {
+    ++stats_.rejected;
+    return;
+  }
   ++stats_.insertions;
 }
 
@@ -145,17 +137,10 @@ int StagingCache::MigrateNode(NodeId from, const std::vector<NodeId>& targets) {
       // Same path already there: keep the fresher copy (ours — the
       // drain is the most recent observation of the content).
       auto existing = sink.entries.find(path);
-      if (existing != sink.entries.end()) {
-        if (existing->second.pins > 0) continue;  // don't fight a pin
-        sink.bytes -= existing->second.bytes;
-        sink.entries.erase(existing);
+      if (existing != sink.entries.end() && existing->second.pins > 0) {
+        continue;  // don't fight a pin
       }
-      if (!EvictToFit(&sink, dst, entry.bytes)) continue;
-      Entry e = entry;
-      e.pins = 0;
-      e.tick = ++tick_;
-      sink.entries.emplace(path, e);
-      sink.bytes += e.bytes;
+      if (!PutLocked(&sink, dst, path, entry)) continue;
       next_target = (next_target + attempt + 1) % targets.size();
       placed = true;
       break;

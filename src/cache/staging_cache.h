@@ -119,6 +119,13 @@ class StagingCache {
   /// fit the budget; returns false when pinned entries make that
   /// impossible. Caller holds mu_.
   bool EvictToFit(NodeBucket* bucket, NodeId node, int64_t incoming);
+  /// The one insert: puts `entry` under `path` in `bucket` (`node`'s),
+  /// replacing an entry for the same path and carrying its pins over,
+  /// after evicting unpinned LRU entries to fit. False (and the replaced
+  /// entry gone) when pinned entries make that impossible. Caller holds
+  /// mu_.
+  bool PutLocked(NodeBucket* bucket, NodeId node, const std::string& path,
+                 Entry entry);
 
   StagingCacheOptions options_;
   Tracer* tracer_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
 #include "src/obs/tracer.h"
 
 namespace hiway {
@@ -58,23 +59,45 @@ std::vector<NodeId> ElasticCluster::MigrationTargets(NodeId excluding) const {
   return targets;
 }
 
-void ElasticCluster::SweepCaches() {
+void ElasticCluster::Depart(NodeId node, Departure kind) {
+  // Node-hours: the node counts up to this instant and no further.
+  Accrue();
+  if (kind == Departure::kRetired) {
+    // Unpinned staged bytes survive the node; pinned ones die with it.
+    if (staging_ != nullptr) {
+      staging_->MigrateNode(node, MigrationTargets(node));
+    }
+    bool vacated = rm_->DecommissionNode(node);
+    HIWAY_CHECK(vacated);  // the front door checked the refusal
+  } else {
+    rm_->KillNode(node);
+  }
+  // Only a lost DataNode gets no chance to rescue its sole replicas.
+  if (kind == Departure::kLost) {
+    dfs_->KillNode(node);
+  } else {
+    dfs_->DecommissionNode(node);
+  }
+  // The node's scratch disk is gone with it.
+  if (staging_ != nullptr) staging_->InvalidateNode(node);
+  // Restores the redundancy of surviving blocks (including recorded task
+  // outputs the failover memoiser will want to read).
   dfs_->ReReplicate();
-  // No sealed entry may reference a vanished-only replica: on graceful
-  // paths the sweep finds nothing (the rescue saved every block); after
-  // unwarned losses it evicts exactly the destroyed entries.
+  // No sealed entry may reference a vanished-only replica: after a
+  // rescue the sweep finds nothing; after a loss it evicts exactly the
+  // destroyed entries.
   if (result_cache_ != nullptr) result_cache_->EvictUnreadable();
 }
 
-bool ElasticCluster::DecommissionNode(NodeId node) {
+bool ElasticCluster::KillNode(NodeId node) {
   if (!rm_->IsNodeAlive(node)) return false;
-  Accrue();
-  if (staging_ != nullptr) {
-    staging_->MigrateNode(node, MigrationTargets(node));
-  }
-  if (!rm_->DecommissionNode(node)) return false;
-  dfs_->DecommissionNode(node);
-  SweepCaches();
+  Depart(node, Departure::kLost);
+  return true;
+}
+
+bool ElasticCluster::DecommissionNode(NodeId node) {
+  if (!rm_->IsNodeAlive(node) || rm_->HostsAm(node)) return false;
+  Depart(node, Departure::kRetired);
   ++stats_.nodes_decommissioned;
   return true;
 }
@@ -94,16 +117,9 @@ bool ElasticCluster::RevokeNode(NodeId node, double warn_s) {
   if (staging_ != nullptr) {
     staging_->MigrateNode(node, MigrationTargets(node));
   }
-  // Deadline: the instance is gone. The warning window is what lets the
-  // DataNode push sole-replica blocks to peers, so the DFS departure is
-  // the rescue-first decommission — a warned revocation loses no data.
+  // Deadline: the instance is gone.
   engine_->ScheduleAt(deadline, [this, node] {
-    if (!rm_->IsNodeAlive(node)) return;  // already retired meanwhile
-    Accrue();
-    rm_->KillNode(node);
-    dfs_->DecommissionNode(node);
-    if (staging_ != nullptr) staging_->InvalidateNode(node);
-    SweepCaches();
+    if (rm_->IsNodeAlive(node)) Depart(node, Departure::kRevoked);
   });
   return true;
 }
@@ -179,7 +195,7 @@ void ElasticCluster::Poll(bool seen_activity) {
     const AutoscalerPolicy& p = options_.policy;
 
     // Signal 1: sustained container backlog -> scale out.
-    bool backlogged = !rm_->PendingRequestDump().empty();
+    bool backlogged = rm_->pending_requests() > 0;
     if (backlogged) {
       if (backlog_since_ < 0.0) backlog_since_ = now;
     } else {

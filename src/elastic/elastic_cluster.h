@@ -1,35 +1,43 @@
 // Elastic cluster membership (docs/elastic-cluster.md): the control
 // plane that grows and shrinks the worker fleet at runtime and keeps
-// every data service consistent through churn.
+// every data service consistent through churn. hiway::install builds
+// one for every deployment; with the autoscaler off it only serves node
+// departures and accrues node-hours.
 //
-// Three flows meet here:
+// Every node departure runs one sequence (Depart), whose kind decides
+// only the RM step, the DFS step and whether staging entries migrate:
 //
-//  * Autoscaling — a policy-driven poll loop (src/elastic/autoscaler.h)
-//    watches the RM's container backlog and idle workers, provisions
-//    new nodes (Cluster::AddNode + ResourceManager::AddNode after a
-//    configurable join delay, modelling VM boot + NodeManager
-//    registration) and gracefully retires empty ones.
+//  * Lost (KillNode: kill-node and kill-am-node faults) — NodeManager
+//    and DataNode die together: RM node loss, DFS replicas dropped with
+//    no rescue.
 //
-//  * Graceful decommission — retiring a node walks the full stack:
-//    RM vacates containers with the uncharged kDrained reason, the DFS
-//    rescues sole-replica blocks before dropping the DataNode and then
-//    re-replicates, the staging cache migrates its entries to surviving
-//    nodes, and the result cache sweeps entries whose outputs churn
-//    made unreadable (there are none on the graceful path — that's the
-//    zero-data-loss invariant elastic_test pins down).
+//  * Revoked (RevokeNode(node, warn_s): the EC2 two-minute notice) —
+//    the RM drains the node now (AMs keep short tasks, proactively
+//    requeue the rest) and the staging cache migrates; at the deadline
+//    the RM loses the node and the DataNode decommissions, rescuing
+//    sole replicas first. The warning window is what lets the DataNode
+//    push its blocks off in time, so a revocation loses no data where
+//    a kill-node can.
 //
-//  * Spot revocation — RevokeNode(node, warn_s) models the EC2
-//    two-minute notice: the RM drains the node (AMs keep short tasks,
-//    proactively requeue the rest), the staging cache migrates, and at
-//    the deadline the node dies. The warning window is what lets the
-//    DataNode push its sole-replica blocks off in time, so a *warned*
-//    revocation loses no data where an unwarned kill-node can.
+//  * Retired (DecommissionNode: autoscaler scale-in) — the RM vacates
+//    containers with the uncharged kDrained reason (it refuses a node
+//    that hosts an AM, before anything else is touched), the staging
+//    cache migrates first, and the DataNode decommissions with rescue.
 //
-// The poll loop terminates like FaultInjector::Recur: it keeps polling
-// until the workload has been observed active and then quiesces, so
-// RunUntilPredicate-driven runs end. Node-hours are accrued as the
-// integral of the live-worker count over virtual time — the cost axis
-// of bench_elastic's frontier.
+// Then every kind drops what staging entries are left on the node,
+// re-replicates, and sweeps result-cache entries whose outputs churn
+// made unreadable (there are none after a rescue — the zero-data-loss
+// invariant elastic_test pins down).
+//
+// Autoscaling is a policy-driven poll loop (src/elastic/autoscaler.h)
+// that watches the RM's container backlog and idle workers, provisions
+// new nodes (Cluster::AddNode + ResourceManager::AddNode after a
+// configurable join delay, modelling VM boot + NodeManager
+// registration) and retires empty ones. It terminates like
+// FaultInjector::Recur: it keeps polling until the workload has been
+// observed active and then quiesces, so RunUntilPredicate-driven runs
+// end. Node-hours are accrued as the integral of the live-worker count
+// over virtual time — the cost axis of bench_elastic's frontier.
 
 #ifndef HIWAY_ELASTIC_ELASTIC_CLUSTER_H_
 #define HIWAY_ELASTIC_ELASTIC_CLUSTER_H_
@@ -90,16 +98,20 @@ class ElasticCluster {
   /// after the deployment converged.
   void Start();
 
+  /// Unwarned node loss (kill-node faults): false unless `node` is a
+  /// live node of the fleet.
+  bool KillNode(NodeId node);
+
   /// Spot revocation with warning: drains `node` now, migrates its
-  /// staging entries, and kills it `warn_s` seconds later (RM node
-  /// loss + DFS decommission-with-rescue + re-replication + cache
-  /// sweeps). warn_s = 0 degenerates to an immediate graceful-less
-  /// kill. No-op (returns false) for dead nodes and for nodes already
-  /// draining.
+  /// staging entries, and removes it `warn_s` seconds later (RM node
+  /// loss + DFS decommission-with-rescue). warn_s = 0 drains and removes
+  /// it within the same instant. No-op (returns false) for dead nodes
+  /// and for nodes already draining.
   bool RevokeNode(NodeId node, double warn_s);
 
   /// Gracefully retires one specific node right now (scale-in path):
-  /// false when the RM refuses (an AM lives there) or the node is dead.
+  /// false when the RM refuses (an AM lives there) or the node is dead;
+  /// nothing is touched then.
   bool DecommissionNode(NodeId node);
 
   /// Workers currently alive (draining nodes count — they still run).
@@ -117,8 +129,9 @@ class ElasticCluster {
   void ScaleOut(int count);
   /// One scale-in action: retires up to `count` empty workers.
   void ScaleIn(int count);
-  /// Post-departure data-service maintenance shared by every path.
-  void SweepCaches();
+  enum class Departure { kLost, kRevoked, kRetired };
+  /// The one departure sequence of a live node (see the file comment).
+  void Depart(NodeId node, Departure kind);
   std::vector<NodeId> MigrationTargets(NodeId excluding) const;
 
   SimEngine* engine_;

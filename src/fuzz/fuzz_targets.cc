@@ -242,7 +242,6 @@ void FireFaultSpecs(std::vector<FaultSpec> specs) {
   karamel.SetAttribute("cluster/workers", "2");
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   auto d = karamel.Converge();
   HIWAY_FUZZ_INVARIANT(d.ok(), "fault harness deployment failed");
   (*d)->workflows["pair"] = {"dax", R"(<adag>
@@ -333,7 +332,6 @@ void FuzzKaramel(const uint8_t* data, size_t size) {
   for (const auto& [k, v] : attrs) karamel.SetAttribute(k, v);
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   karamel.AddRecipe(SnvWorkflowRecipe());
   karamel.AddRecipe(TraplineWorkflowRecipe());
   karamel.AddRecipe(MontageWorkflowRecipe());

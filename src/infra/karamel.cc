@@ -61,7 +61,7 @@ constexpr AttributeSpec kAttributes[] = {
      "per-node staging cache, MiB (-1 = none, 0 = unbounded)", -1,
      kTiBInMiB},
     {"hiway/gc", kSwitch, "off", "collect intermediates after last use"},
-    // elastic::install
+    // hiway::install: the membership plane (src/elastic)
     {"elastic/autoscaler", kText, "off",
      "off, reactive, aggressive or conservative"},
     {"elastic/min_nodes", kInteger, "1", "autoscaler floor", 0, 1e6},
@@ -352,18 +352,8 @@ Recipe HiWayInstallRecipe() {
         d->gc->SetResultCache(d->result_cache.get());
       }
     }
-    return Status::OK();
-  };
-  return r;
-}
-
-Recipe ElasticInstallRecipe() {
-  Recipe r;
-  r.name = "elastic::install";
-  // Depends on hiway::install so the staging/result caches exist (when
-  // enabled) by the time the control plane captures them.
-  r.dependencies = {"hadoop::install", "hiway::install"};
-  r.converge = [](const ChefAttributes& attrs, Deployment* d) -> Status {
+    // The membership plane, built after the caches it keeps consistent
+    // through node departures.
     auto policy = AutoscalerPolicyByName(AttrText(attrs, "elastic/autoscaler"));
     if (!policy.ok()) {
       return Status::InvalidArgument("attribute elastic/autoscaler: " +

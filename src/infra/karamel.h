@@ -82,9 +82,11 @@ class Deployment {
   /// unless hiway/gc = "on". Declared after the caches: its cache-pin
   /// checks reference `result_cache`, so it must be destroyed first.
   std::unique_ptr<IntermediateGc> gc;
-  /// Elastic membership control plane (docs/elastic-cluster.md); built
-  /// by ElasticInstallRecipe. Declared after the cluster/RM/DFS/caches
-  /// it points into (destroyed first).
+  /// Elastic membership control plane (docs/elastic-cluster.md): every
+  /// node departure runs through it. Built by HiWayInstallRecipe for
+  /// every deployment (autoscaler off unless elastic/autoscaler names a
+  /// policy). Declared after the cluster/RM/DFS/caches it points into
+  /// (destroyed first).
   std::unique_ptr<ElasticCluster> elastic;
   RuntimeEstimator estimator;
   std::map<std::string, StagedWorkflow> workflows;
@@ -149,15 +151,12 @@ std::string AttributeRange(const AttributeSpec& spec);
 Recipe HadoopInstallRecipe();
 
 /// Installs Hi-WAY: the standard tool profiles, the sharded provenance
-/// manager, and (when enabled) the data caches and the garbage collector.
+/// manager, (when enabled) the data caches and the garbage collector,
+/// and the elastic membership plane (docs/elastic-cluster.md). The
+/// plane's poll loop only runs for enabled policies, and only once the
+/// service (or a test) calls Start(); joiners get the fleet's worker
+/// hardware.
 Recipe HiWayInstallRecipe();
-
-/// Builds the elastic membership control plane (docs/elastic-cluster.md)
-/// over the converged cluster/RM/DFS/caches. Always creates
-/// Deployment::elastic (revocations work even with autoscaling off); the
-/// poll loop only runs for enabled policies, and only once the service
-/// (or a test) calls Start(). Joiners get the fleet's worker hardware.
-Recipe ElasticInstallRecipe();
 
 /// Stages the SNV-calling workflow (Sec. 4.1).
 Recipe SnvWorkflowRecipe();

@@ -16,25 +16,6 @@ namespace {
 /// cluster is momentarily full).
 constexpr double kStartRetryS = 5.0;
 
-/// Unwarned node loss: NodeManager and DataNode die together. False (and
-/// nothing happens) unless `node` is a live node of the fleet.
-bool KillNode(Deployment* dep, NodeId node) {
-  if (!dep->rm->IsNodeAlive(node)) return false;
-  // Node-hours integrate the live-node count: flush the node's life up to
-  // now before it stops counting.
-  if (dep->elastic != nullptr) dep->elastic->Accrue();
-  dep->rm->KillNode(node);
-  dep->dfs->KillNode(node);
-  // Restores the redundancy of surviving blocks (including recorded task
-  // outputs the failover memoiser will want to read).
-  dep->dfs->ReReplicate();
-  // The node's scratch disk is gone with it.
-  if (dep->staging_cache != nullptr) dep->staging_cache->InvalidateNode(node);
-  // No sealed result-cache entry may reference a replica that died here.
-  if (dep->result_cache != nullptr) dep->result_cache->EvictUnreadable();
-  return true;
-}
-
 }  // namespace
 
 const char* ToString(SubmissionState state) {
@@ -51,7 +32,9 @@ const char* ToString(SubmissionState state) {
 
 Result<std::unique_ptr<WorkflowService>> WorkflowService::Create(
     Deployment* deployment, WorkflowServiceOptions options) {
-  if (deployment == nullptr || deployment->rm == nullptr) {
+  // hiway::install (after hadoop::install) builds the provenance manager
+  // and the membership plane the service drives.
+  if (deployment == nullptr || deployment->provenance == nullptr) {
     return Status::InvalidArgument("service needs a converged deployment");
   }
   HIWAY_ASSIGN_OR_RETURN(RmPolicy rm_policy,
@@ -89,10 +72,8 @@ Result<std::unique_ptr<WorkflowService>> WorkflowService::Create(
   // Elastic membership: the autoscaler's poll loop quiesces alongside
   // the workload (same contract as FaultInjector::Recur). Start() is a
   // no-op for disabled policies.
-  if (deployment->elastic != nullptr) {
-    deployment->elastic->SetActiveCheck([svc] { return !svc->Idle(); });
-    deployment->elastic->Start();
-  }
+  deployment->elastic->SetActiveCheck([svc] { return !svc->Idle(); });
+  deployment->elastic->Start();
   // Footprint admission budgets against the capacity left after whatever
   // is already stored (staged inputs, prior runs' outputs) — stage inputs
   // before creating the service so the baseline includes them.
@@ -549,7 +530,7 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
   };
   // Node ids beyond the fleet are skipped when they fire (no live node
   // there), not rejected at parse time: elastic joins grow the fleet.
-  h.kill_node = [dep](NodeId node) { return KillNode(dep, node); };
+  h.kill_node = [dep](NodeId node) { return dep->elastic->KillNode(node); };
   h.list_am_nodes = [this] {
     std::vector<NodeId> nodes;
     for (const auto& [id, rec] : records_) {
@@ -582,10 +563,7 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
   };
   h.fail_container = [dep](int64_t id) { dep->rm->KillContainer(id); };
   h.revoke_node = [dep](NodeId node, double warn_s) {
-    if (dep->elastic != nullptr) return dep->elastic->RevokeNode(node, warn_s);
-    // No elastic control plane: a revocation degrades to the unwarned
-    // kill (same consequences, no drain window).
-    return KillNode(dep, node);
+    return dep->elastic->RevokeNode(node, warn_s);
   };
   if (spot_fraction_ > 0.0) {
     double f = spot_fraction_;

@@ -207,14 +207,13 @@ class WorkflowService {
   Status InjectAmCrash(SubmissionId id);
 
   /// Wires a FaultInjector's handlers to this service's deployment:
-  /// node kills hit the RM and the DFS (followed by re-replication and a
-  /// result-cache sweep; elastic node-hours accrue up to the kill),
-  /// am-crash targets running submissions, fail-container targets
-  /// running task (non-AM) containers, spot-revoke drains through the
-  /// elastic control plane (falling back to an unwarned kill when the
-  /// deployment has none). A fault whose target is dead, draining (for
-  /// spot-revoke), beyond the fleet or not running does nothing and is
-  /// not counted. Call once after Create().
+  /// kill-node and kill-am-node are ElasticCluster::KillNode and
+  /// spot-revoke is ElasticCluster::RevokeNode (the membership plane's
+  /// one departure sequence: RM, DFS, staging and result caches,
+  /// node-hours), am-crash targets running submissions, fail-container
+  /// targets running task (non-AM) containers. A fault whose target is
+  /// dead, draining (for spot-revoke), beyond the fleet or not running
+  /// does nothing and is not counted. Call once after Create().
   void InstallFaultHandlers(FaultInjector* injector);
 
   /// Marks the highest ⌈f·workers⌉ worker nodes as spot instances:

@@ -401,22 +401,13 @@ void ResourceManager::DropContainer(const Container& c,
 }
 
 void ResourceManager::KillNode(NodeId node) {
-  NodeState& ns = nodes_[static_cast<size_t>(node)];
-  if (!ns.alive) return;
+  if (!nodes_[static_cast<size_t>(node)].alive) return;
   AccrueFairness();
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kFailover, "node_lost", /*app=*/-1,
                      /*container=*/-1, /*task=*/-1, node);
   }
-  UnindexNode(node);
-  ns.alive = false;
-  ns.draining = false;
-  ns.free_vcores = 0;
-  ns.free_memory_mb = 0.0;
-  total_vcores_ -= cluster_->node(node).cores;
-  total_memory_mb_ -= cluster_->node(node).memory_mb;
-  // Every demand-satisfaction share moved with the capacity.
-  FairnessRebuild();
+  RetireCapacity(node);
   // Applications whose AM container lived on the node die with it
   // (ascending id, matching the registry's former sorted iteration).
   std::vector<ApplicationId> dead_apps;
@@ -430,18 +421,36 @@ void ResourceManager::KillNode(NodeId node) {
   for (ApplicationId app : dead_apps) {
     FailApplication(app, StrFormat("AM node %d lost", node));
   }
-  // Survivors' containers on the node are reported as node losses, in
-  // ascending container id.
-  std::vector<Container> lost;
-  for (const auto& [id, c] : containers_) {
-    if (c.node == node) lost.push_back(c);
-  }
-  std::sort(lost.begin(), lost.end(),
-            [](const Container& a, const Container& b) { return a.id < b.id; });
-  for (const Container& c : lost) {
+  // Survivors' containers on the node are reported as node losses.
+  for (const Container& c :
+       ContainersWhere([node](const Container& c) { return c.node == node; })) {
     DropContainer(c, ContainerLossReason::kNodeLost, /*notify=*/true);
   }
   ScheduleAllocationPass();
+}
+
+void ResourceManager::RetireCapacity(NodeId node) {
+  NodeState& ns = nodes_[static_cast<size_t>(node)];
+  UnindexNode(node);
+  ns.alive = false;
+  ns.draining = false;
+  ns.free_vcores = 0;
+  ns.free_memory_mb = 0.0;
+  total_vcores_ -= cluster_->node(node).cores;
+  total_memory_mb_ -= cluster_->node(node).memory_mb;
+  // Every demand-satisfaction share moved with the capacity.
+  FairnessRebuild();
+}
+
+std::vector<Container> ResourceManager::ContainersWhere(
+    const std::function<bool(const Container&)>& match) const {
+  std::vector<Container> out;
+  for (const auto& [id, c] : containers_) {
+    if (match(c)) out.push_back(c);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Container& a, const Container& b) { return a.id < b.id; });
+  return out;
 }
 
 void ResourceManager::AddNode(NodeId node) {
@@ -491,31 +500,15 @@ void ResourceManager::BeginDrain(NodeId node, double deadline) {
 }
 
 bool ResourceManager::DecommissionNode(NodeId node) {
-  NodeState& ns = nodes_[static_cast<size_t>(node)];
-  if (!ns.alive) return false;
-  for (const auto& [id, c] : containers_) {
-    if (c.node == node && c.is_am) return false;
-  }
+  if (!IsNodeAlive(node) || HostsAm(node)) return false;
   AccrueFairness();
-  // Vacate remaining task containers (kDrained: requeued, uncharged), in
-  // ascending container id.
-  std::vector<Container> vacated;
-  for (const auto& [id, c] : containers_) {
-    if (c.node == node) vacated.push_back(c);
-  }
-  std::sort(vacated.begin(), vacated.end(),
-            [](const Container& a, const Container& b) { return a.id < b.id; });
+  // Vacate remaining task containers (kDrained: requeued, uncharged).
+  std::vector<Container> vacated =
+      ContainersWhere([node](const Container& c) { return c.node == node; });
   for (const Container& c : vacated) {
     DropContainer(c, ContainerLossReason::kDrained, /*notify=*/true);
   }
-  UnindexNode(node);
-  ns.alive = false;
-  ns.draining = false;
-  ns.free_vcores = 0;
-  ns.free_memory_mb = 0.0;
-  total_vcores_ -= cluster_->node(node).cores;
-  total_memory_mb_ -= cluster_->node(node).memory_mb;
-  FairnessRebuild();
+  RetireCapacity(node);
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kMembership, "node_decommissioned",
                      /*app=*/-1, /*container=*/-1, /*task=*/-1, node,
@@ -523,6 +516,13 @@ bool ResourceManager::DecommissionNode(NodeId node) {
   }
   ScheduleAllocationPass();
   return true;
+}
+
+bool ResourceManager::HostsAm(NodeId node) const {
+  for (const auto& [id, c] : containers_) {
+    if (c.node == node && c.is_am) return true;
+  }
+  return false;
 }
 
 bool ResourceManager::DrainContainer(ContainerId id) {
@@ -566,13 +566,8 @@ void ResourceManager::FailApplication(ApplicationId app,
   // Reclaim every container the app still holds (AM and in-flight
   // tasks), ascending container id. The master is presumed dead: nothing
   // is notified.
-  std::vector<Container> owned;
-  for (const auto& [id, c] : containers_) {
-    if (c.app == app) owned.push_back(c);
-  }
-  std::sort(owned.begin(), owned.end(),
-            [](const Container& a, const Container& b) { return a.id < b.id; });
-  for (const Container& c : owned) {
+  for (const Container& c :
+       ContainersWhere([app](const Container& c) { return c.app == app; })) {
     DropContainer(c, ContainerLossReason::kNodeLost, /*notify=*/false);
   }
   ++counters_.app_failures;
@@ -617,12 +612,7 @@ void ResourceManager::AmSilent(ApplicationId app) {
 }
 
 std::vector<Container> ResourceManager::RunningContainers() const {
-  std::vector<Container> out;
-  out.reserve(containers_.size());
-  for (const auto& [id, c] : containers_) out.push_back(c);
-  std::sort(out.begin(), out.end(),
-            [](const Container& a, const Container& b) { return a.id < b.id; });
-  return out;
+  return ContainersWhere([](const Container&) { return true; });
 }
 
 bool ResourceManager::IsNodeAlive(NodeId node) const {
@@ -651,13 +641,6 @@ double ResourceManager::free_memory_mb(NodeId node) const {
 int ResourceManager::pending_requests(ApplicationId app) const {
   auto it = app_stats_.find(app);
   return it == app_stats_.end() ? 0 : it->second.pending_requests;
-}
-
-std::vector<ContainerRequest> ResourceManager::PendingRequestDump() const {
-  std::vector<ContainerRequest> out;
-  out.reserve(queue_.size());
-  for (const PendingRequest& p : queue_) out.push_back(p.request);
-  return out;
 }
 
 const TenantStats* ResourceManager::app_stats(ApplicationId app) const {

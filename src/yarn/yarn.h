@@ -316,6 +316,10 @@ class ResourceManager {
   /// container still lives there — drain it away first or use KillNode.
   bool DecommissionNode(NodeId node);
 
+  /// True when an AM container lives on `node`: DecommissionNode refuses
+  /// such a node.
+  bool HostsAm(NodeId node) const;
+
   /// Vacates one running task container with reason kDrained: the owning
   /// AM re-queues the task with no retry charge or blacklist entry (the
   /// proactive-requeue half of checkpoint-or-requeue during a drain).
@@ -382,9 +386,6 @@ class ResourceManager {
   }
   int pending_requests() const { return static_cast<int>(queue_.size()); }
   int pending_requests(ApplicationId app) const;
-
-  /// Snapshot of the pending request queue (diagnostics).
-  std::vector<ContainerRequest> PendingRequestDump() const;
 
   const RmCounters& counters() const { return counters_; }
 
@@ -535,6 +536,14 @@ class ResourceManager {
 
   Container* AllocateOn(ApplicationId app, NodeId node, int vcores,
                         double memory_mb);
+
+  /// The containers `match` selects, ascending container id.
+  std::vector<Container> ContainersWhere(
+      const std::function<bool(const Container&)>& match) const;
+  /// A departing node's capacity leaves the pool (KillNode and
+  /// DecommissionNode): unindexed, marked dead, cluster totals and every
+  /// demand-satisfaction share re-derived.
+  void RetireCapacity(NodeId node);
 
   /// Frees one container's resources and accounting; reports the loss to
   /// the owning AM only when `notify` (dead masters are never called).

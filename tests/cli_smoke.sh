@@ -95,6 +95,12 @@ grep -q "am failovers survived: 1" "$WORKDIR/out8.out"
     > "$WORKDIR/out9.out"
 grep -q "#1 .*wf.cf *succeeded" "$WORKDIR/out9.out"
 grep -q "faults injected: 0 node kill(s)" "$WORKDIR/out9.out"
+# A kill aimed at a live worker takes effect and is counted.
+"$HIWAY_BIN" --service --workflow "$WORKDIR/wf.cf" -a cluster/workers=4 \
+    --input /in/reads.fq=64MB --faults kill-node@1:node=2 \
+    > "$WORKDIR/out11.out"
+grep -q "#1 .*wf.cf *succeeded" "$WORKDIR/out11.out"
+grep -q "faults injected: 1 node kill(s)" "$WORKDIR/out11.out"
 "$HIWAY_BIN" --service --workflow "$WORKDIR/wf.cf" -a cluster/workers=4 \
     --input /in/reads.fq=64MB --faults am-crash@1:sub=7 \
     > "$WORKDIR/out10.out"

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -180,7 +181,6 @@ Result<std::unique_ptr<Deployment>> ElasticDeployment(
   for (const auto& [k, v] : extra) karamel.SetAttribute(k, v);
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   karamel.AddRecipe(SnvWorkflowRecipe());
   return karamel.Converge();
 }
@@ -483,13 +483,10 @@ TEST(ChurnDataServicesTest, UnwarnedLossEvictsOnlyDestroyedCacheEntries) {
     }
   }
   ASSERT_NE(victim, kInvalidNode);
-  (*d)->rm->KillNode(victim);
-  (*d)->dfs->KillNode(victim);
-  (*d)->dfs->ReReplicate();
-
-  int64_t evicted = (*d)->result_cache->EvictUnreadable();
-  // With replication 1 the kill destroyed at least one file outright.
-  EXPECT_GT(evicted, 0);
+  ASSERT_TRUE((*d)->elastic->KillNode(victim));
+  // With replication 1 the kill destroyed at least one file outright,
+  // and the departure's sweep evicted the entries that recorded it.
+  EXPECT_GT((*d)->result_cache->stats().churn_evictions, 0);
   // After the sweep the audit finds no dangling entries.
   EXPECT_EQ((*d)->result_cache->AuditAgainstDfs(), 0);
 
@@ -508,6 +505,125 @@ TEST(ChurnDataServicesTest, UnwarnedLossEvictsOnlyDestroyedCacheEntries) {
   ASSERT_TRUE((*d)->elastic->DecommissionNode(graceful));
   EXPECT_EQ((*d)->result_cache->stats().churn_evictions, before);
   EXPECT_EQ((*d)->result_cache->AuditAgainstDfs(), 0);
+}
+
+// Every departure kind runs the one sequence: whatever the RM and DFS
+// steps, the node's capacity, replicas and staged bytes are gone, no
+// sealed cache entry dangles, and the node counted up to the departure
+// instant and no further.
+TEST(ChurnDataServicesTest, EveryDepartureLeavesNothingOnTheNode) {
+  struct Case {
+    const char* name;
+    std::function<bool(ElasticCluster*, NodeId)> depart;
+    double settle_s;  // until the departure has happened
+  };
+  const std::vector<Case> cases = {
+      {"kill", [](ElasticCluster* e, NodeId n) { return e->KillNode(n); },
+       0.0},
+      {"revoke warn=0",
+       [](ElasticCluster* e, NodeId n) { return e->RevokeNode(n, 0.0); },
+       0.0},
+      {"revoke warn=30",
+       [](ElasticCluster* e, NodeId n) { return e->RevokeNode(n, 30.0); },
+       30.0},
+      {"decommission",
+       [](ElasticCluster* e, NodeId n) { return e->DecommissionNode(n); },
+       0.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto d = ElasticDeployment({{"hiway/cache_results", "on"},
+                                {"hiway/cache_staging_mb", "0"},
+                                {"dfs/replication", "2"}});
+    ASSERT_TRUE(d.ok());
+    Deployment* dep = d->get();
+    auto service = WorkflowService::Create(dep, WorkflowServiceOptions{});
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE((*service)->SubmitStaged("snv-calling").ok());
+    ASSERT_TRUE((*service)->RunToCompletion().ok());
+
+    // A worker holding blocks and staged bytes, one of them pinned.
+    NodeId victim = kInvalidNode;
+    for (NodeId n = dep->cluster->num_nodes() - 1; n >= 0; --n) {
+      if (dep->dfs->StoredBytes(n) > 0 &&
+          dep->staging_cache->NodeBytes(n) > 0) {
+        victim = n;
+        break;
+      }
+    }
+    ASSERT_NE(victim, kInvalidNode);
+    dep->staging_cache->InsertPinned(victim, "/pinned", 1, 50);
+
+    ElasticCluster* elastic = dep->elastic.get();
+    const double t0 = dep->engine.Now();
+    const double before = elastic->stats().node_seconds;
+    const int nodes = elastic->LiveNodes();
+    const int vcores = dep->rm->total_vcores();
+    const double depart_at = t0 + 10.0 + c.settle_s;
+    dep->engine.ScheduleAt(t0 + 10.0, [&] {
+      EXPECT_TRUE(c.depart(elastic, victim));
+    });
+    dep->engine.RunUntil(depart_at);
+    EXPECT_FALSE(dep->rm->IsNodeAlive(victim));
+    EXPECT_NEAR(elastic->stats().node_seconds,
+                before + nodes * (depart_at - t0), 1e-6);
+    dep->engine.RunUntil(depart_at + 20.0);
+    EXPECT_NEAR(elastic->stats().node_seconds,
+                before + nodes * (depart_at - t0) + (nodes - 1) * 20.0, 1e-6);
+
+    EXPECT_EQ(dep->rm->total_vcores(),
+              vcores - dep->cluster->node(victim).cores);
+    for (const std::string& path : dep->dfs->ListFiles()) {
+      auto info = dep->dfs->Stat(path);
+      ASSERT_TRUE(info.ok());
+      for (const DfsBlock& block : info->blocks) {
+        for (NodeId replica : block.replicas) {
+          EXPECT_NE(replica, victim) << path;
+        }
+      }
+    }
+    EXPECT_EQ(dep->staging_cache->NodeBytes(victim), 0);
+    EXPECT_EQ(dep->result_cache->AuditAgainstDfs(), 0);
+  }
+}
+
+// The RM refuses to retire a node hosting an AM; nothing else may have
+// been touched by then — its staged bytes stay where they are.
+TEST(ChurnDataServicesTest, RefusedDecommissionMigratesNothing) {
+  auto d = ElasticDeployment({{"hiway/cache_staging_mb", "0"}});
+  ASSERT_TRUE(d.ok());
+  Deployment* dep = d->get();
+  const NodeId am_node = 2;
+  RecordingAm am;
+  ASSERT_TRUE(
+      dep->rm->RegisterApplication("am", &am, 1, 512, am_node).ok());
+  StagingCache* staging = dep->staging_cache.get();
+  staging->InsertPinned(am_node, "/staged", 1, 100);
+  staging->Unpin(am_node, "/staged");
+
+  EXPECT_FALSE(dep->elastic->DecommissionNode(am_node));
+  EXPECT_TRUE(dep->rm->IsNodeAlive(am_node));
+  EXPECT_EQ(staging->NodeBytes(am_node), 100);
+  EXPECT_EQ(staging->stats().migrated, 0);
+  EXPECT_EQ(dep->elastic->stats().nodes_decommissioned, 0);
+}
+
+// Pinned staging entries stay behind when the others migrate, and die
+// with the retired node instead of counting forever.
+TEST(ChurnDataServicesTest, DecommissionDropsPinnedStagingEntries) {
+  auto d = ElasticDeployment({{"hiway/cache_staging_mb", "0"}});
+  ASSERT_TRUE(d.ok());
+  Deployment* dep = d->get();
+  const NodeId victim = 3;
+  StagingCache* staging = dep->staging_cache.get();
+  staging->InsertPinned(victim, "/moves", 1, 100);
+  staging->Unpin(victim, "/moves");
+  staging->InsertPinned(victim, "/pinned", 2, 50);
+
+  ASSERT_TRUE(dep->elastic->DecommissionNode(victim));
+  EXPECT_EQ(staging->stats().migrated, 1);
+  EXPECT_EQ(staging->NodeBytes(victim), 0);
+  EXPECT_EQ(staging->TotalBytes(), 100);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ Result<std::unique_ptr<Deployment>> GcDeployment(
 /// Deployment staging the snv workflow (for the fault tests, which reuse
 /// the recipe workloads from service_test / elastic_test).
 Result<std::unique_ptr<Deployment>> SnvGcDeployment(
-    const ChefAttributes& extra = {}, bool elastic = false) {
+    const ChefAttributes& extra = {}) {
   Karamel karamel;
   karamel.SetAttribute("cluster/workers", "6");
   karamel.SetAttribute("cluster/cores", "4");
@@ -70,7 +70,6 @@ Result<std::unique_ptr<Deployment>> SnvGcDeployment(
   for (const auto& [k, v] : extra) karamel.SetAttribute(k, v);
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  if (elastic) karamel.AddRecipe(ElasticInstallRecipe());
   karamel.AddRecipe(SnvWorkflowRecipe());
   return karamel.Converge();
 }
@@ -673,8 +672,7 @@ TEST(GcTest, PreemptedTasksKeepTheirInputPins) {
 }
 
 TEST(GcTest, SpotRevokeDrainKeepsInputPinsThroughRequeue) {
-  auto d = SnvGcDeployment({{"hiway/cache_staging_mb", "0"}},
-                           /*elastic=*/true);
+  auto d = SnvGcDeployment({{"hiway/cache_staging_mb", "0"}});
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   auto service = WorkflowService::Create(d->get(), WorkflowServiceOptions{});
   ASSERT_TRUE(service.ok());

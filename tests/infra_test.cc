@@ -347,7 +347,6 @@ TEST(KaramelAttrTest, EveryKeyHasOneRowAndItsDefaultConverges) {
   EXPECT_EQ(keys.size(), 42u);
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   karamel.AddRecipe(SnvWorkflowRecipe());
   karamel.AddRecipe(TraplineWorkflowRecipe());
   karamel.AddRecipe(MontageWorkflowRecipe());
@@ -369,7 +368,6 @@ TEST(ElasticRecipeTest, JoinersGetTheFleetsWorkerHardware) {
   karamel.SetAttribute("snv/chunk_mb", "32");
   karamel.AddRecipe(HadoopInstallRecipe());
   karamel.AddRecipe(HiWayInstallRecipe());
-  karamel.AddRecipe(ElasticInstallRecipe());
   karamel.AddRecipe(SnvWorkflowRecipe());
   auto d = karamel.Converge();
   ASSERT_TRUE(d.ok()) << d.status().ToString();
