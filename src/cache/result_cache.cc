@@ -473,15 +473,16 @@ ResultCacheStats ResultCache::stats() const {
 void ResultCache::PinOutputsLocked(const Entry& entry, int sign) {
   for (const CachedOutput& out : entry.outputs) {
     if (out.is_value) continue;
-    auto [it, inserted] = pinned_paths_.emplace(out.path, 0);
-    it->second += sign;
-    if (it->second <= 0) pinned_paths_.erase(it);
+    size_t file = static_cast<size_t>(dfs_->Intern(out.path));
+    if (file >= pins_of_file_.size()) pins_of_file_.resize(file + 1);
+    pins_of_file_[file] += sign;
   }
 }
 
-bool ResultCache::PinsPath(const std::string& path) const {
+bool ResultCache::PinsFile(FileId file) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pinned_paths_.find(path) != pinned_paths_.end();
+  return static_cast<size_t>(file) < pins_of_file_.size() &&
+         pins_of_file_[file] > 0;
 }
 
 size_t ResultCache::TotalEntriesLocked() const {

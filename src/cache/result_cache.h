@@ -189,15 +189,14 @@ class ResultCache {
   /// of entries evicted (counted as churn_evictions).
   int64_t EvictUnreadable();
 
-  /// True when some sealed entry records `path` as a file output. The
+  /// True when some sealed entry records file `file` as an output. The
   /// intermediate-data GC consults this before deleting a dead file: a
-  /// pinned path must survive, or the entry's replay guarantee breaks
+  /// pinned file must survive, or the entry's replay guarantee breaks
   /// (docs/storage-model.md, "GC × result-cache pinning").
-  bool PinsPath(const std::string& path) const;
+  bool PinsFile(FileId file) const;
 
   size_t size() const;
   ResultCacheStats stats() const;
-  const ResultCacheOptions& options() const { return options_; }
 
  private:
   friend class ProvenanceOracle;  // tests/oracles: scan-backed resolution
@@ -237,7 +236,7 @@ class ResultCache {
   bool ResolvedByProvenance(const Entry& entry) const;
   /// Adds (+1) or releases (-1) the pin index entries for `entry`'s file
   /// outputs. Every insert/erase of a sealed entry must go through this
-  /// so PinsPath stays exact.
+  /// so PinsFile stays exact.
   void PinOutputsLocked(const Entry& entry, int sign);
 
   Dfs* dfs_;
@@ -250,9 +249,9 @@ class ResultCache {
   /// shared content key: two tenants computing the same bytes hold
   /// independent entries, so neither can clobber (or observe) the other.
   std::map<std::string, std::map<std::string, Entry>> entries_;
-  /// path -> number of sealed entries recording it as a file output (the
-  /// GC pin index).
-  std::map<std::string, int> pinned_paths_;
+  /// FileId -> number of sealed entries recording it as a file output
+  /// (the GC pin index; dense, grown on demand).
+  std::vector<int> pins_of_file_;
   std::map<std::string, std::string> tenant_of_run_;
   std::unique_ptr<ProvDb> index_;  // nullptr = in-memory only
   uint64_t tick_ = 0;

@@ -1,5 +1,6 @@
 #include "src/cache/staging_cache.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/obs/tracer.h"
@@ -8,24 +9,23 @@ namespace hiway {
 
 StagingCache::StagingCache(StagingCacheOptions options) : options_(options) {}
 
-int64_t StagingCache::CachedBytes(const std::string& path,
-                                  uint64_t content_id, NodeId node) const {
+int64_t StagingCache::CachedBytes(FileId file, uint64_t content_id,
+                                  NodeId node) const {
   if (content_id == 0) return 0;  // file no longer exists in DFS
   std::lock_guard<std::mutex> lock(mu_);
   auto nit = nodes_.find(node);
   if (nit == nodes_.end()) return 0;
-  auto eit = nit->second.entries.find(path);
+  auto eit = nit->second.entries.find(file);
   if (eit == nit->second.entries.end()) return 0;
   if (eit->second.content_id != content_id) return 0;
   return eit->second.bytes;
 }
 
-bool StagingCache::HitAndPin(NodeId node, const std::string& path,
-                             uint64_t content_id) {
+bool StagingCache::HitAndPin(NodeId node, FileId file, uint64_t content_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto nit = nodes_.find(node);
   if (nit != nodes_.end()) {
-    auto eit = nit->second.entries.find(path);
+    auto eit = nit->second.entries.find(file);
     if (eit != nit->second.entries.end() && content_id != 0 &&
         eit->second.content_id == content_id) {
       ++eit->second.pins;
@@ -44,14 +44,15 @@ bool StagingCache::HitAndPin(NodeId node, const std::string& path,
 }
 
 bool StagingCache::EvictToFit(NodeBucket* bucket, NodeId node,
-                              int64_t incoming) {
+                              int64_t extra, FileId keep) {
   if (options_.node_budget_bytes <= 0) return true;
-  while (bucket->bytes + incoming > options_.node_budget_bytes) {
-    // Oldest unpinned entry.
+  while (bucket->bytes + extra > options_.node_budget_bytes) {
+    // Oldest unpinned entry (ticks are unique, so the scan order of the
+    // hash map cannot change the pick).
     auto victim = bucket->entries.end();
     for (auto it = bucket->entries.begin(); it != bucket->entries.end();
          ++it) {
-      if (it->second.pins > 0) continue;
+      if (it->second.pins > 0 || it->first == keep) continue;
       if (victim == bucket->entries.end() ||
           it->second.tick < victim->second.tick) {
         victim = it;
@@ -69,43 +70,46 @@ bool StagingCache::EvictToFit(NodeBucket* bucket, NodeId node,
   return true;
 }
 
-bool StagingCache::PutLocked(NodeBucket* bucket, NodeId node,
-                             const std::string& path, Entry entry) {
-  auto eit = bucket->entries.find(path);
-  if (eit != bucket->entries.end()) {
-    // Same path staged again (content drifted, or a concurrent attempt
-    // raced us): replace the bytes, keep existing pins honest.
-    entry.pins += eit->second.pins;
-    bucket->bytes -= eit->second.bytes;
-    bucket->entries.erase(eit);
+bool StagingCache::PutLocked(NodeBucket* bucket, NodeId node, FileId file,
+                             Entry entry) {
+  // Same file staged again (content drifted, or a concurrent attempt
+  // raced us). Its bytes make room only when no attempt still reads
+  // them; the fit is decided before the old entry is touched.
+  auto old = bucket->entries.find(file);
+  bool replaces = old != bucket->entries.end();
+  int64_t freed = replaces && old->second.pins == 0 ? old->second.bytes : 0;
+  if (!EvictToFit(bucket, node, entry.bytes - freed, file)) return false;
+  if (replaces) {
+    entry.pins += old->second.pins;
+    bucket->bytes -= old->second.bytes;
+    bucket->entries.erase(old);
   }
-  if (!EvictToFit(bucket, node, entry.bytes)) return false;
   entry.tick = ++tick_;
-  bucket->entries.emplace(path, entry);
+  bucket->entries.emplace(file, entry);
   bucket->bytes += entry.bytes;
   return true;
 }
 
-void StagingCache::InsertPinned(NodeId node, const std::string& path,
-                                uint64_t content_id, int64_t bytes) {
+void StagingCache::InsertPinned(NodeId node, FileId file, uint64_t content_id,
+                                int64_t bytes) {
   if (bytes < 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   Entry e;
   e.content_id = content_id;
   e.bytes = bytes;
   e.pins = 1;
-  if (!PutLocked(&nodes_[node], node, path, e)) {
+  if (!PutLocked(&nodes_[node], node, file, e)) {
     ++stats_.rejected;
     return;
   }
   ++stats_.insertions;
 }
 
-void StagingCache::Unpin(NodeId node, const std::string& path) {
+void StagingCache::Unpin(NodeId node, FileId file) {
   std::lock_guard<std::mutex> lock(mu_);
   auto nit = nodes_.find(node);
   if (nit == nodes_.end()) return;
-  auto eit = nit->second.entries.find(path);
+  auto eit = nit->second.entries.find(file);
   if (eit == nit->second.entries.end()) return;
   if (eit->second.pins > 0) --eit->second.pins;
 }
@@ -123,29 +127,32 @@ int StagingCache::MigrateNode(NodeId from, const std::vector<NodeId>& targets) {
   auto nit = nodes_.find(from);
   if (nit == nodes_.end() || targets.empty()) return 0;
   NodeBucket& source = nit->second;
+  std::vector<FileId> movable;
+  for (const auto& [file, entry] : source.entries) {
+    if (entry.pins == 0) movable.push_back(file);  // pinned: in use here
+  }
+  std::sort(movable.begin(), movable.end());
   int moved = 0;
   size_t next_target = 0;
-  std::vector<std::string> drop;
-  for (auto& [path, entry] : source.entries) {
-    if (entry.pins > 0) continue;  // in use on the draining node
+  for (FileId file : movable) {
+    const Entry& entry = source.entries.at(file);
     // Round-robin placement, first target with room after LRU eviction.
     bool placed = false;
     for (size_t attempt = 0; attempt < targets.size(); ++attempt) {
       NodeId dst = targets[(next_target + attempt) % targets.size()];
       if (dst == from) continue;
       NodeBucket& sink = nodes_[dst];
-      // Same path already there: keep the fresher copy (ours — the
+      // Same file already there: keep the fresher copy (ours — the
       // drain is the most recent observation of the content).
-      auto existing = sink.entries.find(path);
+      auto existing = sink.entries.find(file);
       if (existing != sink.entries.end() && existing->second.pins > 0) {
         continue;  // don't fight a pin
       }
-      if (!PutLocked(&sink, dst, path, entry)) continue;
+      if (!PutLocked(&sink, dst, file, entry)) continue;
       next_target = (next_target + attempt + 1) % targets.size();
       placed = true;
       break;
     }
-    drop.push_back(path);
     if (placed) {
       ++moved;
       ++stats_.migrated;
@@ -156,12 +163,8 @@ int StagingCache::MigrateNode(NodeId from, const std::vector<NodeId>& targets) {
     } else {
       ++stats_.invalidated;
     }
-  }
-  for (const std::string& path : drop) {
-    auto eit = source.entries.find(path);
-    if (eit == source.entries.end()) continue;
-    source.bytes -= eit->second.bytes;
-    source.entries.erase(eit);
+    source.bytes -= entry.bytes;
+    source.entries.erase(file);
   }
   if (source.entries.empty()) nodes_.erase(from);
   return moved;

@@ -8,8 +8,9 @@
 // (src/core/scheduler.cc) ranks cached bytes alongside HDFS block
 // locality when placing tasks.
 //
-// Entries are addressed by (node, path) and carry the DFS content
-// fingerprint they were staged from (Dfs::ContentId): an input that was
+// Entries are addressed by (node, FileId of the path) and carry the DFS
+// content fingerprint they were staged from (Dfs::ContentId): an input
+// that was
 // re-ingested or rewritten no longer matches, so stale bytes can never
 // serve a task. Each node's set is LRU-evicted under a configurable byte
 // budget; entries pinned by a running attempt are never evicted (they are
@@ -26,9 +27,10 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
+#include "src/common/flat_hash.h"
+#include "src/hdfs/dfs.h"
 #include "src/sim/cluster.h"
 
 namespace hiway {
@@ -65,27 +67,26 @@ class StagingCache {
   /// Optional: emits kCache "staging_hit"/"staging_evict" instants.
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Scheduler-facing: bytes of `path` cached on `node` with the given
-  /// (current) content fingerprint; 0 when absent or stale. Does not
-  /// touch LRU order — placement scans must not perturb recency.
-  int64_t CachedBytes(const std::string& path, uint64_t content_id,
-                      NodeId node) const;
+  /// Scheduler-facing: bytes of file `file` cached on `node` with the
+  /// given (current) content fingerprint; 0 when absent or stale. Does
+  /// not touch LRU order — placement scans must not perturb recency.
+  int64_t CachedBytes(FileId file, uint64_t content_id, NodeId node) const;
 
-  /// Stage-in fast path: when `node` holds a fresh copy of `path`, pins
+  /// Stage-in fast path: when `node` holds a fresh copy of `file`, pins
   /// it for the duration of the attempt and returns true (the transfer
   /// is skipped). Counts a miss otherwise.
-  bool HitAndPin(NodeId node, const std::string& path, uint64_t content_id);
+  bool HitAndPin(NodeId node, FileId file, uint64_t content_id);
 
   /// Records freshly staged bytes, pinned (the inserting attempt is
   /// using them). Evicts unpinned LRU entries to fit the budget; when
   /// pins alone exceed it the insertion is rejected (counted). An entry
-  /// for the same path is replaced (content drift).
-  void InsertPinned(NodeId node, const std::string& path,
-                    uint64_t content_id, int64_t bytes);
+  /// for the same file is replaced (content drift).
+  void InsertPinned(NodeId node, FileId file, uint64_t content_id,
+                    int64_t bytes);
 
   /// Releases an attempt's pin; entries become evictable at zero pins.
-  /// Unknown (node, path) pairs are ignored (the insert was rejected).
-  void Unpin(NodeId node, const std::string& path);
+  /// Unknown (node, file) pairs are ignored (the insert was rejected).
+  void Unpin(NodeId node, FileId file);
 
   /// Drops everything cached on `node` (NodeManager/disk loss).
   void InvalidateNode(NodeId node);
@@ -94,14 +95,14 @@ class StagingCache {
   /// `targets` (evicting LRU entries there to fit; counted as migrated),
   /// drops the ones no target can hold (counted as invalidated), and
   /// leaves pinned entries in place — their attempts are still running
-  /// on the draining node and the bucket dies with the node. Returns the
-  /// number of entries migrated. No-op when `targets` is empty.
+  /// on the draining node and the bucket dies with the node. Entries are
+  /// placed in ascending FileId order. Returns the number of entries
+  /// migrated. No-op when `targets` is empty.
   int MigrateNode(NodeId from, const std::vector<NodeId>& targets);
 
   int64_t NodeBytes(NodeId node) const;
   int64_t TotalBytes() const;
   StagingCacheStats stats() const;
-  const StagingCacheOptions& options() const { return options_; }
 
  private:
   struct Entry {
@@ -111,21 +112,20 @@ class StagingCache {
     uint64_t tick = 0;  // LRU recency stamp
   };
   struct NodeBucket {
-    std::map<std::string, Entry> entries;  // by path
+    FlatHashMap<FileId, Entry> entries;
     int64_t bytes = 0;
   };
 
-  /// Evicts unpinned LRU entries of `bucket` until `incoming` more bytes
-  /// fit the budget; returns false when pinned entries make that
-  /// impossible. Caller holds mu_.
-  bool EvictToFit(NodeBucket* bucket, NodeId node, int64_t incoming);
-  /// The one insert: puts `entry` under `path` in `bucket` (`node`'s),
-  /// replacing an entry for the same path and carrying its pins over,
-  /// after evicting unpinned LRU entries to fit. False (and the replaced
-  /// entry gone) when pinned entries make that impossible. Caller holds
+  /// Evicts unpinned LRU entries of `bucket` other than `keep` until
+  /// `extra` more bytes fit the budget; returns false when pinned
+  /// entries make that impossible. Caller holds mu_.
+  bool EvictToFit(NodeBucket* bucket, NodeId node, int64_t extra, FileId keep);
+  /// The one insert: puts `entry` under `file` in `bucket` (`node`'s),
+  /// replacing an entry for the same file and carrying its pins over,
+  /// after evicting unpinned LRU entries to fit. False, with nothing
+  /// replaced, when pinned entries make that impossible. Caller holds
   /// mu_.
-  bool PutLocked(NodeBucket* bucket, NodeId node, const std::string& path,
-                 Entry entry);
+  bool PutLocked(NodeBucket* bucket, NodeId node, FileId file, Entry entry);
 
   StagingCacheOptions options_;
   Tracer* tracer_ = nullptr;

@@ -251,21 +251,23 @@ Status HiWayAm::AdmitTasks(std::vector<TaskSpec> tasks) {
     TaskId id = entry.spec.id;
     auto [it, inserted] = tasks_.emplace(id, std::move(entry));
     TaskEntry* e = &it->second;
+    std::vector<FileId> inputs;
+    for (const std::string& path : e->spec.input_files) {
+      inputs.push_back(dfs_->Intern(path));
+    }
     // Pin inputs before memoisation: a replayed completion releases its
     // pins through the same OnConsumerDone path as a real one, so the
     // refcounts never skip a consumer.
-    if (gc_ != nullptr) {
-      gc_->RegisterConsumer(report_.run_id, id, e->spec.input_files);
-    }
+    if (gc_ != nullptr) gc_->RegisterConsumer(report_.run_id, id, inputs);
     if (TryMemoise(e)) continue;
-    for (const std::string& path : e->spec.input_files) {
-      if (!dfs_->Exists(path)) {
-        e->missing_inputs.insert(path);
-        waiting_on_file_[path].insert(id);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (!dfs_->Exists(e->spec.input_files[i])) {
+        // A file listed twice is waited on, and counted, once.
+        if (waiting_on_file_[inputs[i]].insert(id).second) ++e->missing_inputs;
       } else if (tracer_ != nullptr) {
         // Input already present: if one of our tasks produced it, the
         // dependency edge still matters for the critical path.
-        auto prod = file_producer_.find(path);
+        auto prod = file_producer_.find(inputs[i]);
         if (prod != file_producer_.end() && prod->second != id) {
           tracer_->Instant(SpanCategory::kTask, "task_dep", app_,
                            /*container=*/-1, id, /*node=*/-1, /*value=*/0.0,
@@ -273,7 +275,7 @@ Status HiWayAm::AdmitTasks(std::vector<TaskSpec> tasks) {
         }
       }
     }
-    if (e->missing_inputs.empty()) {
+    if (e->missing_inputs == 0) {
       MarkReadyOrServe(e);
     } else {
       e->state = TaskState::kWaiting;
@@ -654,14 +656,15 @@ void HiWayAm::RetryLater(TaskEntry* entry) {
 
 void HiWayAm::RegisterProducedFiles(const TaskResult& result) {
   for (const auto& [path, size] : result.produced_files) {
-    file_producer_[path] = result.id;
+    FileId file = dfs_->Intern(path);
+    file_producer_[file] = result.id;
     // The cache (if any) sealed its entry before this point, so a pinned
     // output is already visible to the collector here.
-    if (gc_ != nullptr) gc_->RegisterProduced(report_.run_id, path, size);
-    auto waiters = waiting_on_file_.find(path);
+    if (gc_ != nullptr) gc_->RegisterProduced(report_.run_id, file, size);
+    auto waiters = waiting_on_file_.find(file);
     if (waiters == waiting_on_file_.end()) continue;
     std::set<TaskId> ids = std::move(waiters->second);
-    waiting_on_file_.erase(waiters);
+    waiting_on_file_.erase(file);
     for (TaskId id : ids) {
       auto it = tasks_.find(id);
       if (it == tasks_.end()) continue;
@@ -672,9 +675,8 @@ void HiWayAm::RegisterProducedFiles(const TaskResult& result) {
                          /*container=*/-1, id, /*node=*/-1, /*value=*/0.0,
                          result.id);
       }
-      entry->missing_inputs.erase(path);
-      if (entry->state == TaskState::kWaiting &&
-          entry->missing_inputs.empty()) {
+      if (--entry->missing_inputs == 0 &&
+          entry->state == TaskState::kWaiting) {
         --waiting_;
         // Now that all inputs exist their content ids are final, so the
         // cache key is computable: a downstream task whose upstream was
@@ -694,14 +696,15 @@ void HiWayAm::MaybeFinish() {
   if (waiting_ > 0) {
     // Nothing is running or queued, yet tasks still await inputs: those
     // files will never appear. waiting_on_file_ holds each of them once,
-    // however many tasks wait on it; the list is capped.
+    // however many tasks wait on it, in its (deterministic) table order;
+    // the list is capped.
     constexpr size_t kMaxListedChars = 200;
     std::string missing;
     size_t listed = 0;
-    for (const auto& [path, waiters] : waiting_on_file_) {
+    for (const auto& [file, waiters] : waiting_on_file_) {
       if (missing.size() >= kMaxListedChars) break;
       if (listed++ > 0) missing += ", ";
-      missing += path;
+      missing += dfs_->PathOf(file);
     }
     if (missing.size() > kMaxListedChars) {
       missing.replace(kMaxListedChars, std::string::npos, "...");

@@ -23,6 +23,7 @@
 
 #include "src/cache/result_cache.h"
 #include "src/cache/staging_cache.h"
+#include "src/common/flat_hash.h"
 #include "src/common/retry_policy.h"
 #include "src/core/provenance.h"
 #include "src/core/runtime_estimator.h"
@@ -214,7 +215,7 @@ class HiWayAm : public AmCallbacks {
     /// Attributed failures per node (feeds RetryPolicy::ShouldBlacklist;
     /// node losses and transient I/O errors are not attributed).
     std::map<NodeId, int> node_failures;
-    std::set<std::string> missing_inputs;
+    int missing_inputs = 0;  // distinct input files not yet in DFS
     ContainerId container = kInvalidContainer;
     /// Virtual time the current attempt's container was handed to
     /// LaunchTask (drain triage: projected finish = launched_at +
@@ -300,10 +301,11 @@ class HiWayAm : public AmCallbacks {
   std::function<void(const WorkflowReport&)> finish_listener_;
 
   std::map<TaskId, TaskEntry> tasks_;
-  std::map<std::string, std::set<TaskId>> waiting_on_file_;
-  /// Which completed task produced each DFS path (trace dependency
+  /// Tasks waiting on each absent input file, released in ascending id.
+  FlatHashMap<FileId, std::set<TaskId>> waiting_on_file_;
+  /// Which completed task produced each DFS file (trace dependency
   /// edges for consumers admitted after their producer finished).
-  std::map<std::string, TaskId> file_producer_;
+  FlatHashMap<FileId, TaskId> file_producer_;
   /// Recovery memo: signature -> recorded completions, oldest first.
   std::map<std::string, std::deque<MemoEntry>> memo_;
   /// Completed tasks' results awaiting DeliverCompletions.

@@ -53,8 +53,8 @@ int64_t DataAwareScheduler::EffectiveLocalBytes(FileId id,
     // A staged copy only counts while it matches the file's current
     // content; CachedBytes checks the fingerprint and never perturbs
     // the cache's LRU order.
-    local = std::max(local, staging_->CachedBytes(dfs_->PathOf(id),
-                                                  dfs_->ContentIdOf(id), node));
+    local = std::max(local,
+                     staging_->CachedBytes(id, dfs_->ContentIdOf(id), node));
   }
   return local;
 }

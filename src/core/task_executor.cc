@@ -31,8 +31,9 @@ void DfsStorageAdapter::StageIn(
   }
   int64_t bytes = info->size_bytes;
   uint64_t content = info->content_id;
+  FileId file = dfs_->Intern(path);
   SimEngine* engine = dfs_->cluster()->engine();
-  if (staging_ != nullptr && staging_->HitAndPin(node, path, content)) {
+  if (staging_ != nullptr && staging_->HitAndPin(node, file, content)) {
     // The node already holds this exact content from an earlier task or
     // workflow: no DFS read, the stage-in is free. Pinned until the
     // attempt releases its inputs.
@@ -44,12 +45,12 @@ void DfsStorageAdapter::StageIn(
   double started = engine->Now();
   StagingCache* staging = staging_;
   dfs_->ReadToNode(path, node,
-                   [done = std::move(done), path, node, bytes, content,
+                   [done = std::move(done), file, node, bytes, content,
                     started, engine, staging](Status st) {
                      if (st.ok() && staging != nullptr) {
                        // Keep the fresh local copy for later attempts on
                        // this node (pinned: the reader uses it now).
-                       staging->InsertPinned(node, path, content, bytes);
+                       staging->InsertPinned(node, file, content, bytes);
                      }
                      done(st, bytes, engine->Now() - started);
                    });
@@ -59,7 +60,7 @@ void DfsStorageAdapter::ReleaseInputs(const std::vector<std::string>& paths,
                                       NodeId node) {
   if (staging_ == nullptr) return;
   for (const std::string& path : paths) {
-    staging_->Unpin(node, path);
+    staging_->Unpin(node, dfs_->Intern(path));
   }
 }
 

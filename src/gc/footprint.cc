@@ -1,8 +1,7 @@
 #include "src/gc/footprint.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <optional>
 
 #include "src/lang/workflow_validate.h"
 
@@ -12,33 +11,30 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
                                     const std::vector<std::string>& targets,
                                     const Dfs* dfs) {
   FootprintEstimate est;
-  std::set<std::string> target_set(targets.begin(), targets.end());
-
   TaskGraph graph(tasks);
-  auto produced = [&](const std::string& path) {
-    return graph.ProducerOf(path).has_value();
-  };
-  std::map<std::string, int> remaining_consumers;
-  std::vector<std::set<std::string>> inputs_of(tasks.size());
+  const size_t files = graph.num_files();
+  std::vector<bool> target(files, false);
+  for (const std::string& path : targets) {
+    if (std::optional<size_t> f = graph.FileOf(path)) target[*f] = true;
+  }
+  // Per file: the tasks that read it and have not run yet.
+  std::vector<int> consumers(files, 0);
   for (size_t i = 0; i < tasks.size(); ++i) {
-    for (const std::string& path : tasks[i].input_files) {
-      if (inputs_of[i].insert(path).second) ++remaining_consumers[path];
-    }
+    for (size_t f : graph.inputs(i)) ++consumers[f];
   }
 
-  // Known sizes: external inputs from the DFS, produced paths as tasks
+  // Known sizes: external inputs from the DFS, produced files as tasks
   // "run" below.
-  std::map<std::string, int64_t> size_of;
+  std::vector<std::optional<int64_t>> size_of(files);
   int64_t live = 0;
-  for (const auto& [path, count] : remaining_consumers) {
-    (void)count;
-    if (produced(path)) continue;
+  for (size_t f = 0; f < files; ++f) {
+    if (consumers[f] == 0 || graph.producer(f).has_value()) continue;
     int64_t size = 0;
     if (dfs != nullptr) {
-      auto stat = dfs->Stat(path);
+      auto stat = dfs->Stat(graph.path(f));
       if (stat.ok()) size = stat->size_bytes;
     }
-    size_of[path] = size;
+    size_of[f] = size;
     est.input_bytes += size;
     live += size;  // staged inputs are live for the whole run
   }
@@ -49,14 +45,11 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
   // (malformed graphs) follow in declaration order, so the walk still
   // visits every task.
   auto run = [&](size_t i) {
-    const TaskSpec& task = tasks[i];
     int64_t input_sum = 0;
-    for (const std::string& path : inputs_of[i]) {
-      auto size = size_of.find(path);
-      if (size != size_of.end()) input_sum += size->second;
-    }
-    for (const OutputSpec& out : task.outputs) {
+    for (size_t f : graph.inputs(i)) input_sum += size_of[f].value_or(0);
+    for (const OutputSpec& out : tasks[i].outputs) {
       if (out.is_value) continue;
+      size_t f = *graph.FileOf(out.path);
       int64_t size;
       if (out.size_bytes.has_value()) {
         size = *out.size_bytes;
@@ -64,26 +57,19 @@ FootprintEstimate EstimateFootprint(const std::vector<TaskSpec>& tasks,
         size = input_sum;  // tool-model fallback: outputs scale with inputs
         est.exact_sizes = false;
       }
-      size_of[out.path] = size;
+      size_of[f] = size;
       est.total_produced_bytes += size;
       live += size;
       est.peak_bytes = std::max(est.peak_bytes, live);
-      // Dead on arrival: no consumer, not a target.
-      if (remaining_consumers.find(out.path) == remaining_consumers.end() &&
-          target_set.count(out.path) == 0) {
-        live -= size;
-      }
+      // Dead on arrival: no consumer left, not a target.
+      if (consumers[f] == 0 && !target[f]) live -= size;
     }
-    for (const std::string& path : inputs_of[i]) {
-      auto count = remaining_consumers.find(path);
-      if (count == remaining_consumers.end()) continue;
-      if (--count->second > 0) continue;
-      remaining_consumers.erase(count);
+    for (size_t f : graph.inputs(i)) {
+      if (consumers[f] == 0 || --consumers[f] > 0) continue;
       // Only scope-produced, non-target files are collectible; staged
       // external inputs stay for the whole run.
-      if (produced(path) && target_set.count(path) == 0) {
-        auto size = size_of.find(path);
-        if (size != size_of.end()) live -= size->second;
+      if (graph.producer(f).has_value() && !target[f]) {
+        live -= size_of[f].value_or(0);
       }
     }
   };

@@ -17,15 +17,17 @@ void IntermediateGc::SetTargets(const std::string& run_id,
   auto it = scopes_.find(run_id);
   if (it == scopes_.end()) return;
   for (const std::string& path : targets) {
-    it->second.targets.insert(path);
-    Touch(it->second, path);
+    Touch(it->second, dfs_->Intern(path)).target = true;
   }
 }
 
-IntermediateGc::FileState& IntermediateGc::Touch(Scope& scope,
-                                                 const std::string& path) {
-  auto [it, inserted] = scope.files.emplace(path, FileState{});
-  if (inserted) ++interest_[path];
+IntermediateGc::FileState& IntermediateGc::Touch(Scope& scope, FileId file) {
+  auto [it, inserted] = scope.files.emplace(file, FileState{});
+  if (inserted) {
+    size_t f = static_cast<size_t>(file);
+    if (f >= interest_.size()) interest_.resize(f + 1);
+    ++interest_[f];
+  }
   return it->second;
 }
 
@@ -39,21 +41,19 @@ void IntermediateGc::AddLive(Scope& scope, FileState& file) {
 }
 
 void IntermediateGc::RegisterConsumer(const std::string& run_id, TaskId task,
-                                      const std::vector<std::string>& inputs) {
+                                      const std::vector<FileId>& inputs) {
   auto it = scopes_.find(run_id);
   if (it == scopes_.end()) return;
   Scope& scope = it->second;
-  std::vector<std::string>& recorded = scope.task_inputs[task];
-  for (const std::string& path : inputs) {
-    FileState& file = Touch(scope, path);
-    if (file.waiting_consumers.insert(task).second) {
-      recorded.push_back(path);
-    }
+  std::vector<FileId>& recorded = scope.task_inputs[task];
+  for (FileId id : inputs) {
+    FileState& file = Touch(scope, id);
+    if (file.waiting_consumers.insert(task).second) recorded.push_back(id);
     // Staged external inputs (present in DFS, not produced here) count
     // toward the scope's live footprint from first reference; they are
     // never collected, only accounted.
     if (!file.produced && !file.counted_live) {
-      auto stat = dfs_->Stat(path);
+      auto stat = dfs_->Stat(dfs_->PathOf(id));
       if (stat.ok()) {
         file.size_bytes = stat->size_bytes;
         AddLive(scope, file);
@@ -62,13 +62,12 @@ void IntermediateGc::RegisterConsumer(const std::string& run_id, TaskId task,
   }
 }
 
-void IntermediateGc::RegisterProduced(const std::string& run_id,
-                                      const std::string& path,
+void IntermediateGc::RegisterProduced(const std::string& run_id, FileId id,
                                       int64_t size_bytes) {
   auto it = scopes_.find(run_id);
   if (it == scopes_.end()) return;
   Scope& scope = it->second;
-  FileState& file = Touch(scope, path);
+  FileState& file = Touch(scope, id);
   file.produced = true;
   file.collected = false;
   if (file.counted_live && file.size_bytes != size_bytes) {
@@ -79,7 +78,7 @@ void IntermediateGc::RegisterProduced(const std::string& run_id,
   AddLive(scope, file);
   // An output nothing consumes and nobody targets is dead on arrival
   // (Makeflow's "garbage at creation" case).
-  MaybeCollect(scope, path, /*final_pass=*/false);
+  MaybeCollect(scope, id, /*final_pass=*/false);
 }
 
 void IntermediateGc::OnConsumerDone(const std::string& run_id, TaskId task) {
@@ -88,38 +87,31 @@ void IntermediateGc::OnConsumerDone(const std::string& run_id, TaskId task) {
   Scope& scope = it->second;
   auto inputs = scope.task_inputs.find(task);
   if (inputs == scope.task_inputs.end()) return;
-  for (const std::string& path : inputs->second) {
-    auto file = scope.files.find(path);
-    if (file == scope.files.end()) continue;
-    file->second.waiting_consumers.erase(task);
-    MaybeCollect(scope, path, /*final_pass=*/false);
+  for (FileId id : inputs->second) {
+    scope.files.at(id).waiting_consumers.erase(task);
+    MaybeCollect(scope, id, /*final_pass=*/false);
   }
-  scope.task_inputs.erase(inputs);
+  scope.task_inputs.erase(task);
 }
 
-bool IntermediateGc::CachePinned(const std::string& path) const {
-  return cache_ != nullptr && cache_->PinsPath(path);
-}
-
-void IntermediateGc::MaybeCollect(Scope& scope, const std::string& path,
-                                  bool final_pass) {
-  auto it = scope.files.find(path);
+void IntermediateGc::MaybeCollect(Scope& scope, FileId id, bool final_pass) {
+  auto it = scope.files.find(id);
   if (it == scope.files.end()) return;
   FileState& file = it->second;
-  if (!file.produced || file.collected) return;
+  if (!file.produced || file.collected || file.target) return;
   if (!file.waiting_consumers.empty()) return;
-  if (scope.targets.count(path) != 0) return;
   // Online collection is safe only for static, live scopes: iterative
   // sources may still discover consumers, and a dormant (crashed) scope
   // must not delete files its replacement is about to re-pin.
   if (!final_pass && (!scope.is_static || scope.dormant)) return;
-  // Another live scope references the path (cross-submission sharing).
-  auto interest = interest_.find(path);
-  if (interest != interest_.end() && interest->second > 1) return;
-  if (CachePinned(path)) {
-    if (scope.deferred.insert(path).second) ++stats_.cache_deferrals;
+  // Another live scope references the file (cross-submission sharing).
+  if (interest_[static_cast<size_t>(id)] > 1) return;
+  if (cache_ != nullptr && cache_->PinsFile(id)) {
+    if (!file.deferred) ++stats_.cache_deferrals;
+    file.deferred = true;
     return;
   }
+  const std::string& path = dfs_->PathOf(id);
   Status st = dfs_->Delete(path);
   // NotFound is fine: the file may have been superseded or never landed.
   if (!st.ok() && !st.IsNotFound()) {
@@ -127,7 +119,7 @@ void IntermediateGc::MaybeCollect(Scope& scope, const std::string& path,
     return;
   }
   file.collected = true;
-  scope.deferred.erase(path);
+  file.deferred = false;
   if (file.counted_live) {
     file.counted_live = false;
     scope.live_bytes -= file.size_bytes;
@@ -151,19 +143,16 @@ GcScopeReport IntermediateGc::EndScope(const std::string& run_id) {
   // Final pass: by now the consumer set is complete (static or not), so
   // anything dead, untargeted, unshared, and unpinned goes. Cache-pinned
   // files are intentionally left behind — the sealed entry owns them.
-  for (auto& [path, file] : scope.files) {
+  for (auto& [id, file] : scope.files) {
     (void)file;
-    MaybeCollect(scope, path, /*final_pass=*/true);
+    MaybeCollect(scope, id, /*final_pass=*/true);
   }
   report.peak_live_bytes = scope.peak_live_bytes;
   report.files_collected = scope.files_collected;
   report.bytes_collected = scope.bytes_collected;
-  for (const auto& [path, file] : scope.files) {
+  for (const auto& [id, file] : scope.files) {
     (void)file;
-    auto interest = interest_.find(path);
-    if (interest != interest_.end() && --interest->second <= 0) {
-      interest_.erase(interest);
-    }
+    --interest_[static_cast<size_t>(id)];
   }
   scopes_.erase(it);
   ++stats_.scopes_ended;
@@ -175,23 +164,11 @@ int64_t IntermediateGc::Sweep() {
   int64_t before = stats_.files_collected;
   for (auto& [run_id, scope] : scopes_) {
     (void)run_id;
-    std::vector<std::string> retry(scope.deferred.begin(),
-                                   scope.deferred.end());
-    for (const std::string& path : retry) {
-      MaybeCollect(scope, path, /*final_pass=*/false);
+    for (auto& [id, file] : scope.files) {
+      if (file.deferred) MaybeCollect(scope, id, /*final_pass=*/false);
     }
   }
   return stats_.files_collected - before;
-}
-
-int64_t IntermediateGc::LiveBytes(const std::string& run_id) const {
-  auto it = scopes_.find(run_id);
-  return it == scopes_.end() ? 0 : it->second.live_bytes;
-}
-
-int64_t IntermediateGc::PeakLiveBytes(const std::string& run_id) const {
-  auto it = scopes_.find(run_id);
-  return it == scopes_.end() ? 0 : it->second.peak_live_bytes;
 }
 
 bool IntermediateGc::HasScope(const std::string& run_id) const {

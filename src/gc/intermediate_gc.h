@@ -3,10 +3,11 @@
 //
 // Every workflow run opens a *scope*. Inside a scope the AM registers each
 // task's input set before the task can complete (RegisterConsumer) and
-// each produced file as stage-out finishes (RegisterProduced). A produced
-// file is *dead* — and deleted from the DFS — once every registered
-// consumer has successfully completed, it is not a workflow target, no
-// other live scope references the path, and no sealed result-cache entry
+// each produced file as stage-out finishes (RegisterProduced), naming
+// files by their DFS FileId (Dfs::Intern). A produced file is *dead* —
+// and deleted from the DFS — once every registered consumer has
+// successfully completed, it is not a workflow target, no other live
+// scope references the file, and no sealed result-cache entry
 // pins it. Pins are released only by *successful* completion, so a
 // preempted or drain-requeued task (which never reaches OnConsumerDone)
 // keeps its inputs alive across the retry by construction.
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flat_hash.h"
 #include "src/hdfs/dfs.h"
 #include "src/lang/workflow.h"
 
@@ -44,8 +46,8 @@ class ResultCache;
 struct GcStats {
   int64_t files_collected = 0;
   int64_t bytes_collected = 0;
-  /// Dead files whose deletion is deferred because a sealed result-cache
-  /// entry pins them (retried on Sweep / scope end).
+  /// Dead files whose deletion a sealed result-cache entry's pin deferred
+  /// (once per file and scope; retried only by EndScope).
   int64_t cache_deferrals = 0;
   int64_t sweeps = 0;
   int64_t scopes_opened = 0;
@@ -86,10 +88,10 @@ class IntermediateGc {
   /// Registers `task` as a consumer of `inputs`. Must happen before the
   /// task can complete (the AM calls it at admission, before memoisation).
   void RegisterConsumer(const std::string& run_id, TaskId task,
-                        const std::vector<std::string>& inputs);
+                        const std::vector<FileId>& inputs);
 
   /// Registers a file the scope produced (stage-out durably complete).
-  void RegisterProduced(const std::string& run_id, const std::string& path,
+  void RegisterProduced(const std::string& run_id, FileId file,
                         int64_t size_bytes);
 
   /// Releases `task`'s input pins. Call only on *successful* completion —
@@ -106,14 +108,12 @@ class IntermediateGc {
   /// scope's summary; a zero report for unknown run ids.
   GcScopeReport EndScope(const std::string& run_id);
 
-  /// Retries cache-deferred dead files whose pins have since been
-  /// released (the service calls this after cache evictions / periodic
-  /// maintenance). Returns files collected.
+  /// Retries the cache-deferred dead files of live scopes. Returns files
+  /// collected. Nothing in the service calls it: a deferral is retried
+  /// only by EndScope (docs/storage-model.md §3).
   int64_t Sweep();
 
-  /// Current live logical bytes of the scope (0 for unknown run ids).
-  int64_t LiveBytes(const std::string& run_id) const;
-  int64_t PeakLiveBytes(const std::string& run_id) const;
+  /// True while run `run_id`'s scope is open.
   bool HasScope(const std::string& run_id) const;
 
   const GcStats& stats() const { return stats_; }
@@ -123,6 +123,8 @@ class IntermediateGc {
     bool produced = false;       // written by this scope (collectible)
     bool collected = false;      // already deleted by this GC
     bool counted_live = false;   // size currently in live_bytes
+    bool target = false;         // a workflow target (never collected)
+    bool deferred = false;       // dead, but the result cache pins it
     int64_t size_bytes = 0;
     std::set<TaskId> waiting_consumers;
   };
@@ -130,33 +132,30 @@ class IntermediateGc {
   struct Scope {
     bool is_static = false;
     bool dormant = false;
-    std::set<std::string> targets;
-    std::map<std::string, FileState> files;
-    std::map<TaskId, std::vector<std::string>> task_inputs;
-    /// Dead files deferred because the result cache pinned them.
-    std::set<std::string> deferred;
+    FlatHashMap<FileId, FileState> files;
+    FlatHashMap<TaskId, std::vector<FileId>> task_inputs;
     int64_t live_bytes = 0;
     int64_t peak_live_bytes = 0;
     int64_t files_collected = 0;
     int64_t bytes_collected = 0;
   };
 
-  /// Returns the scope's entry for `path`, creating it (and taking the
-  /// scope's global interest in the path) on first reference.
-  FileState& Touch(Scope& scope, const std::string& path);
+  /// Returns the scope's entry for `file`, creating it (and taking the
+  /// scope's global interest in the file) on first reference.
+  FileState& Touch(Scope& scope, FileId file);
   void AddLive(Scope& scope, FileState& file);
-  /// Deletes `path` if dead and unpinned; defers on a cache pin when
-  /// `defer_on_pin`. `final_pass` also collects in dormant / iterative
-  /// scopes (EndScope semantics).
-  void MaybeCollect(Scope& scope, const std::string& path, bool final_pass);
-  bool CachePinned(const std::string& path) const;
+  /// Deletes `id` if dead and unpinned; defers on a cache pin.
+  /// `final_pass` also collects in dormant / iterative scopes (EndScope
+  /// semantics).
+  void MaybeCollect(Scope& scope, FileId id, bool final_pass);
 
   Dfs* dfs_;
   const ResultCache* cache_ = nullptr;
   std::map<std::string, Scope> scopes_;
-  /// Global path -> number of scopes referencing it. A path is only
-  /// collectible for a scope when its count is 1 (that scope alone).
-  std::map<std::string, int> interest_;
+  /// FileId -> number of scopes referencing the file (dense, grown on
+  /// demand). A file is only collectible for a scope when its count is 1
+  /// (that scope alone).
+  std::vector<int> interest_;
   GcStats stats_;
 };
 

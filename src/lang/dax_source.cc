@@ -112,10 +112,8 @@ Result<std::unique_ptr<DaxSource>> DaxSource::Parse(
       source->required_inputs_.emplace_back(path, size);
     }
   }
-  std::set<std::string> consumed_paths;
-  for (const auto& [path, size] : consumed) consumed_paths.insert(path);
   for (const std::string& path : produced) {
-    if (consumed_paths.find(path) == consumed_paths.end()) {
+    if (consumed.find(path) == consumed.end()) {
       source->targets_.push_back(path);
     }
   }

@@ -131,8 +131,7 @@ Result<std::unique_ptr<TraceSource>> TraceSource::FromEvents(
   }
 
   std::set<std::string> produced;
-  std::set<std::string> consumed;
-  std::map<std::string, int64_t> consumed_sizes;
+  std::map<std::string, int64_t> consumed;  // path -> staged size
   for (auto& [id, r] : by_task) {
     if (!r.has_start) {
       if (allow_incomplete) continue;  // crash prefix: drop the fragment
@@ -161,8 +160,7 @@ Result<std::unique_ptr<TraceSource>> TraceSource::FromEvents(
       r.spec.outputs.push_back(std::move(out));
     }
     for (const std::string& in : r.spec.input_files) {
-      consumed.insert(in);
-      consumed_sizes[in] = r.staged_inputs[in];
+      consumed[in] = r.staged_inputs[in];
     }
     source->tasks_.push_back(r.spec);
   }
@@ -174,9 +172,9 @@ Result<std::unique_ptr<TraceSource>> TraceSource::FromEvents(
   }
 
   // Required inputs: consumed but never produced in this run.
-  for (const std::string& path : consumed) {
+  for (const auto& [path, size] : consumed) {
     if (produced.find(path) == produced.end()) {
-      source->required_inputs_.emplace_back(path, consumed_sizes[path]);
+      source->required_inputs_.emplace_back(path, size);
     }
   }
   // Targets: produced but never consumed.

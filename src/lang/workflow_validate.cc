@@ -9,17 +9,31 @@
 namespace hiway {
 
 TaskGraph::TaskGraph(const std::vector<TaskSpec>& tasks)
-    : parents_(tasks.size()), children_(tasks.size()) {
+    : inputs_(tasks.size()), parents_(tasks.size()), children_(tasks.size()) {
+  auto file = [this](const std::string& path) {
+    auto [it, inserted] = file_of_.emplace(path, files_.size());
+    if (inserted) files_.push_back({&path, std::nullopt});
+    return it->second;
+  };
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (const OutputSpec& out : tasks[i].outputs) {
-      if (!out.is_value) producer_of_.emplace(out.path, i);
+      if (out.is_value) continue;
+      std::optional<size_t>& first = files_[file(out.path)].producer;
+      if (!first.has_value()) first = i;
     }
   }
-  // last_child[p] == i once p is recorded as a parent of task i.
+  // last_reader[f] == i once task i lists file f; last_child[p] == i once
+  // p is recorded as a parent of task i.
+  std::vector<size_t> last_reader;
   std::vector<size_t> last_child(tasks.size(), tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (const std::string& path : tasks[i].input_files) {
-      std::optional<size_t> p = ProducerOf(path);
+      size_t f = file(path);
+      last_reader.resize(files_.size(), tasks.size());
+      if (last_reader[f] == i) continue;
+      last_reader[f] = i;
+      inputs_[i].push_back(f);
+      std::optional<size_t> p = files_[f].producer;
       if (!p.has_value() || *p == i || last_child[*p] == i) continue;
       last_child[*p] = i;
       parents_[i].push_back(*p);
@@ -43,12 +57,6 @@ TaskGraph::TaskGraph(const std::vector<TaskSpec>& tasks)
   }
 }
 
-std::optional<size_t> TaskGraph::ProducerOf(std::string_view path) const {
-  auto it = producer_of_.find(path);
-  if (it == producer_of_.end()) return std::nullopt;
-  return it->second;
-}
-
 Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
   TaskGraph graph(tasks);
   std::set<TaskId> ids;
@@ -67,8 +75,6 @@ Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
       return Status::InvalidArgument(StrFormat(
           "task %lld has an empty signature", static_cast<long long>(task.id)));
     }
-    std::set<std::string> inputs(task.input_files.begin(),
-                                 task.input_files.end());
     for (const std::string& in : task.input_files) {
       if (in.empty()) {
         return Status::InvalidArgument(
@@ -88,13 +94,16 @@ Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
             static_cast<long long>(task.id), out.path.c_str(),
             static_cast<long long>(*out.size_bytes)));
       }
-      if (inputs.count(out.path) > 0) {
+      std::optional<size_t> file = graph.FileOf(out.path);
+      const std::vector<size_t>& inputs = graph.inputs(i);
+      if (file.has_value() &&
+          std::find(inputs.begin(), inputs.end(), *file) != inputs.end()) {
         return Status::InvalidArgument(StrFormat(
             "task %lld uses '%s' as both input and output (self-dependency)",
             static_cast<long long>(task.id), out.path.c_str()));
       }
       if (out.is_value) continue;
-      size_t first = *graph.ProducerOf(out.path);
+      size_t first = *graph.producer(*file);
       if (first != i) {
         return Status::InvalidArgument(StrFormat(
             "output '%s' is produced by both task %lld and task %lld",

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -28,20 +29,37 @@
 namespace hiway {
 
 /// File-induced dependency graph over a task vector. Tasks are named by
-/// their position in that vector. Task p is a parent of task c when c
-/// reads a path p writes as a file output; value outputs name no file and
-/// make no edge, and a task reading its own output is no edge either.
-/// Building never fails: a malformed list (a cycle, a path written twice)
-/// still yields a graph, and the validator turns it into an error.
+/// their position in that vector, and each distinct path they read or
+/// write as a file by a dense file index. Task p is a parent of task c
+/// when c reads a path p writes as a file output; value outputs name no
+/// file and make no edge, and a task reading its own output is no edge
+/// either. Building never fails: a malformed list (a cycle, a path
+/// written twice) still yields a graph, and the validator turns it into
+/// an error.
 ///
-/// The graph keeps views of the tasks' output paths, so the task vector
-/// must outlive it and stay unmodified.
+/// The graph keeps views of the tasks' paths, so the task vector must
+/// outlive it and stay unmodified.
 class TaskGraph {
  public:
   explicit TaskGraph(const std::vector<TaskSpec>& tasks);
 
+  /// The file index of `path`, if some task reads or writes it as a file.
+  std::optional<size_t> FileOf(std::string_view path) const {
+    auto it = file_of_.find(path);
+    if (it == file_of_.end()) return std::nullopt;
+    return it->second;
+  }
   /// The first task that writes `path` as a file output, if any.
-  std::optional<size_t> ProducerOf(std::string_view path) const;
+  std::optional<size_t> ProducerOf(std::string_view path) const {
+    std::optional<size_t> f = FileOf(path);
+    return f.has_value() ? producer(*f) : std::nullopt;
+  }
+  /// The number of file indices, and the path and first producer of `f`.
+  size_t num_files() const { return files_.size(); }
+  const std::string& path(size_t f) const { return *files_[f].path; }
+  std::optional<size_t> producer(size_t f) const { return files_[f].producer; }
+  /// Distinct files task `i` reads, in the order it first reads them.
+  const std::vector<size_t>& inputs(size_t i) const { return inputs_[i]; }
   /// Distinct producers of task `i`'s inputs, in the order it reads them.
   const std::vector<size_t>& parents(size_t i) const { return parents_[i]; }
   /// Distinct readers of task `i`'s outputs, in declaration order.
@@ -54,7 +72,11 @@ class TaskGraph {
   const std::vector<size_t>& cyclic() const { return cyclic_; }
 
  private:
-  std::unordered_map<std::string_view, size_t> producer_of_;
+  struct File { const std::string* path; std::optional<size_t> producer; };
+
+  std::unordered_map<std::string_view, size_t> file_of_;
+  std::vector<File> files_;
+  std::vector<std::vector<size_t>> inputs_;
   std::vector<std::vector<size_t>> parents_;
   std::vector<std::vector<size_t>> children_;
   std::vector<size_t> order_;

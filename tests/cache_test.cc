@@ -33,88 +33,150 @@ namespace {
 // ---------------------------------------------------------------------
 
 TEST(StagingCacheTest, HitRequiresMatchingContentAndNode) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(2, NodeSpec{}, 100.0));
+  Dfs dfs(&cluster, DfsOptions{});
+  const FileId a = dfs.Intern("/in/a");
   StagingCache cache;
-  cache.InsertPinned(1, "/in/a", 0xabc, 100);
-  cache.Unpin(1, "/in/a");
+  cache.InsertPinned(1, a, 0xabc, 100);
+  cache.Unpin(1, a);
 
-  EXPECT_EQ(cache.CachedBytes("/in/a", 0xabc, 1), 100);
-  EXPECT_EQ(cache.CachedBytes("/in/a", 0xdef, 1), 0);  // content drifted
-  EXPECT_EQ(cache.CachedBytes("/in/a", 0xabc, 2), 0);  // other node
+  EXPECT_EQ(cache.CachedBytes(a, 0xabc, 1), 100);
+  EXPECT_EQ(cache.CachedBytes(a, 0xdef, 1), 0);  // content drifted
+  EXPECT_EQ(cache.CachedBytes(a, 0xabc, 2), 0);  // other node
 
-  EXPECT_TRUE(cache.HitAndPin(1, "/in/a", 0xabc));
-  cache.Unpin(1, "/in/a");
-  EXPECT_FALSE(cache.HitAndPin(1, "/in/a", 0xdef));  // stale = miss
-  EXPECT_FALSE(cache.HitAndPin(2, "/in/a", 0xabc));
+  EXPECT_TRUE(cache.HitAndPin(1, a, 0xabc));
+  cache.Unpin(1, a);
+  EXPECT_FALSE(cache.HitAndPin(1, a, 0xdef));  // stale = miss
+  EXPECT_FALSE(cache.HitAndPin(2, a, 0xabc));
 
   StagingCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.bytes_served, 100);
+
+  // A path deleted and rewritten keeps its FileId but not its content
+  // id: the entry staged from the old bytes must not serve the new ones.
+  ASSERT_TRUE(dfs.IngestFile("/in/b", 100).ok());
+  const FileId b = dfs.Intern("/in/b");
+  const uint64_t old_content = dfs.ContentIdOf(b);
+  cache.InsertPinned(1, b, old_content, 100);
+  cache.Unpin(1, b);
+  ASSERT_TRUE(dfs.Delete("/in/b").ok());
+  ASSERT_TRUE(dfs.IngestFile("/in/b", 100).ok());
+  EXPECT_EQ(dfs.Intern("/in/b"), b);
+  EXPECT_NE(dfs.ContentIdOf(b), old_content);
+  EXPECT_EQ(cache.CachedBytes(b, dfs.ContentIdOf(b), 1), 0);
+  EXPECT_FALSE(cache.HitAndPin(1, b, dfs.ContentIdOf(b)));
+}
+
+// Staging entries are keyed by DFS FileId. The unit tests below need no
+// DFS, so a file-local table interns their paths.
+FileId Id(const std::string& path) {
+  static std::map<std::string, FileId> ids;
+  return ids.emplace(path, static_cast<FileId>(ids.size())).first->second;
 }
 
 TEST(StagingCacheTest, LruEvictsUnpinnedEntriesUnderBudget) {
   StagingCache cache(StagingCacheOptions{.node_budget_bytes = 100});
   for (int i = 0; i < 3; ++i) {
     std::string path = StrFormat("/in/f%d", i);
-    cache.InsertPinned(1, path, 0x100 + i, 30);
-    cache.Unpin(1, path);
+    cache.InsertPinned(1, Id(path), 0x100 + i, 30);
+    cache.Unpin(1, Id(path));
   }
   EXPECT_EQ(cache.NodeBytes(1), 90);
 
   // Touch f0 so f1 becomes the LRU victim.
-  EXPECT_TRUE(cache.HitAndPin(1, "/in/f0", 0x100));
-  cache.Unpin(1, "/in/f0");
+  EXPECT_TRUE(cache.HitAndPin(1, Id("/in/f0"), 0x100));
+  cache.Unpin(1, Id("/in/f0"));
 
-  cache.InsertPinned(1, "/in/f3", 0x103, 30);
-  cache.Unpin(1, "/in/f3");
+  cache.InsertPinned(1, Id("/in/f3"), 0x103, 30);
+  cache.Unpin(1, Id("/in/f3"));
   EXPECT_LE(cache.NodeBytes(1), 100);
-  EXPECT_EQ(cache.CachedBytes("/in/f1", 0x101, 1), 0);   // evicted
-  EXPECT_EQ(cache.CachedBytes("/in/f0", 0x100, 1), 30);  // kept (recent)
+  EXPECT_EQ(cache.CachedBytes(Id("/in/f1"), 0x101, 1), 0);   // evicted
+  EXPECT_EQ(cache.CachedBytes(Id("/in/f0"), 0x100, 1), 30);  // kept (recent)
   EXPECT_GE(cache.stats().evictions, 1);
 }
 
 TEST(StagingCacheTest, SchedulerScansDoNotPerturbRecency) {
   StagingCache cache(StagingCacheOptions{.node_budget_bytes = 100});
-  cache.InsertPinned(1, "/in/old", 0x1, 50);
-  cache.Unpin(1, "/in/old");
-  cache.InsertPinned(1, "/in/new", 0x2, 50);
-  cache.Unpin(1, "/in/new");
+  cache.InsertPinned(1, Id("/in/old"), 0x1, 50);
+  cache.Unpin(1, Id("/in/old"));
+  cache.InsertPinned(1, Id("/in/new"), 0x2, 50);
+  cache.Unpin(1, Id("/in/new"));
   // A placement scan reads the old entry; that must NOT refresh it.
-  EXPECT_EQ(cache.CachedBytes("/in/old", 0x1, 1), 50);
-  cache.InsertPinned(1, "/in/next", 0x3, 50);
-  cache.Unpin(1, "/in/next");
-  EXPECT_EQ(cache.CachedBytes("/in/old", 0x1, 1), 0);   // still the LRU
-  EXPECT_EQ(cache.CachedBytes("/in/new", 0x2, 1), 50);
+  EXPECT_EQ(cache.CachedBytes(Id("/in/old"), 0x1, 1), 50);
+  cache.InsertPinned(1, Id("/in/next"), 0x3, 50);
+  cache.Unpin(1, Id("/in/next"));
+  EXPECT_EQ(cache.CachedBytes(Id("/in/old"), 0x1, 1), 0);   // still the LRU
+  EXPECT_EQ(cache.CachedBytes(Id("/in/new"), 0x2, 1), 50);
 }
 
 TEST(StagingCacheTest, PinnedEntriesNeverEvictedAndOverflowRejected) {
   StagingCache cache(StagingCacheOptions{.node_budget_bytes = 100});
-  cache.InsertPinned(1, "/in/a", 0x1, 80);  // pinned by a running attempt
-  cache.InsertPinned(1, "/in/b", 0x2, 80);  // cannot fit: a is pinned
-  EXPECT_EQ(cache.CachedBytes("/in/a", 0x1, 1), 80);
-  EXPECT_EQ(cache.CachedBytes("/in/b", 0x2, 1), 0);
+  cache.InsertPinned(1, Id("/in/a"), 0x1, 80);  // pinned by a running attempt
+  cache.InsertPinned(1, Id("/in/b"), 0x2, 80);  // cannot fit: a is pinned
+  EXPECT_EQ(cache.CachedBytes(Id("/in/a"), 0x1, 1), 80);
+  EXPECT_EQ(cache.CachedBytes(Id("/in/b"), 0x2, 1), 0);
   EXPECT_EQ(cache.stats().rejected, 1);
   EXPECT_EQ(cache.stats().evictions, 0);
 
-  cache.Unpin(1, "/in/a");
-  cache.InsertPinned(1, "/in/b", 0x2, 80);  // now a is evictable
-  EXPECT_EQ(cache.CachedBytes("/in/b", 0x2, 1), 80);
-  EXPECT_EQ(cache.CachedBytes("/in/a", 0x1, 1), 0);
+  cache.Unpin(1, Id("/in/a"));
+  cache.InsertPinned(1, Id("/in/b"), 0x2, 80);  // now a is evictable
+  EXPECT_EQ(cache.CachedBytes(Id("/in/b"), 0x2, 1), 80);
+  EXPECT_EQ(cache.CachedBytes(Id("/in/a"), 0x1, 1), 0);
+}
+
+// A re-insert that cannot fit is rejected before the old entry is
+// touched: the entry keeps its pin and its bytes, and a pinned entry's
+// bytes never count as room for its replacement.
+TEST(StagingCacheTest, RejectedReinsertKeepsTheOldEntry) {
+  StagingCache cache(StagingCacheOptions{.node_budget_bytes = 100});
+  cache.InsertPinned(1, Id("/a"), 0x1, 60);
+  cache.InsertPinned(1, Id("/b"), 0x2, 40);
+  EXPECT_EQ(cache.NodeBytes(1), 100);
+
+  cache.InsertPinned(1, Id("/a"), 0x3, 80);  // /a is pinned, so no room
+  EXPECT_EQ(cache.stats().rejected, 1);
+  EXPECT_EQ(cache.NodeBytes(1), 100);
+  EXPECT_EQ(cache.CachedBytes(Id("/a"), 0x1, 1), 60);
+  EXPECT_EQ(cache.CachedBytes(Id("/a"), 0x3, 1), 0);
+
+  // The pin survived the rejection: once released, /a is the only
+  // evictable entry, and /c fits only by evicting it.
+  cache.Unpin(1, Id("/a"));
+  cache.InsertPinned(1, Id("/c"), 0x4, 60);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.CachedBytes(Id("/a"), 0x1, 1), 0);
+  EXPECT_EQ(cache.CachedBytes(Id("/c"), 0x4, 1), 60);
+  EXPECT_EQ(cache.NodeBytes(1), 100);
+
+  // An unpinned old entry's bytes are room, but a rejected re-insert
+  // still leaves it in place.
+  cache.Unpin(1, Id("/c"));
+  cache.InsertPinned(1, Id("/c"), 0x5, 70);  // 40 pinned + 70 > 100
+  EXPECT_EQ(cache.stats().rejected, 2);
+  EXPECT_EQ(cache.CachedBytes(Id("/c"), 0x4, 1), 60);
+  EXPECT_EQ(cache.NodeBytes(1), 100);
+  cache.InsertPinned(1, Id("/c"), 0x5, 50);  // 40 + 50 fits in place
+  EXPECT_EQ(cache.CachedBytes(Id("/c"), 0x5, 1), 50);
+  EXPECT_EQ(cache.NodeBytes(1), 90);
 }
 
 TEST(StagingCacheTest, InvalidateNodeDropsOnlyThatNode) {
   StagingCache cache;
-  cache.InsertPinned(1, "/in/a", 0x1, 10);
-  cache.Unpin(1, "/in/a");
-  cache.InsertPinned(2, "/in/a", 0x1, 10);
-  cache.Unpin(2, "/in/a");
+  cache.InsertPinned(1, Id("/in/a"), 0x1, 10);
+  cache.Unpin(1, Id("/in/a"));
+  cache.InsertPinned(2, Id("/in/a"), 0x1, 10);
+  cache.Unpin(2, Id("/in/a"));
   EXPECT_EQ(cache.TotalBytes(), 20);
 
   cache.InvalidateNode(1);
   EXPECT_EQ(cache.NodeBytes(1), 0);
   EXPECT_EQ(cache.NodeBytes(2), 10);
-  EXPECT_FALSE(cache.HitAndPin(1, "/in/a", 0x1));
-  EXPECT_TRUE(cache.HitAndPin(2, "/in/a", 0x1));
+  EXPECT_FALSE(cache.HitAndPin(1, Id("/in/a"), 0x1));
+  EXPECT_TRUE(cache.HitAndPin(2, Id("/in/a"), 0x1));
   EXPECT_EQ(cache.stats().invalidated, 1);
 }
 

@@ -154,6 +154,48 @@ TEST(HiWayAmTest, DeadlockDiagnosticNamesEachMissingPathOnce) {
   EXPECT_LT(many.size(), 300u) << many;
 }
 
+// A task listing the same absent input twice waits on one file: it
+// becomes ready once when the file appears, runs once, and releases its
+// GC pin once, so the intermediate goes as soon as it completes.
+TEST(HiWayAmTest, DuplicateMissingInputReleasesOnce) {
+  TestRig rig(2);
+  ASSERT_TRUE(rig.dfs->IngestFile("/in/reads.fq", 16 << 20).ok());
+  std::vector<TaskSpec> tasks;
+  tasks.push_back(MakeTask(1, "bowtie2", {"/in/reads.fq"}, {"/out/a.sam"}));
+  tasks.push_back(MakeTask(2, "samtools-sort", {"/out/a.sam", "/out/a.sam"},
+                           {"/out/a.bam"}));
+  tasks.push_back(MakeTask(3, "varscan", {"/out/a.bam"}, {"/out/a.vcf"}));
+  StaticWorkflowSource source("twice", tasks, {"/out/a.vcf"});
+  IntermediateGc gc(rig.dfs.get());
+  FcfsScheduler scheduler;
+  HiWayAm am = rig.MakeAm();
+  am.SetGc(&gc);
+  ASSERT_TRUE(am.Submit(&source, &scheduler).ok());
+
+  // Collected online, while the workflow still runs.
+  ASSERT_TRUE(rig.engine.RunUntilPredicate(
+      [&] { return gc.stats().files_collected > 0; }));
+  EXPECT_FALSE(rig.dfs->Exists("/out/a.sam"));
+  EXPECT_TRUE(rig.dfs->Exists("/out/a.bam"));
+  EXPECT_FALSE(am.finished());
+
+  auto report = am.RunToCompletion();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->status.ok()) << report->status.ToString();
+  EXPECT_EQ(report->tasks_completed, 3);
+  EXPECT_EQ(report->task_attempts, 3);
+  int starts = 0;
+  for (const auto& ev : rig.provenance.Events()) {
+    if (ev.type == ProvenanceEventType::kTaskStart && ev.task_id == 2) {
+      ++starts;
+    }
+  }
+  EXPECT_EQ(starts, 1);
+  // a.bam is dead once task 3 completes; only the target remains.
+  EXPECT_EQ(report->gc_files_collected, 2);
+  EXPECT_TRUE(rig.dfs->Exists("/out/a.vcf"));
+}
+
 TEST(HiWayAmTest, SubmitRejectsNonPositiveContainerSizing) {
   const std::pair<int, double> sizes[] = {
       {0, 1024.0}, {-2, 1024.0}, {1, 0.0}, {1, -5.0}};

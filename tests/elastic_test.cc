@@ -552,7 +552,8 @@ TEST(ChurnDataServicesTest, EveryDepartureLeavesNothingOnTheNode) {
       }
     }
     ASSERT_NE(victim, kInvalidNode);
-    dep->staging_cache->InsertPinned(victim, "/pinned", 1, 50);
+    dep->staging_cache->InsertPinned(victim, dep->dfs->Intern("/pinned"), 1,
+                                     50);
 
     ElasticCluster* elastic = dep->elastic.get();
     const double t0 = dep->engine.Now();
@@ -598,8 +599,8 @@ TEST(ChurnDataServicesTest, RefusedDecommissionMigratesNothing) {
   ASSERT_TRUE(
       dep->rm->RegisterApplication("am", &am, 1, 512, am_node).ok());
   StagingCache* staging = dep->staging_cache.get();
-  staging->InsertPinned(am_node, "/staged", 1, 100);
-  staging->Unpin(am_node, "/staged");
+  staging->InsertPinned(am_node, dep->dfs->Intern("/staged"), 1, 100);
+  staging->Unpin(am_node, dep->dfs->Intern("/staged"));
 
   EXPECT_FALSE(dep->elastic->DecommissionNode(am_node));
   EXPECT_TRUE(dep->rm->IsNodeAlive(am_node));
@@ -616,9 +617,9 @@ TEST(ChurnDataServicesTest, DecommissionDropsPinnedStagingEntries) {
   Deployment* dep = d->get();
   const NodeId victim = 3;
   StagingCache* staging = dep->staging_cache.get();
-  staging->InsertPinned(victim, "/moves", 1, 100);
-  staging->Unpin(victim, "/moves");
-  staging->InsertPinned(victim, "/pinned", 2, 50);
+  staging->InsertPinned(victim, dep->dfs->Intern("/moves"), 1, 100);
+  staging->Unpin(victim, dep->dfs->Intern("/moves"));
+  staging->InsertPinned(victim, dep->dfs->Intern("/pinned"), 2, 50);
 
   ASSERT_TRUE(dep->elastic->DecommissionNode(victim));
   EXPECT_EQ(staging->stats().migrated, 1);

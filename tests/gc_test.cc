@@ -164,9 +164,9 @@ TEST(GcTest, CollectsOnlyAfterLastConsumerCompletes) {
   gc->BeginScope("r1", /*is_static=*/true);
   gc->SetTargets("r1", {"/w/out"});
   ASSERT_TRUE(dfs->IngestFile("/w/mid", 4 * kMiB).ok());
-  gc->RegisterConsumer("r1", /*task=*/1, {"/w/mid"});
-  gc->RegisterConsumer("r1", /*task=*/2, {"/w/mid"});
-  gc->RegisterProduced("r1", "/w/mid", 4 * kMiB);
+  gc->RegisterConsumer("r1", /*task=*/1, {dfs->Intern("/w/mid")});
+  gc->RegisterConsumer("r1", /*task=*/2, {dfs->Intern("/w/mid")});
+  gc->RegisterProduced("r1", dfs->Intern("/w/mid"), 4 * kMiB);
 
   // One of two consumers done: the pin of the other keeps the file.
   gc->OnConsumerDone("r1", 1);
@@ -181,7 +181,7 @@ TEST(GcTest, CollectsOnlyAfterLastConsumerCompletes) {
 
   // Targets are never collected, not even by the final pass.
   ASSERT_TRUE(dfs->IngestFile("/w/out", kMiB).ok());
-  gc->RegisterProduced("r1", "/w/out", kMiB);
+  gc->RegisterProduced("r1", dfs->Intern("/w/out"), kMiB);
   GcScopeReport report = gc->EndScope("r1");
   EXPECT_TRUE(dfs->Stat("/w/out").ok());
   EXPECT_EQ(report.files_collected, 1);
@@ -200,8 +200,8 @@ TEST(GcTest, IterativeScopeDefersCollectionToEndScope) {
   gc->BeginScope("iter", /*is_static=*/false);
   gc->SetTargets("iter", {"/it/out"});
   ASSERT_TRUE(dfs->IngestFile("/it/mid", 2 * kMiB).ok());
-  gc->RegisterConsumer("iter", 1, {"/it/mid"});
-  gc->RegisterProduced("iter", "/it/mid", 2 * kMiB);
+  gc->RegisterConsumer("iter", 1, {dfs->Intern("/it/mid")});
+  gc->RegisterProduced("iter", dfs->Intern("/it/mid"), 2 * kMiB);
   gc->OnConsumerDone("iter", 1);
   // Dead by refcount, but the scope is iterative: still on disk.
   EXPECT_TRUE(dfs->Stat("/it/mid").ok());
@@ -223,9 +223,9 @@ TEST(GcTest, CrossScopeInterestBlocksCollection) {
   ASSERT_TRUE(dfs->IngestFile("/sh/mid", 3 * kMiB).ok());
   gc->BeginScope("a", /*is_static=*/true);
   gc->BeginScope("b", /*is_static=*/true);
-  gc->RegisterConsumer("a", 1, {"/sh/mid"});
-  gc->RegisterProduced("a", "/sh/mid", 3 * kMiB);
-  gc->RegisterConsumer("b", 7, {"/sh/mid"});
+  gc->RegisterConsumer("a", 1, {dfs->Intern("/sh/mid")});
+  gc->RegisterProduced("a", dfs->Intern("/sh/mid"), 3 * kMiB);
+  gc->RegisterConsumer("b", 7, {dfs->Intern("/sh/mid")});
 
   // Scope a's refcount hits zero, but scope b still references the path.
   gc->OnConsumerDone("a", 1);
@@ -245,9 +245,9 @@ TEST(GcTest, CrossScopeInterestBlocksCollection) {
   ASSERT_TRUE(dfs->IngestFile("/sh2/mid", 3 * kMiB).ok());
   gc->BeginScope("c", /*is_static=*/true);
   gc->BeginScope("e", /*is_static=*/true);
-  gc->RegisterConsumer("c", 1, {"/sh2/mid"});
-  gc->RegisterProduced("c", "/sh2/mid", 3 * kMiB);
-  gc->RegisterConsumer("e", 2, {"/sh2/mid"});
+  gc->RegisterConsumer("c", 1, {dfs->Intern("/sh2/mid")});
+  gc->RegisterProduced("c", dfs->Intern("/sh2/mid"), 3 * kMiB);
+  gc->RegisterConsumer("e", 2, {dfs->Intern("/sh2/mid")});
   gc->OnConsumerDone("c", 1);
   gc->OnConsumerDone("e", 2);
   gc->EndScope("e");
@@ -266,8 +266,8 @@ TEST(GcTest, DormantScopeStopsOnlineCollection) {
 
   gc->BeginScope("dead", /*is_static=*/true);
   ASSERT_TRUE(dfs->IngestFile("/dm/mid", kMiB).ok());
-  gc->RegisterConsumer("dead", 1, {"/dm/mid"});
-  gc->RegisterProduced("dead", "/dm/mid", kMiB);
+  gc->RegisterConsumer("dead", 1, {dfs->Intern("/dm/mid")});
+  gc->RegisterProduced("dead", dfs->Intern("/dm/mid"), kMiB);
   gc->MarkDormant("dead");
   gc->OnConsumerDone("dead", 1);
   EXPECT_TRUE(dfs->Stat("/dm/mid").ok());  // frozen, not collected
@@ -275,7 +275,7 @@ TEST(GcTest, DormantScopeStopsOnlineCollection) {
   // Replacement attempt re-registers its interest before the dormant
   // scope dissolves; the file survives the dissolution.
   gc->BeginScope("next", /*is_static=*/true);
-  gc->RegisterConsumer("next", 1, {"/dm/mid"});
+  gc->RegisterConsumer("next", 1, {dfs->Intern("/dm/mid")});
   gc->EndScope("dead");
   EXPECT_TRUE(dfs->Stat("/dm/mid").ok());
   gc->OnConsumerDone("next", 1);

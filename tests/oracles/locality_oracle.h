@@ -3,7 +3,8 @@
 //
 // The oracle keeps full TaskSpec copies and, on every grant, asks the DFS
 // by path: Stat for each input's size, LocalBytes for its replicas on the
-// node, and ContentId for the staging cache's fingerprint check. That is
+// node, and ContentId for the staging cache's fingerprint check (the
+// cache itself is keyed by FileId, so the oracle interns there). That is
 // the paper's "skims through all tasks pending execution" (Sec. 3.4)
 // taken literally. DataAwareScheduler reads the same quantities by
 // interned FileId (src/hdfs/dfs.h), so for any sequence of enqueues,
@@ -91,7 +92,8 @@ class PathScanLocalityOracle : public WorkflowScheduler {
     int64_t local = dfs_->LocalBytes(path, node);
     if (staging_ != nullptr) {
       local = std::max(
-          local, staging_->CachedBytes(path, dfs_->ContentId(path), node));
+          local, staging_->CachedBytes(dfs_->Intern(path),
+                                       dfs_->ContentId(path), node));
     }
     return local;
   }

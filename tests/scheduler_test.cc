@@ -246,8 +246,8 @@ void RunLockstep(uint64_t seed) {
         NodeId node = random_node();
         uint64_t content = dfs.ContentId(p);
         if (rng.UniformInt(3) == 0) ++content;
-        staging.InsertPinned(node, p, content, random_size());
-        staging.Unpin(node, p);
+        staging.InsertPinned(node, dfs.Intern(p), content, random_size());
+        staging.Unpin(node, dfs.Intern(p));
         break;
       }
       case 11:  // NodeManager disk loss
