@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the AM: event-queue throughput, fair-share rebalancing, JSON
-// parsing, HDFS locality queries, scheduler decisions, and the Cuneiform
-// interpreter (the initial sweep and the completion loop).
+// parsing, the Galaxy and DAX front-ends, HDFS locality queries,
+// scheduler decisions, and the Cuneiform interpreter (the initial sweep
+// and the completion loop).
 
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "src/core/scheduler.h"
 #include "src/hdfs/dfs.h"
 #include "src/lang/cuneiform.h"
+#include "src/lang/dax_source.h"
+#include "src/lang/galaxy_source.h"
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
 #include "src/workloads/workloads.h"
@@ -123,6 +127,39 @@ void BM_JsonParseTrapline(benchmark::State& state) {
                           static_cast<int64_t>(workload.document.size()));
 }
 BENCHMARK(BM_JsonParseTrapline);
+
+// The two front-ends on the documents `service-reuse` submits: TRAPLINE
+// with 3 replicates per condition (Galaxy JSON) and a 6-image Montage
+// (Pegasus DAX).
+void BM_GalaxyParseTrapline(benchmark::State& state) {
+  RnaSeqWorkloadOptions options;
+  options.replicates_per_condition = 3;
+  GeneratedWorkload workload = MakeTraplineWorkflow(options);
+  std::map<std::string, std::string> inputs;
+  for (const auto& [name, path] : TraplineInputBindings(options)) {
+    inputs[name] = path;
+  }
+  for (auto _ : state) {
+    auto source = GalaxySource::Parse(workload.document, inputs, "/out");
+    benchmark::DoNotOptimize(source);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(workload.document.size()));
+}
+BENCHMARK(BM_GalaxyParseTrapline);
+
+void BM_DaxParseMontage(benchmark::State& state) {
+  MontageWorkloadOptions options;
+  options.num_images = 6;
+  GeneratedWorkload workload = MakeMontageWorkflow(options);
+  for (auto _ : state) {
+    auto source = DaxSource::Parse(workload.document, "/sky/");
+    benchmark::DoNotOptimize(source);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(workload.document.size()));
+}
+BENCHMARK(BM_DaxParseMontage);
 
 void BM_DfsLocalityQuery(benchmark::State& state) {
   SimEngine engine;

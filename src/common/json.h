@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/result.h"
@@ -29,47 +30,53 @@ class Json;
 using JsonObject = std::vector<std::pair<std::string, Json>>;
 using JsonArray = std::vector<Json>;
 
-/// A JSON document node.
+/// A JSON document node: one tagged value. Only the alternative in use is
+/// stored, so a scalar carries no empty containers and a move is a few
+/// words.
 class Json {
  public:
+  /// In the order of the stored alternatives.
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}  // NOLINT
-  Json(bool b) : type_(Type::kBool), bool_(b) {}  // NOLINT
-  Json(double d) : type_(Type::kNumber), num_(d) {}  // NOLINT
-  Json(int i) : type_(Type::kNumber), num_(i) {}  // NOLINT
-  Json(int64_t i)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(uint64_t i)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
-  Json(const char* s) : type_(Type::kString), str_(s) {}  // NOLINT
+  Json() = default;
+  Json(std::nullptr_t) {}  // NOLINT
+  Json(bool b) : v_(std::in_place_type<bool>, b) {}  // NOLINT
+  Json(double d) : v_(std::in_place_type<double>, d) {}  // NOLINT
+  Json(int i) : Json(static_cast<double>(i)) {}  // NOLINT
+  Json(int64_t i) : Json(static_cast<double>(i)) {}  // NOLINT
+  Json(uint64_t i) : Json(static_cast<double>(i)) {}  // NOLINT
+  Json(std::string s)  // NOLINT
+      : v_(std::in_place_type<std::string>, std::move(s)) {}
+  Json(const char* s) : Json(std::string(s)) {}  // NOLINT
   Json(JsonArray a)  // NOLINT
-      : type_(Type::kArray), arr_(std::move(a)) {}
+      : v_(std::in_place_type<JsonArray>, std::move(a)) {}
   Json(JsonObject o)  // NOLINT
-      : type_(Type::kObject), obj_(std::move(o)) {}
+      : v_(std::in_place_type<JsonObject>, std::move(o)) {}
 
   static Json MakeObject() { return Json(JsonObject{}); }
   static Json MakeArray() { return Json(JsonArray{}); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(v_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
-  bool as_bool() const { return bool_; }
-  double as_number() const { return num_; }
+  /// Typed accessors; on another type they return false, 0, or an empty
+  /// string, array or object.
+  bool as_bool() const { return is_bool() && std::get<bool>(v_); }
+  double as_number() const { return is_number() ? std::get<double>(v_) : 0.0; }
   /// Saturating conversion: values beyond int64 range clamp, NaN maps to 0.
   int64_t as_int() const;
-  const std::string& as_string() const { return str_; }
-  const JsonArray& as_array() const { return arr_; }
-  JsonArray& as_array() { return arr_; }
-  const JsonObject& as_object() const { return obj_; }
-  JsonObject& as_object() { return obj_; }
+  const std::string& as_string() const;
+  const JsonArray& as_array() const;
+  const JsonObject& as_object() const;
+  /// Mutable access; a node of another type becomes an empty array or
+  /// object first.
+  JsonArray& as_array();
+  JsonObject& as_object();
 
   /// Object field lookup; returns nullptr when absent or not an object.
   const Json* Find(std::string_view key) const;
@@ -80,10 +87,10 @@ class Json {
   int64_t GetInt(std::string_view key, int64_t def = 0) const;
   bool GetBool(std::string_view key, bool def = false) const;
 
-  /// Appends/overwrites an object field (object nodes only).
+  /// Appends/overwrites an object field (a non-object becomes an object).
   void Set(std::string key, Json value);
 
-  /// Appends to an array node.
+  /// Appends to an array node (a non-array becomes an array).
   void Append(Json value);
 
   /// Serialises; `indent` < 0 means compact single-line output.
@@ -103,12 +110,9 @@ class Json {
  private:
   void DumpTo(std::string* out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  JsonArray arr_;
-  JsonObject obj_;
+  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
+               JsonObject>
+      v_;
 };
 
 /// Escapes `s` into a JSON string literal (with surrounding quotes).

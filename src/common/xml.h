@@ -1,8 +1,9 @@
 // A minimal, non-validating XML parser sufficient for Pegasus DAX files.
 //
 // Supports: element trees with attributes, character data, comments,
-// processing instructions / XML declarations (skipped), CDATA sections, and
-// the five predefined entities. Namespaces are not interpreted; prefixed
+// processing instructions / XML declarations (skipped), CDATA sections, the
+// five predefined entities, and numeric character references (decimal, or
+// hex after 'x', naming a Unicode scalar value). Namespaces are not interpreted; prefixed
 // names are kept verbatim. DTDs are not supported.
 
 #ifndef HIWAY_COMMON_XML_H_
@@ -18,23 +19,22 @@
 
 namespace hiway {
 
-/// One XML element. Children are owned; text content is the concatenation
-/// of all character data directly inside the element.
+/// One XML element. Children are held in place, in document order; text
+/// content is the concatenation of all character data directly inside the
+/// element.
 struct XmlElement {
   std::string name;
   std::vector<std::pair<std::string, std::string>> attributes;
-  std::vector<std::unique_ptr<XmlElement>> children;
+  std::vector<XmlElement> children;
   std::string text;
 
-  /// Attribute lookup; returns `def` when absent.
-  std::string Attr(std::string_view key, std::string def = "") const;
+  /// Attribute lookup; returns `def` when absent. The view points into this
+  /// element (or is `def`), so it lives as long as the element.
+  std::string_view Attr(std::string_view key, std::string_view def = {}) const;
   bool HasAttr(std::string_view key) const;
 
   /// First direct child with the given element name, or nullptr.
   const XmlElement* FirstChild(std::string_view name) const;
-
-  /// All direct children with the given element name.
-  std::vector<const XmlElement*> Children(std::string_view name) const;
 };
 
 /// Parses a complete XML document and returns its root element.

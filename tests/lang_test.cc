@@ -357,6 +357,41 @@ TEST(GalaxySourceTest, OutOfRangeStepIdsRejected) {
   ExpectParseErrorNaming(source.status(), "out-of-range id");
 }
 
+TEST(GalaxySourceTest, NonIntegralIdsRejected) {
+  // "id": 1.7 used to truncate to step 1, and a connection's "id": 0.5 to
+  // step 0; both are now parse errors that name the step.
+  auto step = GalaxySource::Parse(
+      R"({"steps": {"s": {"id": 1.7, "tool_id": "t"}}})", {});
+  ASSERT_FALSE(step.ok());
+  ExpectParseErrorNaming(step.status(), "Galaxy step s has non-integral id 1.7");
+
+  auto negative = GalaxySource::Parse(
+      R"({"steps": {"0": {"id": -0.5, "tool_id": "t"}}})", {});
+  ASSERT_FALSE(negative.ok());
+  ExpectParseErrorNaming(negative.status(), "non-integral id -0.5");
+
+  auto connection = GalaxySource::Parse(
+      R"({"steps": {
+            "0": {"id": 0, "tool_id": "a"},
+            "1": {"id": 1, "tool_id": "b",
+                  "input_connections": {"in": [{"id": 0, "output_name": "output"},
+                                               {"id": 0.5, "output_name": "output"}]}}}})",
+      {});
+  ASSERT_FALSE(connection.ok());
+  ExpectParseErrorNaming(connection.status(),
+                         "step 1 input 'in' connects to non-integral step id 0.5");
+
+  // Integral ids written with a fraction or an exponent are still ids.
+  auto integral = GalaxySource::Parse(
+      R"({"steps": {
+            "0": {"id": 0.0, "tool_id": "a"},
+            "1": {"id": 1e0, "tool_id": "b",
+                  "input_connections": {"in": {"id": 0.0}}}}})",
+      {});
+  ASSERT_TRUE(integral.ok()) << integral.status().ToString();
+  EXPECT_EQ((*integral)->task_count(), 2u);
+}
+
 TEST(TraceSourceTest, NonPositiveTaskIdsRejected) {
   // crash_negative_task_id.trace: task_id -5 flowed into TaskSpec.id and
   // violated the scheduler's positive-id contract.
