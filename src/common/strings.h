@@ -32,6 +32,9 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Parses a floating point number; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view s);
 
+/// Appends code point `cp` (at most U+10FFFF) to `out` as UTF-8.
+void AppendUtf8(uint32_t cp, std::string* out);
+
 /// printf into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
