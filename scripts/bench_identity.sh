@@ -14,9 +14,13 @@
 # footprint admission and cache reuse, plus the workflow-scheduler
 # ablations (data-aware locality, adaptive policies, HEFT, HEFT under
 # three runtime-estimator strategies) and the Fig. 4 Hi-WAY-vs-Tez
-# scaling run. Their stdout is virtual-time only, so a behaviour-
-# preserving change must reproduce it byte for byte. The temporary tree
-# goes under $TMPDIR (default /tmp) and is removed on exit.
+# scaling run. Three more drive the RM directly, each registering a
+# hadoop-masters application with null callbacks: the Fig. 6 master-load
+# run (which also prints the RM's counters), the Table 2 / Fig. 5 weak
+# scaling run and the container-cramming ablation. Their stdout is
+# virtual-time only, so a behaviour-preserving change must reproduce it
+# byte for byte. The temporary tree goes under $TMPDIR (default /tmp)
+# and is removed on exit.
 
 set -eu
 
@@ -30,7 +34,8 @@ if [ $# -eq 0 ]; then
   set -- bench_service_multitenant bench_failover bench_preemption \
     bench_elastic bench_footprint bench_cache_reuse \
     bench_ablation_locality bench_ablation_adaptive_policies \
-    bench_fig9_heft_adaptive bench_ablation_estimator bench_fig4_scaling_tez
+    bench_fig9_heft_adaptive bench_ablation_estimator bench_fig4_scaling_tez \
+    bench_fig6_utilization bench_table2_fig5_weak_scaling bench_ablation_cram
 fi
 
 repo=$(cd "$(dirname "$0")/.." && pwd)

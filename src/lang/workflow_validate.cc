@@ -60,6 +60,7 @@ TaskGraph::TaskGraph(const std::vector<TaskSpec>& tasks)
 Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
   TaskGraph graph(tasks);
   std::set<TaskId> ids;
+  std::vector<size_t> written;  // the current task's output files so far
   for (size_t i = 0; i < tasks.size(); ++i) {
     const TaskSpec& task = tasks[i];
     if (task.id <= 0) {
@@ -82,6 +83,7 @@ Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
                       static_cast<long long>(task.id)));
       }
     }
+    written.clear();
     for (const OutputSpec& out : task.outputs) {
       if (out.path.empty()) {
         return Status::InvalidArgument(
@@ -110,6 +112,12 @@ Status ValidateWorkflowTasks(const std::vector<TaskSpec>& tasks) {
             out.path.c_str(), static_cast<long long>(tasks[first].id),
             static_cast<long long>(task.id)));
       }
+      if (std::find(written.begin(), written.end(), *file) != written.end()) {
+        return Status::InvalidArgument(
+            StrFormat("task %lld declares output '%s' twice",
+                      static_cast<long long>(task.id), out.path.c_str()));
+      }
+      written.push_back(*file);
     }
   }
   // A cycle would deadlock the AM; name its smallest task id.

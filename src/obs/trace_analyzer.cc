@@ -181,12 +181,4 @@ CriticalPathReport TraceAnalyzer::CriticalPath() const {
   return report;
 }
 
-TraceAnalyzer TraceAnalyzer::ForApp(int64_t app) const {
-  std::vector<TraceEvent> filtered;
-  for (const TraceEvent& ev : events_) {
-    if (ev.app == app || ev.app < 0) filtered.push_back(ev);
-  }
-  return TraceAnalyzer(std::move(filtered));
-}
-
 }  // namespace hiway

@@ -79,9 +79,9 @@ struct CriticalPathReport {
 
 class TraceAnalyzer {
  public:
-  /// Consumes a drained trace (Tracer::Drain() order). Events of
-  /// several apps may be mixed; `ForApp` filters, task ids are assumed
-  /// unique within an app.
+  /// Consumes a drained trace (Tracer::Drain() order). Timelines are
+  /// keyed by task id, so a trace mixing several apps must not reuse a
+  /// task id across them.
   explicit TraceAnalyzer(std::vector<TraceEvent> events);
 
   /// Timelines of every completed task attempt, keyed by task id.
@@ -91,9 +91,6 @@ class TraceAnalyzer {
   /// segment weight (dynamic programming over the DAG; cycles — which
   /// a well-formed trace cannot contain — are broken defensively).
   CriticalPathReport CriticalPath() const;
-
-  /// Analyzer restricted to one application's events.
-  TraceAnalyzer ForApp(int64_t app) const;
 
   const std::vector<TraceEvent>& events() const { return events_; }
   double makespan() const { return makespan_; }

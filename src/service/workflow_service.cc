@@ -48,18 +48,17 @@ Result<std::unique_ptr<WorkflowService>> WorkflowService::Create(
     if (q.rm.name.empty()) {
       return Status::InvalidArgument("service queue without a name");
     }
-    if (!service->queues_.emplace(q.rm.name, q).second) {
+    auto [queue, inserted] = service->queues_.try_emplace(q.rm.name);
+    if (!inserted) {
       return Status::InvalidArgument("duplicate service queue '" +
                                      q.rm.name + "'");
     }
+    queue->second.options = q;
     if (q.max_concurrent_ams < 1) {
       return Status::InvalidArgument(
           "queue '" + q.rm.name + "': max_concurrent_ams must be >= 1");
     }
     deployment->rm->ConfigureQueue(q.rm);
-    service->backlog_[q.rm.name];
-    service->running_[q.rm.name] = 0;
-    service->counters_[q.rm.name];
   }
   deployment->rm->SetPolicy(rm_policy);
   // AM failover: the RM tells the service whenever it declares an
@@ -116,50 +115,47 @@ Result<SubmissionId> WorkflowService::Submit(
     return Status::InvalidArgument("unknown service queue '" +
                                    options.queue + "'");
   }
-  ServiceQueueCounters& counters = counters_[options.queue];
-  std::deque<SubmissionId>& backlog = backlog_[options.queue];
+  Queue& queue = queue_it->second;
   // The backlog bound applies to submissions that would wait; one that a
   // free concurrency slot starts immediately never enters the backlog.
-  bool would_wait = !backlog.empty() ||
-                    running_[options.queue] >=
-                        queue_it->second.max_concurrent_ams;
+  bool would_wait = !queue.backlog.empty() ||
+                    queue.running >= queue.options.max_concurrent_ams;
   if (would_wait &&
-      static_cast<int>(backlog.size()) >= queue_it->second.max_backlog) {
-    ++counters.rejected;
+      static_cast<int>(queue.backlog.size()) >= queue.options.max_backlog) {
+    ++queue.counters.rejected;
     return Status::ResourceExhausted(
         "queue '" + options.queue + "' backlog is full (" +
-        std::to_string(queue_it->second.max_backlog) +
+        std::to_string(queue.options.max_backlog) +
         " submissions); retry later");
   }
-  ++counters.submitted;
+  ++queue.counters.submitted;
   SubmissionId id = next_id_++;
   if (options.policy.empty()) options.policy = options_.default_policy;
   // Queue isolation extends to cached results unless the submitter chose
   // a result-cache namespace explicitly.
   if (options.tenant.empty()) options.tenant = options.queue;
 
-  SubmissionRecord record;
+  Submission& sub = submissions_[id];
+  SubmissionRecord& record = sub.record;
   record.id = id;
   record.name = std::move(name);
   record.queue = options.queue;
   record.policy = options.policy;
   record.submitted_at = deployment_->engine.Now();
   record.deadline_s = options.deadline_s;
-  records_[id] = std::move(record);
-
-  Submission sub;
-  sub.source = std::move(source);
-  sub.options = std::move(options);
-  subs_[id] = std::move(sub);
+  sub.queue = &queue;
+  sub.run = std::make_unique<Runtime>();
+  sub.run->source = std::move(source);
+  sub.run->options = std::move(options);
   if (options_.footprint_admission && footprint_budget_bytes_ > 0) {
-    EstimateSubmissionFootprint(id);
+    EstimateSubmissionFootprint(sub);
   }
-  backlog.push_back(id);
+  queue.backlog.push_back(id);
   ++live_submissions_;
-  MarkPumpable(records_[id].queue);
+  MarkPumpable(record.queue);
 
-  if (records_[id].deadline_s > 0.0) {
-    deployment_->engine.ScheduleAfter(records_[id].deadline_s,
+  if (record.deadline_s > 0.0) {
+    deployment_->engine.ScheduleAfter(record.deadline_s,
                                       [this, id] { OnDeadline(id); });
   }
   Pump();
@@ -186,41 +182,39 @@ Result<SubmissionId> WorkflowService::SubmitStaged(
   return Submit(staged_name, std::move(source), std::move(options));
 }
 
-void WorkflowService::EstimateSubmissionFootprint(SubmissionId id) {
-  Submission& sub = subs_[id];
-  SubmissionRecord& rec = records_[id];
-  if (sub.options.footprint_bytes == 0) return;  // explicit bypass
+void WorkflowService::EstimateSubmissionFootprint(Submission& sub) {
+  Runtime& run = *sub.run;
+  if (run.options.footprint_bytes == 0) return;  // explicit bypass
   int64_t logical = 0;  // additional logical bytes beyond staged inputs
-  if (sub.options.footprint_bytes > 0) {
-    logical = sub.options.footprint_bytes;
+  if (run.options.footprint_bytes > 0) {
+    logical = run.options.footprint_bytes;
   } else {
     // Auto-estimate: walk the submission's own static task graph through
     // const accessors, so the source still reaches its AM unconsumed.
     // Iterative sources leave the gate bypassed — their peak is
     // unknowable up front.
     const auto* source =
-        dynamic_cast<const StaticWorkflowSource*>(sub.source.get());
+        dynamic_cast<const StaticWorkflowSource*>(run.source.get());
     if (source == nullptr) return;
     FootprintEstimate est = EstimateFootprint(
         source->tasks(), source->Targets(), deployment_->dfs.get());
-    rec.footprint_estimate_bytes = est.peak_bytes;
+    sub.record.footprint_estimate_bytes = est.peak_bytes;
     // Staged inputs already sit inside the baseline the budget was carved
     // from at Create(); only bytes beyond them are a new demand.
     logical = std::max<int64_t>(0, est.peak_bytes - est.input_bytes);
   }
-  sub.admission_bytes =
+  run.admission_bytes =
       logical * static_cast<int64_t>(deployment_->dfs->options().replication);
 }
 
-void WorkflowService::CommitFootprint(SubmissionId id, int sign) {
-  auto it = subs_.find(id);
-  if (it == subs_.end() || it->second.admission_bytes <= 0) return;
-  committed_footprint_bytes_ += sign * it->second.admission_bytes;
+void WorkflowService::CommitFootprint(const Submission& sub, int sign) {
+  if (sub.run->admission_bytes <= 0) return;
+  committed_footprint_bytes_ += sign * sub.run->admission_bytes;
 }
 
-void WorkflowService::DissolveDormantScopes(SubmissionId id) {
+void WorkflowService::DissolveDormantScopes(const Submission& sub) {
   if (deployment_->gc == nullptr) return;
-  for (const std::string& rid : subs_[id].run_ids) {
+  for (const std::string& rid : sub.run->run_ids) {
     if (deployment_->gc->HasScope(rid)) deployment_->gc->EndScope(rid);
   }
 }
@@ -228,27 +222,27 @@ void WorkflowService::DissolveDormantScopes(SubmissionId id) {
 void WorkflowService::Pump() {
   // Snapshot-and-clear: PumpQueue may re-mark its queue (placement
   // retry), which must wait for the retry timer, not loop here. The
-  // snapshot is sorted (std::set), matching the former full iteration
-  // over backlog_ restricted to queues where anything changed.
+  // snapshot is sorted (std::set), matching a full iteration over the
+  // queues restricted to those where anything changed.
   std::vector<std::string> dirty(pumpable_.begin(), pumpable_.end());
   pumpable_.clear();
   for (const std::string& queue : dirty) PumpQueue(queue);
 }
 
 void WorkflowService::PumpQueue(const std::string& queue) {
-  std::deque<SubmissionId>& backlog = backlog_[queue];
-  const ServiceQueueOptions& limits = queues_.at(queue);
-  while (running_[queue] < limits.max_concurrent_ams && !backlog.empty()) {
-    SubmissionId id = backlog.front();
-    backlog.pop_front();
+  Queue& q = queues_.at(queue);
+  while (q.running < q.options.max_concurrent_ams && !q.backlog.empty()) {
+    SubmissionId id = q.backlog.front();
+    q.backlog.pop_front();
+    const Submission& sub = submissions_.at(id);
     // Footprint admission (need is 0 when it does not gate this one).
-    const int64_t need = subs_[id].admission_bytes;
+    const int64_t need = sub.run->admission_bytes;
     if (need > 0 && need > footprint_budget_bytes_) {
       // Can never fit, even alone on an empty cluster: terminal.
       Finish(id, SubmissionState::kFailed,
              Status::ResourceExhausted(StrFormat(
                  "'%s' needs %lld footprint bytes but the DFS budget is %lld",
-                 records_[id].name.c_str(), static_cast<long long>(need),
+                 sub.record.name.c_str(), static_cast<long long>(need),
                  static_cast<long long>(footprint_budget_bytes_))));
       continue;
     }
@@ -264,10 +258,10 @@ void WorkflowService::PumpQueue(const std::string& queue) {
       Finish(id, SubmissionState::kFailed,
              Status::ResourceExhausted(
                  "no node can host the AM container of '" +
-                 records_[id].name + "'"));
+                 sub.record.name + "'"));
       continue;
     }
-    backlog.push_front(id);
+    q.backlog.push_front(id);
     MarkPumpable(queue);
     if (!retry_scheduled_) {
       retry_scheduled_ = true;
@@ -281,9 +275,10 @@ void WorkflowService::PumpQueue(const std::string& queue) {
 }
 
 Status WorkflowService::LaunchAttempt(SubmissionId id) {
-  SubmissionRecord& rec = records_[id];
-  Submission& sub = subs_[id];
-  HiWayOptions hiway = sub.options.hiway;
+  Submission& sub = submissions_.at(id);
+  SubmissionRecord& rec = sub.record;
+  Runtime& run = *sub.run;
+  HiWayOptions hiway = run.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
   hiway.am_attempt = rec.am_attempts + 1;
@@ -291,24 +286,24 @@ Status WorkflowService::LaunchAttempt(SubmissionId id) {
   if (failover) {
     // The crashed attempt consumed its source (iterative sources carry
     // state); the replacement starts from a fresh one.
-    auto source = sub.options.source_factory();
+    auto source = run.options.source_factory();
     if (!source.ok()) {
       Finish(id, SubmissionState::kFailed,
              source.status().WithContext(
                  "rebuilding the source for AM failover"));
       return Status::OK();
     }
-    sub.source = std::move(*source);
+    run.source = std::move(*source);
   }
   auto launch =
-      HiWayClient(deployment_).MakeAm(rec.policy, hiway, sub.options.tenant);
+      HiWayClient(deployment_).MakeAm(rec.policy, hiway, run.options.tenant);
   if (!launch.ok()) {
     Finish(id, SubmissionState::kFailed, launch.status());
     return Status::OK();  // a bad policy never becomes launchable
   }
-  sub.scheduler = std::move(launch->scheduler);
-  sub.am = std::move(launch->am);
-  sub.am->set_finish_listener(
+  run.scheduler = std::move(launch->scheduler);
+  run.am = std::move(launch->am);
+  run.am->set_finish_listener(
       [this, id](const WorkflowReport& report) { OnFinished(id, report); });
   if (failover) {
     deployment_->tracer.Instant(
@@ -319,16 +314,16 @@ Status WorkflowService::LaunchAttempt(SubmissionId id) {
     // attempts completed (when its recorded outputs survive in DFS). The
     // merged view covers exactly this submission's prior-attempt shards —
     // other tenants' runs are invisible by construction.
-    sub.am->SetRecoveryTrace(
-        deployment_->provenance->ViewOf(sub.run_ids).Events());
+    run.am->SetRecoveryTrace(
+        deployment_->provenance->ViewOf(run.run_ids).Events());
   }
 
-  Status st = sub.am->Submit(sub.source.get(), sub.scheduler.get());
+  Status st = run.am->Submit(run.source.get(), run.scheduler.get());
   if (!st.ok() && !rec.Terminal()) {
     // Rejected before registering: the AM owns no engine events, so it is
     // safe to discard synchronously.
-    sub.am.reset();
-    sub.scheduler.reset();
+    run.am.reset();
+    run.scheduler.reset();
     if (st.IsResourceExhausted()) return st;  // no node can host the AM
     // Pre-registration validation failure (e.g. a static policy on an
     // iterative language): terminal.
@@ -342,7 +337,7 @@ Status WorkflowService::LaunchAttempt(SubmissionId id) {
     ++rec.am_attempts;
     if (failover) {
       rec.recovery_latency_s.push_back(deployment_->engine.Now() -
-                                       sub.failed_at);
+                                       run.failed_at);
     }
   }
   if (rec.Terminal()) return Status::OK();
@@ -350,26 +345,26 @@ Status WorkflowService::LaunchAttempt(SubmissionId id) {
   // it still needs (consumer registration precedes memoisation), so the
   // dead attempts' dormant scopes can dissolve: files only they
   // referenced are collected, shared ones keep the new pin.
-  DissolveDormantScopes(id);
+  DissolveDormantScopes(sub);
   if (!failover) {
     // A recovering submission kept its slot and charge.
-    ++running_[rec.queue];
-    CommitFootprint(id, +1);
+    ++sub.queue->running;
+    CommitFootprint(sub, +1);
   }
   rec.state = SubmissionState::kRunning;
   ++live_ams_;
-  app_of_[sub.am->app()] = id;
+  app_of_[run.am->app()] = id;
   return Status::OK();
 }
 
 void WorkflowService::Finish(SubmissionId id, SubmissionState state,
                              Status status) {
-  SubmissionRecord& rec = records_[id];
-  Submission& sub = subs_[id];
+  Submission& sub = submissions_.at(id);
+  SubmissionRecord& rec = sub.record;
   const bool holds_slot = rec.state == SubmissionState::kRunning ||
                           rec.state == SubmissionState::kRecovering;
   if (rec.state == SubmissionState::kRunning) --live_ams_;
-  if (sub.am != nullptr) app_of_.erase(sub.am->app());
+  if (sub.run->am != nullptr) app_of_.erase(sub.run->am->app());
   rec.state = state;
   rec.finished_at = deployment_->engine.Now();
   if (rec.report.run_id.empty()) {
@@ -382,7 +377,7 @@ void WorkflowService::Finish(SubmissionId id, SubmissionState state,
     rec.deadline_missed = true;
   }
   rec.report.status = std::move(status);
-  ServiceQueueCounters& counters = counters_[rec.queue];
+  ServiceQueueCounters& counters = sub.queue->counters;
   if (state == SubmissionState::kSucceeded) {
     ++counters.succeeded;
   } else if (state == SubmissionState::kExpired) {
@@ -391,13 +386,13 @@ void WorkflowService::Finish(SubmissionId id, SubmissionState state,
     ++counters.failed;
   }
   if (holds_slot) {
-    --running_[rec.queue];
-    CommitFootprint(id, -1);
+    --sub.queue->running;
+    CommitFootprint(sub, -1);
     MarkPumpable(rec.queue);
   }
   // With the submission terminal no further attempt will re-pin what the
   // dead attempts' dormant scopes hold.
-  DissolveDormantScopes(id);
+  DissolveDormantScopes(sub);
   --live_submissions_;
   reap_list_.push_back(id);
   // Finish may run inside AM code: defer teardown and the next launch.
@@ -413,7 +408,7 @@ void WorkflowService::Finish(SubmissionId id, SubmissionState state,
 
 void WorkflowService::OnFinished(SubmissionId id,
                                  const WorkflowReport& report) {
-  records_[id].report = report;
+  submissions_.at(id).record.report = report;
   Finish(id,
          report.status.ok() ? SubmissionState::kSucceeded
                             : SubmissionState::kFailed,
@@ -421,9 +416,10 @@ void WorkflowService::OnFinished(SubmissionId id,
 }
 
 void WorkflowService::OnDeadline(SubmissionId id) {
-  SubmissionRecord& rec = records_[id];
+  Submission& sub = submissions_.at(id);
+  const SubmissionRecord& rec = sub.record;
   if (rec.state != SubmissionState::kQueued) return;
-  std::deque<SubmissionId>& backlog = backlog_[rec.queue];
+  std::deque<SubmissionId>& backlog = sub.queue->backlog;
   auto it = std::find(backlog.begin(), backlog.end(), id);
   if (it != backlog.end()) backlog.erase(it);
   Finish(id, SubmissionState::kExpired,
@@ -438,30 +434,31 @@ void WorkflowService::OnAppFailure(ApplicationId app,
   if (map_it == app_of_.end()) return;  // not a service-run AM
   SubmissionId id = map_it->second;
   app_of_.erase(map_it);
-  SubmissionRecord& rec = records_[id];
-  Submission& sub = subs_[id];
-  if (rec.Terminal() || sub.am == nullptr) return;
+  Submission& sub = submissions_.at(id);
+  SubmissionRecord& rec = sub.record;
+  if (rec.Terminal() || sub.run->am == nullptr) return;
+  Runtime& run = *sub.run;
 
   // The master process is dead: silence the object (its pending engine
   // events and executor completions become no-ops) and remember what the
   // attempt accomplished before retiring it.
-  sub.am->Crash();
+  run.am->Crash();
   deployment_->tracer.Instant(SpanCategory::kFailover, "am_failure", app,
                               /*container=*/-1, /*task=*/-1, /*node=*/-1,
                               /*value=*/static_cast<double>(rec.am_attempts),
                               /*aux=*/id);
-  const WorkflowReport& partial = sub.am->report();
-  if (!partial.run_id.empty()) sub.run_ids.push_back(partial.run_id);
+  const WorkflowReport& partial = run.am->report();
+  if (!partial.run_id.empty()) run.run_ids.push_back(partial.run_id);
   rec.completed_at_last_failure = partial.tasks_completed;
   ++rec.am_failures;
-  sub.failed_at = deployment_->engine.Now();
-  retired_.push_back(RetiredAttempt{std::move(sub.source),
-                                    std::move(sub.scheduler),
-                                    std::move(sub.am)});
+  run.failed_at = deployment_->engine.Now();
+  retired_.push_back(RetiredAttempt{std::move(run.source),
+                                    std::move(run.scheduler),
+                                    std::move(run.am)});
   rec.state = SubmissionState::kRecovering;
   --live_ams_;
 
-  if (!sub.options.source_factory) {
+  if (!run.options.source_factory) {
     Finish(id, SubmissionState::kFailed,
            Status::RuntimeError(StrFormat(
                "AM attempt %d failed (%s); submission has no source factory "
@@ -481,7 +478,7 @@ void WorkflowService::OnAppFailure(ApplicationId app,
 }
 
 void WorkflowService::Failover(SubmissionId id) {
-  const SubmissionRecord& rec = records_[id];
+  const SubmissionRecord& rec = submissions_.at(id).record;
   if (rec.state != SubmissionState::kRecovering) return;
   if (LaunchAttempt(id).ok()) return;
   // AM container placement failed (capacity shrank with the dead node).
@@ -498,13 +495,15 @@ void WorkflowService::Failover(SubmissionId id) {
 }
 
 Result<HiWayAm*> WorkflowService::LiveAm(SubmissionId id) const {
-  auto it = subs_.find(id);
-  if (it == subs_.end() || it->second.am == nullptr ||
-      it->second.am->crashed() || it->second.am->finished()) {
+  auto it = submissions_.find(id);
+  HiWayAm* am = it == submissions_.end() || it->second.run == nullptr
+                    ? nullptr
+                    : it->second.run->am.get();
+  if (am == nullptr || am->crashed() || am->finished()) {
     return Status::NotFound("submission " + std::to_string(id) +
                             " has no live AM");
   }
-  return it->second.am.get();
+  return am;
 }
 
 Result<NodeId> WorkflowService::AmNode(SubmissionId id) const {
@@ -533,8 +532,8 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
   h.kill_node = [dep](NodeId node) { return dep->elastic->KillNode(node); };
   h.list_am_nodes = [this] {
     std::vector<NodeId> nodes;
-    for (const auto& [id, rec] : records_) {
-      if (rec.state != SubmissionState::kRunning) continue;
+    for (const auto& [id, sub] : submissions_) {
+      if (sub.record.state != SubmissionState::kRunning) continue;
       auto node = AmNode(id);
       if (node.ok()) nodes.push_back(*node);
     }
@@ -548,8 +547,8 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
   };
   h.list_submissions = [this] {
     std::vector<int64_t> running;
-    for (const auto& [id, rec] : records_) {
-      if (rec.state == SubmissionState::kRunning) running.push_back(id);
+    for (const auto& [id, sub] : submissions_) {
+      if (sub.record.state == SubmissionState::kRunning) running.push_back(id);
     }
     return running;
   };
@@ -604,9 +603,8 @@ void WorkflowService::InstallFaultHandlers(FaultInjector* injector) {
 
 void WorkflowService::Reap() {
   for (SubmissionId id : reap_list_) {
-    auto rec_it = records_.find(id);
-    if (rec_it == records_.end() || !rec_it->second.Terminal()) continue;
-    subs_.erase(id);
+    Submission& sub = submissions_.at(id);
+    if (sub.record.Terminal()) sub.run.reset();
   }
   reap_list_.clear();
 }
@@ -625,36 +623,37 @@ bool WorkflowService::Idle() const { return live_submissions_ == 0; }
 
 int WorkflowService::running_ams() const {
   int total = 0;
-  for (const auto& [queue, count] : running_) total += count;
+  for (const auto& [name, q] : queues_) total += q.running;
   return total;
 }
 
 int WorkflowService::running_ams(const std::string& queue) const {
-  auto it = running_.find(queue);
-  return it == running_.end() ? 0 : it->second;
+  auto it = queues_.find(queue);
+  return it == queues_.end() ? 0 : it->second.running;
 }
 
 int WorkflowService::backlog(const std::string& queue) const {
-  auto it = backlog_.find(queue);
-  return it == backlog_.end() ? 0 : static_cast<int>(it->second.size());
+  auto it = queues_.find(queue);
+  return it == queues_.end() ? 0
+                             : static_cast<int>(it->second.backlog.size());
 }
 
 const SubmissionRecord* WorkflowService::record(SubmissionId id) const {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+  auto it = submissions_.find(id);
+  return it == submissions_.end() ? nullptr : &it->second.record;
 }
 
 std::vector<SubmissionRecord> WorkflowService::Records() const {
   std::vector<SubmissionRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, rec] : records_) out.push_back(rec);
+  out.reserve(submissions_.size());
+  for (const auto& [id, sub] : submissions_) out.push_back(sub.record);
   return out;
 }
 
 const ServiceQueueCounters* WorkflowService::queue_counters(
     const std::string& queue) const {
-  auto it = counters_.find(queue);
-  return it == counters_.end() ? nullptr : &it->second;
+  auto it = queues_.find(queue);
+  return it == queues_.end() ? nullptr : &it->second.counters;
 }
 
 std::vector<std::string> WorkflowService::QueueNames() const {

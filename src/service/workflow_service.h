@@ -245,7 +245,19 @@ class WorkflowService {
   Deployment* deployment() const { return deployment_; }
 
  private:
-  struct Submission {
+  /// One service queue: its limits, backlog, held concurrency slots and
+  /// admission counters.
+  struct Queue {
+    ServiceQueueOptions options;
+    std::deque<SubmissionId> backlog;
+    /// Concurrency slots held (kRunning + kRecovering submissions).
+    int running = 0;
+    ServiceQueueCounters counters;
+  };
+
+  /// The objects that run a submission; Reap() frees them once it is
+  /// terminal.
+  struct Runtime {
     std::unique_ptr<WorkflowSource> source;
     std::unique_ptr<WorkflowScheduler> scheduler;
     std::unique_ptr<HiWayAm> am;
@@ -258,6 +270,14 @@ class WorkflowService {
     /// Raw (replica-weighted) bytes charged to the footprint ledger while
     /// this submission holds a concurrency slot; 0 = not gated.
     int64_t admission_bytes = 0;
+  };
+
+  /// One submission: its public record, its queue and, until Reap(), its
+  /// runtime.
+  struct Submission {
+    SubmissionRecord record;
+    Queue* queue = nullptr;
+    std::unique_ptr<Runtime> run;
   };
 
   /// A crashed attempt's objects. Kept until service destruction: the
@@ -309,23 +329,20 @@ class WorkflowService {
   uint64_t SeedFor(SubmissionId id) const;
   /// Fills the submission's footprint estimate and admission charge
   /// (called once at Submit when footprint admission is active).
-  void EstimateSubmissionFootprint(SubmissionId id);
+  void EstimateSubmissionFootprint(Submission& sub);
   /// Charges / releases a started submission's footprint against the
-  /// ledger, mirroring the running_ counter.
-  void CommitFootprint(SubmissionId id, int sign);
+  /// ledger, mirroring its queue's running count.
+  void CommitFootprint(const Submission& sub, int sign);
   /// Ends the GC scopes of the submission's dead attempts (no-op without
   /// a GC or once they are gone).
-  void DissolveDormantScopes(SubmissionId id);
+  void DissolveDormantScopes(const Submission& sub);
 
   Deployment* deployment_;
   WorkflowServiceOptions options_;
-  std::map<std::string, ServiceQueueOptions> queues_;
-  std::map<std::string, std::deque<SubmissionId>> backlog_;
-  /// Concurrency slots held per queue (kRunning + kRecovering).
-  std::map<std::string, int> running_;
-  std::map<std::string, ServiceQueueCounters> counters_;
-  std::map<SubmissionId, SubmissionRecord> records_;
-  std::map<SubmissionId, Submission> subs_;
+  /// Queues by name and submissions by id; neither is ever erased, so
+  /// Submission::queue is a plain pointer.
+  std::map<std::string, Queue> queues_;
+  std::map<SubmissionId, Submission> submissions_;
   /// Live AM application -> submission (app-failure attribution).
   std::map<ApplicationId, SubmissionId> app_of_;
   /// Graveyard of crashed attempts (see RetiredAttempt).
@@ -338,7 +355,7 @@ class WorkflowService {
   /// Terminal submissions awaiting their deferred Reap().
   std::vector<SubmissionId> reap_list_;
   /// Non-terminal submissions. Idle() and the RunToCompletion predicate
-  /// are O(1) checks of this counter instead of scans over records_ —
+  /// are O(1) checks of this counter instead of scans over submissions —
   /// at thousands of submissions the per-event predicate scan dominated
   /// the run (docs/scaling.md).
   int live_submissions_ = 0;

@@ -13,16 +13,11 @@ double RmTenancyView::DominantShare(const ResourceUsage& u) const {
   return std::max(cores, mem);
 }
 
-bool RmTenancyView::WithinMaxShare(const std::string& queue,
+bool RmTenancyView::WithinMaxShare(const ResourceManager::QueueState& queue,
                                    const ContainerRequest& r) const {
-  auto cfg_it = queue_configs->find(queue);
-  if (cfg_it == queue_configs->end()) return true;  // unknown: no cap
-  const RmQueueConfig& cfg = cfg_it->second;
-  ResourceUsage used;
-  auto qs_it = queue_stats->find(queue);
-  if (qs_it != queue_stats->end()) used = qs_it->second.usage;
-  double cap_vcores = cfg.max_share * total_vcores;
-  double cap_memory = cfg.max_share * total_memory_mb;
+  const ResourceUsage& used = queue.stats.usage;
+  double cap_vcores = queue.config.max_share * total_vcores;
+  double cap_memory = queue.config.max_share * total_memory_mb;
   return used.vcores + r.vcores <= cap_vcores + 1e-9 &&
          used.memory_mb + r.memory_mb <= cap_memory + 1e-9;
 }
@@ -37,16 +32,16 @@ std::vector<ContainerId> SelectPreemptionVictims(
 
   // Working copy of per-queue usage, decremented as victims are picked so
   // donor surpluses stay honest within one round.
-  std::map<std::string, ResourceUsage> usage;
-  if (view.queue_stats != nullptr) {
-    for (const auto& [q, qs] : *view.queue_stats) usage[q] = qs.usage;
-  }
-  auto guaranteed = [&](const std::string& q) {
-    if (view.queue_configs == nullptr) return 1.0;
-    auto it = view.queue_configs->find(q);
-    return it == view.queue_configs->end() ? 1.0
-                                           : it->second.guaranteed_share;
+  struct Donor {
+    ResourceUsage usage;
+    double guaranteed = 1.0;
   };
+  std::map<std::string, Donor> donors;
+  if (view.queues != nullptr) {
+    for (const auto& [q, state] : *view.queues) {
+      donors[q] = Donor{state.stats.usage, state.config.guaranteed_share};
+    }
+  }
 
   std::vector<const PreemptionCandidate*> pool;
   pool.reserve(candidates.size());
@@ -66,8 +61,8 @@ std::vector<ContainerId> SelectPreemptionVictims(
     double best_surplus = 0.0;
     for (size_t i = 0; i < pool.size(); ++i) {
       const PreemptionCandidate* c = pool[i];
-      double surplus =
-          view.DominantShare(usage[*c->queue]) - guaranteed(*c->queue);
+      const Donor& donor = donors[*c->queue];
+      double surplus = view.DominantShare(donor.usage) - donor.guaranteed;
       if (surplus <= 1e-9) continue;  // donor at/below guarantee: exempt
       if (best == pool.size()) {
         best = i;
@@ -96,7 +91,7 @@ std::vector<ContainerId> SelectPreemptionVictims(
     victims.push_back(v.id);
     freed.vcores += v.vcores;
     freed.memory_mb += v.memory_mb;
-    ResourceUsage& qu = usage[*pool[best]->queue];
+    ResourceUsage& qu = donors[*pool[best]->queue].usage;
     qu.vcores -= v.vcores;
     qu.memory_mb -= v.memory_mb;
     pool.erase(pool.begin() + static_cast<ptrdiff_t>(best));

@@ -30,23 +30,17 @@
 #include <string>
 #include <vector>
 
-#include "src/common/flat_hash.h"
 #include "src/yarn/yarn.h"
 
 namespace hiway {
 
 /// Read-only multi-tenancy state the RM scores policies and preemption
-/// against. All maps are owned by the RM. The per-tenant stats are
-/// flat-hash maps (unordered iteration, stable references; see
-/// src/common/flat_hash.h) — code that needs a deterministic order over
-/// them must sort, as SelectPreemptionVictims does via its std::map
-/// working copy.
+/// against: the live cluster capacity and the RM's queue records (one
+/// per queue, in name order; owned by the RM).
 struct RmTenancyView {
   int total_vcores = 0;
   double total_memory_mb = 0.0;
-  const FlatHashMap<ApplicationId, TenantStats>* app_stats = nullptr;
-  const FlatHashMap<std::string, TenantStats>* queue_stats = nullptr;
-  const std::map<std::string, RmQueueConfig>* queue_configs = nullptr;
+  const std::map<std::string, ResourceManager::QueueState>* queues = nullptr;
 
   /// Dominant share of `u` relative to live cluster capacity (DRF's
   /// "dominant resource": whichever of cores or memory is scarcer for
@@ -54,7 +48,7 @@ struct RmTenancyView {
   double DominantShare(const ResourceUsage& u) const;
 
   /// Would granting `r` keep `queue` within its maximum share?
-  bool WithinMaxShare(const std::string& queue,
+  bool WithinMaxShare(const ResourceManager::QueueState& queue,
                       const ContainerRequest& r) const;
 };
 

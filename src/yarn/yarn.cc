@@ -52,7 +52,7 @@ ResourceManager::ResourceManager(Cluster* cluster, YarnOptions options)
     IndexNode(n);
     AddNodeShape(cluster_->node(n).cores, cluster_->node(n).memory_mb);
   }
-  queue_configs_["default"] = RmQueueConfig{};
+  ConfigureQueue(RmQueueConfig{});
 }
 
 ResourceManager::~ResourceManager() = default;
@@ -84,21 +84,15 @@ Status ResourceManager::CheckAllocatable(int vcores,
 }
 
 void ResourceManager::ConfigureQueue(const RmQueueConfig& config) {
-  queue_configs_[config.name] = config;
-  TenantStats& qs = queue_stats_[config.name];
-  qs.queue = config.name;
-}
-
-const RmQueueConfig* ResourceManager::queue_config(
-    const std::string& name) const {
-  auto it = queue_configs_.find(name);
-  return it == queue_configs_.end() ? nullptr : &it->second;
+  QueueState& q = queues_[config.name];
+  q.config = config;
+  q.stats.queue = config.name;
 }
 
 std::vector<std::string> ResourceManager::ConfiguredQueues() const {
   std::vector<std::string> names;
-  names.reserve(queue_configs_.size());
-  for (const auto& [name, config] : queue_configs_) names.push_back(name);
+  names.reserve(queues_.size());
+  for (const auto& [name, q] : queues_) names.push_back(name);
   return names;
 }
 
@@ -127,40 +121,33 @@ void ResourceManager::UnindexNode(NodeId node) {
 
 // ---- Tenant accounting --------------------------------------------------
 
-TenantStats& ResourceManager::StatsOf(ApplicationId app) {
-  TenantStats& stats = app_stats_[app];
-  if (stats.queue.empty()) stats.queue = "default";
-  return stats;
+ResourceManager::AppState* ResourceManager::LiveApp(ApplicationId app) {
+  auto it = apps_.find(app);
+  return it == apps_.end() || !it->second.active ? nullptr : &it->second;
 }
 
-TenantStats& ResourceManager::QueueStatsOf(ApplicationId app) {
-  TenantStats& qs = queue_stats_[StatsOf(app).queue];
-  if (qs.queue.empty()) qs.queue = StatsOf(app).queue;
-  return qs;
-}
-
-void ResourceManager::AddPending(ApplicationId app,
-                                 const ContainerRequest& r) {
-  for (TenantStats* s : {&StatsOf(app), &QueueStatsOf(app)}) {
+void ResourceManager::AddPending(AppState& state, const ContainerRequest& r) {
+  for (TenantStats* s : {&state.stats, &state.queue->stats}) {
     s->pending.vcores += r.vcores;
     s->pending.memory_mb += r.memory_mb;
     ++s->pending_requests;
   }
-  FairnessTouch(app);
+  FairnessTouch(state);
 }
 
-void ResourceManager::RemovePending(ApplicationId app,
+void ResourceManager::RemovePending(AppState& state,
                                     const ContainerRequest& r) {
-  for (TenantStats* s : {&StatsOf(app), &QueueStatsOf(app)}) {
+  for (TenantStats* s : {&state.stats, &state.queue->stats}) {
     s->pending.vcores -= r.vcores;
     s->pending.memory_mb -= r.memory_mb;
     --s->pending_requests;
   }
-  FairnessTouch(app);
+  FairnessTouch(state);
 }
 
-Container* ResourceManager::AllocateOn(ApplicationId app, NodeId node,
-                                       int vcores, double memory_mb) {
+Container* ResourceManager::AllocateOn(ApplicationId app, AppState& state,
+                                       NodeId node, int vcores,
+                                       double memory_mb) {
   NodeState& ns = nodes_[static_cast<size_t>(node)];
   HIWAY_CHECK(ns.alive);
   HIWAY_CHECK(ns.free_vcores >= vcores && ns.free_memory_mb >= memory_mb);
@@ -178,19 +165,20 @@ Container* ResourceManager::AllocateOn(ApplicationId app, NodeId node,
   auto [it, inserted] = containers_.emplace(c.id, c);
   HIWAY_CHECK(inserted);
   ++counters_.allocations;
-  for (TenantStats* s : {&StatsOf(app), &QueueStatsOf(app)}) {
+  for (TenantStats* s : {&state.stats, &state.queue->stats}) {
     ++s->counters.allocations;
     s->usage.vcores += vcores;
     s->usage.memory_mb += memory_mb;
   }
-  FairnessTouch(app);
+  FairnessTouch(state);
   return &it->second;
 }
 
 Result<ApplicationId> ResourceManager::RegisterApplication(
     const std::string& name, AmCallbacks* callbacks, int am_vcores,
     double am_memory_mb, NodeId am_node, const std::string& queue) {
-  if (queue_configs_.find(queue) == queue_configs_.end()) {
+  auto queue_it = queues_.find(queue);
+  if (queue_it == queues_.end()) {
     return Status::InvalidArgument("unknown RM queue '" + queue +
                                    "'; ConfigureQueue it first");
   }
@@ -230,62 +218,65 @@ Result<ApplicationId> ResourceManager::RegisterApplication(
   }
   AccrueFairness();
   ApplicationId app = next_app_++;
-  app_stats_[app].queue = queue;
-  Container* am = AllocateOn(app, target, am_vcores, am_memory_mb);
+  AppState& state = apps_[app];
+  state.stats.queue = queue;
+  state.queue = &queue_it->second;
+  // Inactive until the AM holds its container: the AM allocation leaves
+  // the fairness aggregates alone, and the first touch below folds the
+  // app's cell in.
+  Container* am = AllocateOn(app, state, target, am_vcores, am_memory_mb);
   am->is_am = true;
   if (tracer_ != nullptr) {
     tracer_->Begin(SpanCategory::kContainer, "container", app, am->id,
                    /*task=*/-1, target);
   }
-  AppState state;
+  state.active = true;
   state.name = name;
   state.callbacks = callbacks;
   state.am_container = am->id;
   state.beat_phase = cluster_->engine()->Now();
-  apps_.emplace(app, std::move(state));
-  // The app entered the registry after its AM allocation; fold its cell
-  // into the fairness aggregates now.
-  FairnessTouch(app);
+  FairnessTouch(state);
   return app;
 }
 
 void ResourceManager::UnregisterApplication(ApplicationId app) {
-  auto it = apps_.find(app);
-  if (it == apps_.end()) return;
+  AppState* state = LiveApp(app);
+  if (state == nullptr) return;
   AccrueFairness();
-  it->second.active = false;
-  FairnessDrop(app);
+  state->active = false;
+  FairnessDrop(*state);
   // Drop pending requests (this application's only).
   queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
                               [&](const PendingRequest& p) {
                                 if (p.app != app) return false;
-                                RemovePending(app, p.request);
+                                RemovePending(*state, p.request);
                                 return true;
                               }),
                queue_.end());
-  if (it->second.am_container != kInvalidContainer) {
-    ReleaseContainer(it->second.am_container);
+  if (state->am_container != kInvalidContainer) {
+    ReleaseContainer(state->am_container);
   }
-  apps_.erase(app);
 }
 
 void ResourceManager::SubmitRequest(ApplicationId app,
                                     const ContainerRequest& request) {
-  HIWAY_CHECK(apps_.find(app) != apps_.end());
+  AppState* state = LiveApp(app);
+  HIWAY_CHECK(state != nullptr);
   ++counters_.requests;
-  ++StatsOf(app).counters.requests;
-  ++QueueStatsOf(app).counters.requests;
+  ++state->stats.counters.requests;
+  ++state->queue->stats.counters.requests;
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kContainer, "container_requested", app,
                      /*container=*/-1, /*task=*/request.cookie,
                      request.preferred_node);
   }
-  Enqueue({app, request, cluster_->engine()->Now()});
+  Enqueue(*state, {app, request, cluster_->engine()->Now()});
 }
 
-void ResourceManager::Enqueue(PendingRequest p) {
+void ResourceManager::Enqueue(AppState& state, PendingRequest p) {
   AccrueFairness();
-  AddPending(p.app, p.request);
+  AddPending(state, p.request);
+  p.state = &state;
   queue_.push_back(std::move(p));
   ScheduleAllocationPass();
 }
@@ -297,7 +288,7 @@ int ResourceManager::CancelRequests(ApplicationId app, int64_t cookie) {
                               [&](const PendingRequest& p) {
                                 if (p.app == app &&
                                     p.request.cookie == cookie) {
-                                  RemovePending(app, p.request);
+                                  RemovePending(*p.state, p.request);
                                   ++removed;
                                   return true;
                                 }
@@ -326,13 +317,14 @@ void ResourceManager::ReleaseContainer(ContainerId id) {
                  /*task=*/-1, c.node, work);
   }
   if (!c.is_am) counters_.container_work_s += work;
-  for (TenantStats* s : {&StatsOf(c.app), &QueueStatsOf(c.app)}) {
+  AppState& state = apps_.at(c.app);
+  for (TenantStats* s : {&state.stats, &state.queue->stats}) {
     ++s->counters.releases;
     if (!c.is_am) s->counters.container_work_s += work;
     s->usage.vcores -= c.vcores;
     s->usage.memory_mb -= c.memory_mb;
   }
-  FairnessTouch(c.app);
+  FairnessTouch(state);
   containers_.erase(id);
   ScheduleAllocationPass();
 }
@@ -369,8 +361,9 @@ void ResourceManager::DropContainer(const Container& c,
                        static_cast<int64_t>(reason));
     }
   }
-  for (RmCounters* k : {&counters_, &StatsOf(c.app).counters,
-                        &QueueStatsOf(c.app).counters}) {
+  AppState& state = apps_.at(c.app);
+  for (RmCounters* k :
+       {&counters_, &state.stats.counters, &state.queue->stats.counters}) {
     if (reclaim) {
       ++k->reclaimed_containers;
     } else if (preempted) {
@@ -385,18 +378,16 @@ void ResourceManager::DropContainer(const Container& c,
     }
     if (!c.is_am) k->container_work_s += work;
   }
-  for (TenantStats* s : {&StatsOf(c.app), &QueueStatsOf(c.app)}) {
+  for (TenantStats* s : {&state.stats, &state.queue->stats}) {
     s->usage.vcores -= c.vcores;
     s->usage.memory_mb -= c.memory_mb;
   }
-  FairnessTouch(c.app);
+  FairnessTouch(state);
   containers_.erase(c.id);
-  if (!notify) return;
-  auto app_it = apps_.find(c.app);
-  if (app_it != apps_.end() && app_it->second.callbacks != nullptr) {
+  if (notify && state.active && state.callbacks != nullptr) {
     // Synchronous delivery: by the time KillNode/KillContainer returns,
     // every surviving AM has seen its losses and re-queued work.
-    app_it->second.callbacks->OnContainerLost(c, reason);
+    state.callbacks->OnContainerLost(c, reason);
   }
 }
 
@@ -412,6 +403,7 @@ void ResourceManager::KillNode(NodeId node) {
   // (ascending id, matching the registry's former sorted iteration).
   std::vector<ApplicationId> dead_apps;
   for (const auto& [app, state] : apps_) {
+    if (!state.active) continue;
     auto cit = containers_.find(state.am_container);
     if (cit != containers_.end() && cit->second.node == node) {
       dead_apps.push_back(app);
@@ -486,9 +478,8 @@ void ResourceManager::BeginDrain(NodeId node, double deadline) {
     tracer_->Instant(SpanCategory::kMembership, "node_draining", /*app=*/-1,
                      /*container=*/-1, /*task=*/-1, node, deadline);
   }
-  // Tell every live master so it can triage its containers on the node.
-  // DropContainer (the reaction AMs typically take) never mutates apps_,
-  // so iterating a snapshot of the registry is safe. Ascending app id.
+  // Tell every live master so it can triage its containers on the node,
+  // from a snapshot of the registry in ascending app id.
   std::vector<std::pair<ApplicationId, AmCallbacks*>> masters;
   for (const auto& [app, state] : apps_) {
     if (state.active && state.callbacks != nullptr) {
@@ -550,16 +541,16 @@ int ResourceManager::containers_on(NodeId node) const {
 
 void ResourceManager::FailApplication(ApplicationId app,
                                       const std::string& reason) {
-  auto it = apps_.find(app);
-  if (it == apps_.end()) return;
+  AppState* state = LiveApp(app);
+  if (state == nullptr) return;
   AccrueFairness();
-  it->second.active = false;
-  FairnessDrop(app);
+  state->active = false;
+  FairnessDrop(*state);
   // Drop the failed application's pending requests.
   queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
                               [&](const PendingRequest& p) {
                                 if (p.app != app) return false;
-                                RemovePending(app, p.request);
+                                RemovePending(*state, p.request);
                                 return true;
                               }),
                queue_.end());
@@ -571,13 +562,12 @@ void ResourceManager::FailApplication(ApplicationId app,
     DropContainer(c, ContainerLossReason::kNodeLost, /*notify=*/false);
   }
   ++counters_.app_failures;
-  ++StatsOf(app).counters.app_failures;
-  ++QueueStatsOf(app).counters.app_failures;
+  ++state->stats.counters.app_failures;
+  ++state->queue->stats.counters.app_failures;
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanCategory::kFailover, "app_failed", app);
   }
-  std::string name = std::move(it->second.name);
-  apps_.erase(app);
+  std::string name = std::move(state->name);
   ScheduleAllocationPass();
   if (app_failure_listener_) app_failure_listener_(app, name, reason);
 }
@@ -597,13 +587,13 @@ bool ResourceManager::KillContainer(ContainerId id) {
 }
 
 void ResourceManager::AmSilent(ApplicationId app) {
-  auto it = apps_.find(app);
-  if (it == apps_.end()) return;
+  const AppState* state = LiveApp(app);
+  if (state == nullptr) return;
   // Each beat was scheduled from the one before, so repeating the same
   // additions rebuilds the beat times bit for bit. A beat due exactly now
   // counts as missed: the crash event was queued before it.
   SimTime now = cluster_->engine()->Now();
-  SimTime last_beat = it->second.beat_phase;
+  SimTime last_beat = state->beat_phase;
   while (last_beat + kAmHeartbeatS < now) last_beat += kAmHeartbeatS;
   cluster_->engine()->ScheduleAt(last_beat + kAmLivenessTimeoutS, [this, app] {
     FailApplication(app, StrFormat("AM heartbeat timeout (%.1fs)",
@@ -622,7 +612,9 @@ bool ResourceManager::IsNodeAlive(NodeId node) const {
 
 Result<NodeId> ResourceManager::AmNode(ApplicationId app) const {
   auto it = apps_.find(app);
-  if (it == apps_.end()) return Status::NotFound("unknown application");
+  if (it == apps_.end() || !it->second.active) {
+    return Status::NotFound("unknown application");
+  }
   auto cit = containers_.find(it->second.am_container);
   if (cit == containers_.end()) {
     return Status::NotFound("AM container gone");
@@ -639,25 +631,25 @@ double ResourceManager::free_memory_mb(NodeId node) const {
 }
 
 int ResourceManager::pending_requests(ApplicationId app) const {
-  auto it = app_stats_.find(app);
-  return it == app_stats_.end() ? 0 : it->second.pending_requests;
+  const TenantStats* stats = app_stats(app);
+  return stats == nullptr ? 0 : stats->pending_requests;
 }
 
 const TenantStats* ResourceManager::app_stats(ApplicationId app) const {
-  auto it = app_stats_.find(app);
-  return it == app_stats_.end() ? nullptr : &it->second;
+  auto it = apps_.find(app);
+  return it == apps_.end() ? nullptr : &it->second.stats;
 }
 
 const TenantStats* ResourceManager::queue_stats(
     const std::string& queue) const {
-  auto it = queue_stats_.find(queue);
-  return it == queue_stats_.end() ? nullptr : &it->second;
+  auto it = queues_.find(queue);
+  return it == queues_.end() ? nullptr : &it->second.stats;
 }
 
 std::vector<ApplicationId> ResourceManager::KnownApplications() const {
   std::vector<ApplicationId> apps;
-  apps.reserve(app_stats_.size());
-  for (const auto& [app, stats] : app_stats_) apps.push_back(app);
+  apps.reserve(apps_.size());
+  for (const auto& [app, state] : apps_) apps.push_back(app);
   std::sort(apps.begin(), apps.end());
   return apps;
 }
@@ -668,64 +660,53 @@ RmTenancyView ResourceManager::TenancyView() const {
   RmTenancyView view;
   view.total_vcores = total_vcores_;
   view.total_memory_mb = total_memory_mb_;
-  view.app_stats = &app_stats_;
-  view.queue_stats = &queue_stats_;
-  view.queue_configs = &queue_configs_;
+  view.queues = &queues_;
   return view;
 }
 
 ResourceManager::FairCell ResourceManager::FairnessCellOf(
-    ApplicationId app) const {
+    const AppState& state) const {
   // Demand-satisfaction ratio: how much of its demanded dominant share
   // (allocated + queued) the app actually holds.
   FairCell cell;
-  auto as = app_stats_.find(app);
-  if (as == app_stats_.end()) return cell;
   RmTenancyView view = TenancyView();
-  double alloc = view.DominantShare(as->second.usage);
-  double pend = view.DominantShare(as->second.pending);
+  double alloc = view.DominantShare(state.stats.usage);
+  double pend = view.DominantShare(state.stats.pending);
   if (alloc + pend <= 0.0) return cell;
   cell.x = alloc / (alloc + pend);
   cell.x2 = cell.x * cell.x;
   cell.included = true;
-  cell.backlogged = as->second.pending_requests > 0;
+  cell.backlogged = state.stats.pending_requests > 0;
   return cell;
 }
 
-void ResourceManager::FairnessTouch(ApplicationId app) {
-  auto it = apps_.find(app);
-  if (it == apps_.end() || !it->second.active) return;
-  AppState& st = it->second;
-  if (st.fair.included) fairness_agg_.Remove(st.fair);
-  st.fair = FairnessCellOf(app);
-  if (st.fair.included) fairness_agg_.Add(st.fair);
+void ResourceManager::FairnessTouch(AppState& state) {
+  if (!state.active) return;
+  if (state.fair.included) fairness_agg_.Remove(state.fair);
+  state.fair = FairnessCellOf(state);
+  if (state.fair.included) fairness_agg_.Add(state.fair);
   // The +=/-= running sums accumulate rounding error; periodically snap
   // them back to the from-scratch values.
   if (++fairness_touches_ % 4096 == 0) FairnessRebuild();
 }
 
-void ResourceManager::FairnessDrop(ApplicationId app) {
-  auto it = apps_.find(app);
-  if (it == apps_.end()) return;
-  AppState& st = it->second;
-  if (st.fair.included) fairness_agg_.Remove(st.fair);
-  st.fair = FairCell{};
+void ResourceManager::FairnessDrop(AppState& state) {
+  if (state.fair.included) fairness_agg_.Remove(state.fair);
+  state.fair = FairCell{};
 }
 
 void ResourceManager::FairnessRebuild() {
   // Ascending app id: the same summation order as the from-scratch
   // reference index.
   fairness_agg_ = FairnessAgg{};
-  std::vector<ApplicationId> ids;
-  ids.reserve(apps_.size());
-  for (const auto& [app, state] : apps_) {
-    if (state.active) ids.push_back(app);
+  std::vector<std::pair<ApplicationId, AppState*>> live;
+  for (auto& [app, state] : apps_) {
+    if (state.active) live.emplace_back(app, &state);
   }
-  std::sort(ids.begin(), ids.end());
-  for (ApplicationId app : ids) {
-    AppState& st = apps_.at(app);
-    st.fair = FairnessCellOf(app);
-    if (st.fair.included) fairness_agg_.Add(st.fair);
+  std::sort(live.begin(), live.end());
+  for (auto& [app, state] : live) {
+    state->fair = FairnessCellOf(*state);
+    if (state->fair.included) fairness_agg_.Add(state->fair);
   }
 }
 
@@ -828,13 +809,14 @@ NodeId ResourceManager::TryPlace(const ContainerRequest& r) {
 void ResourceManager::CommitAllocation(PassSlot& s, NodeId chosen,
                                        int* pass_allocations) {
   const ContainerRequest& r = s.req.request;
+  AppState& state = *s.req.state;
   s.consumed = true;
   ++*pass_allocations;
-  RemovePending(s.req.app, r);
+  RemovePending(state, r);
   double wait = cluster_->engine()->Now() - s.req.submitted_at;
-  StatsOf(s.req.app).wait_times_s.push_back(wait);
-  QueueStatsOf(s.req.app).wait_times_s.push_back(wait);
-  Container* c = AllocateOn(s.req.app, chosen, r.vcores, r.memory_mb);
+  state.stats.wait_times_s.push_back(wait);
+  state.queue->stats.wait_times_s.push_back(wait);
+  Container* c = AllocateOn(s.req.app, state, chosen, r.vcores, r.memory_mb);
   c->priority = r.priority;
   if (tracer_ != nullptr) {
     tracer_->Begin(SpanCategory::kContainer, "container", s.req.app, c->id,
@@ -842,17 +824,17 @@ void ResourceManager::CommitAllocation(PassSlot& s, NodeId chosen,
     tracer_->Instant(SpanCategory::kContainer, "container_allocated",
                      s.req.app, c->id, /*task=*/r.cookie, chosen, wait);
   }
-  AmCallbacks* cb = apps_.at(s.req.app).callbacks;
   // Deliver the allocation asynchronously (AM heartbeat). A container lost
   // before then (killed, preempted, its node gone) was reported while no
   // task owned it: it never reaches the AM, and its request is re-queued.
-  cluster_->engine()->ScheduleAfter(0.0, [this, cb, copy = *c, req = s.req] {
-    if (containers_.contains(copy.id)) {
-      cb->OnContainerAllocated(copy, req.request.cookie);
-    } else if (apps_.contains(req.app)) {
-      Enqueue(req);
-    }
-  });
+  cluster_->engine()->ScheduleAfter(
+      0.0, [this, cb = state.callbacks, copy = *c, req = s.req] {
+        if (containers_.contains(copy.id)) {
+          cb->OnContainerAllocated(copy, req.request.cookie);
+        } else if (req.state->active) {
+          Enqueue(*req.state, req);
+        }
+      });
 }
 
 void ResourceManager::FifoPass(std::vector<PassSlot>& slots,
@@ -892,22 +874,26 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
   struct Group {
     std::vector<size_t> slots;
     size_t cursor = 0;
-    const std::string* queue = nullptr;
+    /// The group's application (fair) or any of its applications
+    /// (capacity), and their queue.
+    const AppState* app = nullptr;
+    const QueueState* queue = nullptr;
   };
   std::map<Key, Group> groups;
   for (size_t i = 0; i < slots.size(); ++i) {
     const PassSlot& s = slots[i];
     if (s.consumed) continue;
-    const std::string* q = &app_stats_.at(s.req.app).queue;
+    const AppState* app = s.req.state;
     Key key;
     if constexpr (by_queue) {
-      key = *q;
+      key = app->stats.queue;
     } else {
       key = s.req.app;
     }
     Group& g = groups[key];
     g.slots.push_back(i);
-    g.queue = q;
+    g.app = app;
+    g.queue = app->queue;
   }
   // Head of a group: its first slot (FIFO) that is still live and would
   // stay within the queue's max share. -1 when exhausted.
@@ -927,30 +913,18 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
     }
     return -1;
   };
-  auto score_of = [&](const Key& key, const Group& g) -> double {
+  auto score_of = [&](const Group& g) -> double {
     if constexpr (by_queue) {
       // Capacity pressure: queue dominant share over its guaranteed
       // share.
-      ResourceUsage used;
-      auto qs_it = queue_stats_.find(*g.queue);
-      if (qs_it != queue_stats_.end()) used = qs_it->second.usage;
-      double guaranteed = 1.0;
-      auto cfg_it = queue_configs_.find(*g.queue);
-      if (cfg_it != queue_configs_.end()) {
-        guaranteed = cfg_it->second.guaranteed_share;
-      }
+      double guaranteed = g.queue->config.guaranteed_share;
       if (guaranteed <= 0.0) guaranteed = 1e-9;
-      return view.DominantShare(used) / guaranteed;
+      return view.DominantShare(g.queue->stats.usage) / guaranteed;
     } else {
       // Fair (DRF) share: app dominant share over its queue's weight.
-      ResourceUsage used;
-      auto as_it = app_stats_.find(key);
-      if (as_it != app_stats_.end()) used = as_it->second.usage;
-      double weight = 1.0;
-      auto cfg_it = queue_configs_.find(*g.queue);
-      if (cfg_it != queue_configs_.end()) weight = cfg_it->second.weight;
+      double weight = g.queue->config.weight;
       if (weight <= 0.0) weight = 1e-9;
-      return view.DominantShare(used) / weight;
+      return view.DominantShare(g.app->stats.usage) / weight;
     }
   };
   struct HeapEnt {
@@ -968,7 +942,7 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
   };
   std::priority_queue<HeapEnt, std::vector<HeapEnt>, Worse> heap;
   for (auto& [key, g] : groups) {
-    if (advance(g) >= 0) heap.push(HeapEnt{score_of(key, g), &key, &g});
+    if (advance(g) >= 0) heap.push(HeapEnt{score_of(g), &key, &g});
   }
   while (!heap.empty()) {
     HeapEnt e = heap.top();
@@ -986,7 +960,7 @@ void ResourceManager::GroupedPass(std::vector<PassSlot>& slots,
       continue;
     }
     CommitAllocation(s, chosen, pass_allocations);
-    if (advance(g) >= 0) heap.push(HeapEnt{score_of(*e.key, g), e.key, &g});
+    if (advance(g) >= 0) heap.push(HeapEnt{score_of(g), e.key, &g});
   }
 }
 
@@ -1004,10 +978,9 @@ void ResourceManager::AllocationPass() {
   for (PendingRequest& p : queue_) slots.push_back(PassSlot{std::move(p)});
   queue_.clear();
   for (PassSlot& s : slots) {
-    auto it = apps_.find(s.req.app);
-    if (it == apps_.end() || !it->second.active) {
+    if (!s.req.state->active) {
       s.consumed = true;  // drop requests of departed applications
-      RemovePending(s.req.app, s.req.request);
+      RemovePending(*s.req.state, s.req.request);
     }
   }
 
@@ -1046,55 +1019,46 @@ void ResourceManager::AllocationPass() {
           .count());
 }
 
-bool ResourceManager::QueueStarved(const std::string& queue) const {
-  auto cfg_it = queue_configs_.find(queue);
-  if (cfg_it == queue_configs_.end()) return false;
-  auto qs_it = queue_stats_.find(queue);
-  if (qs_it == queue_stats_.end()) return false;
-  const TenantStats& qs = qs_it->second;
+bool ResourceManager::QueueStarved(const QueueState& queue) const {
+  const TenantStats& qs = queue.stats;
   if (qs.pending_requests <= 0) return false;  // no unmet demand
   return TenancyView().DominantShare(qs.usage) + 1e-9 <
-         cfg_it->second.guaranteed_share;
+         queue.config.guaranteed_share;
 }
 
 void ResourceManager::UpdateStarvation() {
   double now = cluster_->engine()->Now();
   int budget = options_.max_preempt_per_round;
   bool preempted_any = false;
-  for (const auto& [qname, cfg] : queue_configs_) {
-    const std::string& queue = qname;
-    QueueStarvation& st = starvation_[queue];
-    bool starved = QueueStarved(queue);
-    if (!starved) {
-      if (st.since >= 0.0) {
+  for (auto& [name, q] : queues_) {
+    if (!QueueStarved(q)) {
+      if (q.starved_since >= 0.0) {
         // Episode closed: the queue climbed back to its guarantee (or its
         // backlog drained). Record the restoration latency.
-        double dt = now - st.since;
-        TenantStats& qs = queue_stats_[queue];
-        qs.time_under_guarantee_s += dt;
-        qs.restoration_latency_s.push_back(dt);
-        st.since = -1.0;
+        double dt = now - q.starved_since;
+        q.stats.time_under_guarantee_s += dt;
+        q.stats.restoration_latency_s.push_back(dt);
+        q.starved_since = -1.0;
       }
       continue;
     }
-    if (st.since < 0.0) st.since = now;
+    if (q.starved_since < 0.0) q.starved_since = now;
     if (!options_.preemption) continue;
-    double deadline = st.since + options_.preemption_grace_s;
+    double deadline = q.starved_since + options_.preemption_grace_s;
     if (now + 1e-9 < deadline) {
       // Within grace: give voluntary releases a chance first, but make
       // sure a pass (and with it a preemption round) runs at expiry.
-      if (!st.wakeup_scheduled) {
-        st.wakeup_scheduled = true;
-        cluster_->engine()->ScheduleAt(deadline, [this, queue] {
-          auto it = starvation_.find(queue);
-          if (it != starvation_.end()) it->second.wakeup_scheduled = false;
+      if (!q.wakeup_scheduled) {
+        q.wakeup_scheduled = true;
+        cluster_->engine()->ScheduleAt(deadline, [this, queue = &q] {
+          queue->wakeup_scheduled = false;
           AllocationPass();
         });
       }
       continue;
     }
     if (budget <= 0) continue;  // this round's kills are spent
-    int killed = PreemptFor(queue, budget);
+    int killed = PreemptFor(q, budget);
     budget -= killed;
     if (killed > 0) preempted_any = true;
   }
@@ -1103,12 +1067,9 @@ void ResourceManager::UpdateStarvation() {
   if (preempted_any) ScheduleAllocationPass();
 }
 
-int ResourceManager::PreemptFor(const std::string& starved, int budget) {
-  auto cfg_it = queue_configs_.find(starved);
-  auto qs_it = queue_stats_.find(starved);
-  if (cfg_it == queue_configs_.end() || qs_it == queue_stats_.end()) return 0;
-  const RmQueueConfig& cfg = cfg_it->second;
-  const TenantStats& qs = qs_it->second;
+int ResourceManager::PreemptFor(const QueueState& starved, int budget) {
+  const RmQueueConfig& cfg = starved.config;
+  const TenantStats& qs = starved.stats;
   // Reclaim no more than the starved queue can actually use: its deficit
   // against the guarantee, capped by its pending demand.
   ResourceUsage needed;
@@ -1126,16 +1087,14 @@ int ResourceManager::PreemptFor(const std::string& starved, int budget) {
   std::vector<PreemptionCandidate> candidates;
   candidates.reserve(containers_.size());
   for (const auto& [id, c] : containers_) {
-    auto as_it = app_stats_.find(c.app);
-    if (as_it == app_stats_.end()) continue;
-    candidates.push_back(PreemptionCandidate{c, &as_it->second.queue});
+    candidates.push_back(PreemptionCandidate{c, &apps_.at(c.app).stats.queue});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const PreemptionCandidate& a, const PreemptionCandidate& b) {
               return a.container.id < b.container.id;
             });
   std::vector<ContainerId> victims = SelectPreemptionVictims(
-      candidates, TenancyView(), starved, needed, budget);
+      candidates, TenancyView(), cfg.name, needed, budget);
   int killed = 0;
   for (ContainerId id : victims) {
     auto it = containers_.find(id);

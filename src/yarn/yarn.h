@@ -253,10 +253,21 @@ class ResourceManager {
   void SetPolicy(RmPolicy policy) { options_.scheduler = policy; }
   RmPolicy policy() const { return options_.scheduler; }
 
+  /// One scheduler queue: its configuration, its accounting (aggregated
+  /// over its applications) and its open starvation episode.
+  struct QueueState {
+    RmQueueConfig config;
+    TenantStats stats;
+    /// Start of the open starvation episode; < 0 while not starved.
+    double starved_since = -1.0;
+    /// Dedupes the grace-expiry timer that re-triggers an allocation pass
+    /// (and with it a preemption round).
+    bool wakeup_scheduled = false;
+  };
+
   /// Defines or reconfigures a queue. The "default" queue always exists
   /// (guaranteed = max = 1.0).
   void ConfigureQueue(const RmQueueConfig& config);
-  const RmQueueConfig* queue_config(const std::string& name) const;
   std::vector<std::string> ConfiguredQueues() const;
 
   /// Registers an application and allocates its AM container (the paper
@@ -445,11 +456,6 @@ class ResourceManager {
     /// Virtual time the draining node disappears (spot deadline).
     double drain_deadline = 0.0;
   };
-  struct PendingRequest {
-    ApplicationId app;
-    ContainerRequest request;
-    double submitted_at = 0.0;
-  };
   /// One application's fairness cell: its demand-satisfaction ratio
   /// x = alloc / (alloc + pending) of dominant shares, and x². Not
   /// `included` while the application demands nothing.
@@ -459,16 +465,29 @@ class ResourceManager {
     bool included = false;
     bool backlogged = false;
   };
+  /// One application from registration on. The record outlives the
+  /// application (finished tenants stay attributable); the fields below
+  /// `stats` and `queue` matter only while it is `active`.
   struct AppState {
+    TenantStats stats;
+    QueueState* queue = nullptr;
+    /// Registered and neither unregistered nor failed.
+    bool active = false;
     std::string name;
     AmCallbacks* callbacks = nullptr;
     ContainerId am_container = kInvalidContainer;
-    bool active = true;
     /// Registration time: the AM's first heartbeat, which it repeats
     /// every kAmHeartbeatS while it lives.
     double beat_phase = 0.0;
     /// This app's contribution to the aggregate Jain sums (FairnessTouch).
     FairCell fair;
+  };
+  struct PendingRequest {
+    ApplicationId app;
+    ContainerRequest request;
+    double submitted_at = 0.0;
+    /// The requesting application's record (records are never erased).
+    AppState* state = nullptr;
   };
   /// One queued request inside an allocation pass's slot table. A slot is
   /// consumed on successful placement or marked ineligible for the rest
@@ -508,9 +527,9 @@ class ResourceManager {
 
   /// Kills up to `budget` task containers of over-guarantee queues so
   /// `starved` can reach its guarantee; returns the number killed.
-  int PreemptFor(const std::string& starved, int budget);
+  int PreemptFor(const QueueState& starved, int budget);
   /// True while `queue` is backlogged below its guaranteed share.
-  bool QueueStarved(const std::string& queue) const;
+  bool QueueStarved(const QueueState& queue) const;
 
   /// Indexed placement: preferred node first, then (unless strict) a
   /// rotating scan over the ordered open-node set, with O(1) rejection
@@ -534,8 +553,8 @@ class ResourceManager {
   /// Must be called BEFORE mutating the node's free capacity or state.
   void UnindexNode(NodeId node);
 
-  Container* AllocateOn(ApplicationId app, NodeId node, int vcores,
-                        double memory_mb);
+  Container* AllocateOn(ApplicationId app, AppState& state, NodeId node,
+                        int vcores, double memory_mb);
 
   /// The containers `match` selects, ascending container id.
   std::vector<Container> ContainersWhere(
@@ -550,14 +569,14 @@ class ResourceManager {
   void DropContainer(const Container& c, ContainerLossReason reason,
                      bool notify);
 
-  TenantStats& StatsOf(ApplicationId app);
-  TenantStats& QueueStatsOf(ApplicationId app);
-  void AddPending(ApplicationId app, const ContainerRequest& r);
-  void RemovePending(ApplicationId app, const ContainerRequest& r);
+  /// `app`'s record while it is registered, else nullptr.
+  AppState* LiveApp(ApplicationId app);
+  void AddPending(AppState& state, const ContainerRequest& r);
+  void RemovePending(AppState& state, const ContainerRequest& r);
   /// Queues `p` behind every pending request and schedules a pass.
-  void Enqueue(PendingRequest p);
-  /// `app`'s current fairness cell (empty for apps without stats).
-  FairCell FairnessCellOf(ApplicationId app) const;
+  void Enqueue(AppState& state, PendingRequest p);
+  /// The application's current fairness cell.
+  FairCell FairnessCellOf(const AppState& state) const;
   /// Integrates the fairness index up to Now() from the incremental
   /// aggregates; call before any state change that affects shares or
   /// demand.
@@ -565,9 +584,9 @@ class ResourceManager {
   /// Re-derives one application's fairness cell after its usage or
   /// demand changed and folds the delta into the aggregates. No-op for
   /// departed/inactive applications.
-  void FairnessTouch(ApplicationId app);
+  void FairnessTouch(AppState& state);
   /// Removes an application's fairness contribution (app deactivation).
-  void FairnessDrop(ApplicationId app);
+  void FairnessDrop(AppState& state);
   /// Recomputes every cell and the aggregates from scratch: on cluster
   /// capacity changes (all shares move) and periodically to bound
   /// floating-point drift of the incremental +=/-= sums.
@@ -577,6 +596,7 @@ class ResourceManager {
   YarnOptions options_;
   RmCounters counters_;
   std::vector<NodeState> nodes_;
+  /// Every application ever registered; never erased.
   FlatHashMap<ApplicationId, AppState> apps_;
   FlatHashMap<ContainerId, Container> containers_;
   std::deque<PendingRequest> queue_;
@@ -598,17 +618,9 @@ class ResourceManager {
   std::multiset<double> open_memory_;
 
   // -- Multi-tenancy state ------------------------------------------------
-  std::map<std::string, RmQueueConfig> queue_configs_;
-  FlatHashMap<ApplicationId, TenantStats> app_stats_;
-  FlatHashMap<std::string, TenantStats> queue_stats_;
-  /// One open starvation episode per queue: `since` < 0 when the queue is
-  /// not starved; `wakeup_scheduled` dedupes the grace-expiry timer that
-  /// re-triggers an allocation pass (and with it a preemption round).
-  struct QueueStarvation {
-    double since = -1.0;
-    bool wakeup_scheduled = false;
-  };
-  std::map<std::string, QueueStarvation> starvation_;
+  /// Configured queues by name; never erased, so AppState::queue and the
+  /// starvation wake-ups hold plain pointers into it.
+  std::map<std::string, QueueState> queues_;
   AppFailureListener app_failure_listener_;
   int total_vcores_ = 0;
   double total_memory_mb_ = 0.0;

@@ -323,6 +323,19 @@ TEST(DaxSourceTest, SelfDependencyRejected) {
   ExpectParseErrorNaming(source.status(), "self-dependency");
 }
 
+TEST(DaxSourceTest, OutputDeclaredTwiceRejected) {
+  // crash_output_twice.dax: a job listing one output file twice became a
+  // task with two outputs on one path; the producer check only compared
+  // different tasks.
+  auto source = DaxSource::Parse(R"(<adag><job id="a" name="t">
+    <uses file="x" link="output"/><uses file="x" link="output"/>
+    </job></adag>)");
+  ASSERT_FALSE(source.ok());
+  ExpectParseErrorNaming(source.status(), "invalid DAX task graph");
+  ExpectParseErrorNaming(source.status(),
+                         "task 1 declares output '/dax/x' twice");
+}
+
 TEST(DaxSourceTest, MalformedSizesNameTheJobAndToken) {
   auto bad = DaxSource::Parse(R"(<adag name="w"><job id="j1" name="t">
     <uses file="o" link="output" size="12abc"/></job></adag>)");
@@ -346,6 +359,20 @@ TEST(GalaxySourceTest, DuplicateStepIdsRejected) {
       {});
   ASSERT_FALSE(source.ok());
   ExpectParseErrorNaming(source.status(), "duplicate Galaxy step id 3");
+}
+
+TEST(GalaxySourceTest, CoincidingOutputPathsRejected) {
+  // crash_coinciding_outputs.ga: output paths are "<name>.<type>", so the
+  // distinct outputs a.b (type c) and a (type b.c) share one path.
+  auto source = GalaxySource::Parse(
+      R"({"steps": {"0": {"id": 0, "tool_id": "t",
+                          "outputs": [{"name": "a.b", "type": "c"},
+                                      {"name": "a", "type": "b.c"}]}}})",
+      {});
+  ASSERT_FALSE(source.ok());
+  ExpectParseErrorNaming(source.status(), "invalid Galaxy task graph");
+  ExpectParseErrorNaming(source.status(), "task 1 declares output '");
+  ExpectParseErrorNaming(source.status(), "/step0/a.b.c' twice");
 }
 
 TEST(GalaxySourceTest, OutOfRangeStepIdsRejected) {

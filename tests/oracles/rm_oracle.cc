@@ -15,7 +15,9 @@ struct RmCandidate {
   /// Position in the allocation pass's slot table.
   size_t slot = 0;
   ApplicationId app = -1;
-  const std::string* queue = nullptr;
+  /// The application's accounting and its queue's record.
+  const TenantStats* stats = nullptr;
+  const ResourceManager::QueueState* queue = nullptr;
   const ContainerRequest* request = nullptr;
 };
 
@@ -35,26 +37,21 @@ int SelectNextCapacity(const std::vector<RmCandidate>& eligible,
   std::set<std::string> seen;
   for (size_t i = 0; i < eligible.size(); ++i) {
     const RmCandidate& c = eligible[i];
+    const std::string& queue = c.queue->config.name;
     if (!view.WithinMaxShare(*c.queue, *c.request)) continue;
     // Only each queue's first (oldest) candidate competes; later ones
     // inherit FIFO order within their queue.
-    if (!seen.insert(*c.queue).second) continue;
-    ResourceUsage used;
-    auto qs_it = view.queue_stats->find(*c.queue);
-    if (qs_it != view.queue_stats->end()) used = qs_it->second.usage;
-    double guaranteed = 1.0;
-    auto cfg_it = view.queue_configs->find(*c.queue);
-    if (cfg_it != view.queue_configs->end()) {
-      guaranteed = cfg_it->second.guaranteed_share;
-    }
+    if (!seen.insert(queue).second) continue;
+    ResourceUsage used = c.queue->stats.usage;
+    double guaranteed = c.queue->config.guaranteed_share;
     if (guaranteed <= 0.0) guaranteed = 1e-9;
     double pressure = view.DominantShare(used) / guaranteed;
     if (pressure < best_pressure ||
         (pressure == best_pressure && best_queue != nullptr &&
-         *c.queue < *best_queue)) {
+         queue < *best_queue)) {
       best_pressure = pressure;
       best = static_cast<int>(i);
-      best_queue = c.queue;
+      best_queue = &queue;
     }
   }
   return best;
@@ -71,12 +68,8 @@ int SelectNextFair(const std::vector<RmCandidate>& eligible,
     if (!view.WithinMaxShare(*c.queue, *c.request)) continue;
     // Only each app's oldest candidate competes (FIFO within app).
     if (!seen.insert(c.app).second) continue;
-    ResourceUsage used;
-    auto as_it = view.app_stats->find(c.app);
-    if (as_it != view.app_stats->end()) used = as_it->second.usage;
-    double weight = 1.0;
-    auto cfg_it = view.queue_configs->find(*c.queue);
-    if (cfg_it != view.queue_configs->end()) weight = cfg_it->second.weight;
+    ResourceUsage used = c.stats->usage;
+    double weight = c.queue->config.weight;
     if (weight <= 0.0) weight = 1e-9;
     double share = view.DominantShare(used) / weight;
     if (share < best_share || (share == best_share && c.app < best_app)) {
@@ -134,7 +127,9 @@ void RmOracle::FullScanPass(ResourceManager* rm,
       RmCandidate c;
       c.slot = i;
       c.app = s.req.app;
-      c.queue = &rm->app_stats_.at(s.req.app).queue;
+      const ResourceManager::AppState& app = rm->apps_.at(s.req.app);
+      c.stats = &app.stats;
+      c.queue = app.queue;
       c.request = &s.req.request;
       eligible.push_back(c);
     }
@@ -158,7 +153,6 @@ bool RmOracle::ContendedFairness(const ResourceManager& rm, double* jain) {
   // Fairness is only meaningful while >= 2 applications have demand and
   // at least one of them is backlogged.
   std::vector<ApplicationId> ids;
-  ids.reserve(rm.apps_.size());
   for (const auto& [app, state] : rm.apps_) {
     if (state.active) ids.push_back(app);
   }
@@ -167,12 +161,11 @@ bool RmOracle::ContendedFairness(const ResourceManager& rm, double* jain) {
   std::vector<double> xs;
   bool backlogged = false;
   for (ApplicationId app : ids) {
-    auto it = rm.app_stats_.find(app);
-    if (it == rm.app_stats_.end()) continue;
-    double alloc = view.DominantShare(it->second.usage);
-    double pend = view.DominantShare(it->second.pending);
+    const TenantStats& stats = rm.apps_.at(app).stats;
+    double alloc = view.DominantShare(stats.usage);
+    double pend = view.DominantShare(stats.pending);
     if (alloc + pend <= 0.0) continue;
-    if (it->second.pending_requests > 0) backlogged = true;
+    if (stats.pending_requests > 0) backlogged = true;
     xs.push_back(alloc / (alloc + pend));
   }
   if (xs.size() < 2 || !backlogged) return false;

@@ -1,7 +1,8 @@
 // Scale-refactor coverage (docs/scaling.md): the RM's incremental
 // allocation pass must be schedule-identical to the full-scan reference
 // oracle (tests/oracles/rm_oracle.h) under randomized demand churn for
-// every policy, with and without preemption; the SimEngine's lazy
+// every policy, with and without preemption; the RM's books must match
+// its live containers after every allocation pass; the SimEngine's lazy
 // cancellation must compact without dropping or reordering live events;
 // FlatHashMap must keep references stable across growth and tombstone
 // churn; and a 1k-workflow admission burst must drain cleanly.
@@ -405,6 +406,255 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<RmPolicy, bool>>& info) {
       return std::string(ToString(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_preemption" : "");
+    });
+
+// ---- RM accounting invariant under randomized churn -----------------------
+
+/// The first way the RM's books disagree with its live containers, read
+/// through public accessors only; empty when they agree:
+///  * each queue's usage, pending demand and pending requests are the sums
+///    over the applications charged to it;
+///  * each application's usage is the sum over its live containers (AM
+///    included);
+///  * each alive node's free capacity is its capacity minus its live
+///    containers;
+///  * the integer fields of counters() are the sums over every
+///    application ever registered.
+std::string AccountingViolation(const ResourceManager& rm,
+                                const Cluster& cluster) {
+  struct Sums {
+    ResourceUsage usage;
+    ResourceUsage pending;
+    int pending_requests = 0;
+  };
+  auto same = [](const ResourceUsage& a, const ResourceUsage& b) {
+    return a.vcores == b.vcores && a.memory_mb == b.memory_mb;
+  };
+  std::map<ApplicationId, ResourceUsage> app_usage;
+  std::map<NodeId, ResourceUsage> node_usage;
+  for (const Container& c : rm.RunningContainers()) {
+    for (ResourceUsage* u : {&app_usage[c.app], &node_usage[c.node]}) {
+      u->vcores += c.vcores;
+      u->memory_mb += c.memory_mb;
+    }
+  }
+  std::map<std::string, Sums> queue_sums;
+  RmCounters sum;
+  int pending_requests = 0;
+  for (ApplicationId app : rm.KnownApplications()) {
+    const TenantStats* stats = rm.app_stats(app);
+    if (stats == nullptr) return StrFormat("app %d has no stats", app);
+    if (!same(stats->usage, app_usage[app])) {
+      return StrFormat("app %d usage %d/%.0f, live containers %d/%.0f", app,
+                       stats->usage.vcores, stats->usage.memory_mb,
+                       app_usage[app].vcores, app_usage[app].memory_mb);
+    }
+    Sums& q = queue_sums[stats->queue];
+    q.usage.vcores += stats->usage.vcores;
+    q.usage.memory_mb += stats->usage.memory_mb;
+    q.pending.vcores += stats->pending.vcores;
+    q.pending.memory_mb += stats->pending.memory_mb;
+    q.pending_requests += stats->pending_requests;
+    pending_requests += stats->pending_requests;
+    const RmCounters& k = stats->counters;
+    sum.requests += k.requests;
+    sum.allocations += k.allocations;
+    sum.releases += k.releases;
+    sum.lost_containers += k.lost_containers;
+    sum.reclaimed_containers += k.reclaimed_containers;
+    sum.app_failures += k.app_failures;
+    sum.preempted_containers += k.preempted_containers;
+    sum.drained_containers += k.drained_containers;
+  }
+  for (const std::string& queue : rm.ConfiguredQueues()) {
+    const TenantStats* stats = rm.queue_stats(queue);
+    if (stats == nullptr) return "queue " + queue + " has no stats";
+    const Sums& q = queue_sums[queue];
+    if (!same(stats->usage, q.usage) || !same(stats->pending, q.pending) ||
+        stats->pending_requests != q.pending_requests) {
+      return StrFormat(
+          "queue %s usage %d/%.0f pending %d/%.0f (%d requests), apps sum "
+          "to %d/%.0f pending %d/%.0f (%d requests)",
+          queue.c_str(), stats->usage.vcores, stats->usage.memory_mb,
+          stats->pending.vcores, stats->pending.memory_mb,
+          stats->pending_requests, q.usage.vcores, q.usage.memory_mb,
+          q.pending.vcores, q.pending.memory_mb, q.pending_requests);
+    }
+  }
+  if (rm.pending_requests() != pending_requests) {
+    return StrFormat("%d pending requests, apps sum to %d",
+                     rm.pending_requests(), pending_requests);
+  }
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    if (!rm.IsNodeAlive(n)) continue;
+    const ResourceUsage& used = node_usage[n];
+    if (rm.free_vcores(n) != cluster.node(n).cores - used.vcores ||
+        rm.free_memory_mb(n) != cluster.node(n).memory_mb - used.memory_mb) {
+      return StrFormat("node %d free %d/%.0f, capacity minus live %d/%.0f", n,
+                       rm.free_vcores(n), rm.free_memory_mb(n),
+                       cluster.node(n).cores - used.vcores,
+                       cluster.node(n).memory_mb - used.memory_mb);
+    }
+  }
+  const RmCounters& k = rm.counters();
+  std::pair<const char*, std::pair<int64_t, int64_t>> fields[] = {
+      {"requests", {k.requests, sum.requests}},
+      {"allocations", {k.allocations, sum.allocations}},
+      {"releases", {k.releases, sum.releases}},
+      {"lost_containers", {k.lost_containers, sum.lost_containers}},
+      {"reclaimed_containers",
+       {k.reclaimed_containers, sum.reclaimed_containers}},
+      {"app_failures", {k.app_failures, sum.app_failures}},
+      {"preempted_containers",
+       {k.preempted_containers, sum.preempted_containers}},
+      {"drained_containers", {k.drained_containers, sum.drained_containers}},
+  };
+  for (const auto& [name, values] : fields) {
+    if (values.first != values.second) {
+      return StrFormat("counters().%s = %lld, apps sum to %lld", name,
+                       static_cast<long long>(values.first),
+                       static_cast<long long>(values.second));
+    }
+  }
+  return "";
+}
+
+struct AccountingRun {
+  /// The first violation and the pass after which it was seen.
+  std::string violation;
+  uint64_t pass = 0;
+  int checks = 0;
+  size_t allocations = 0;
+  RmCounters counters;
+};
+
+/// One churn run under `policy` with preemption on, checking the books
+/// after every allocation pass and stopping at the first violation.
+AccountingRun RunAccountingChurn(RmPolicy policy, uint32_t seed) {
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  NodeSpec node;
+  node.cores = 4;
+  node.memory_mb = 4096.0;
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(20, node, 1000.0));
+  YarnOptions options;
+  options.scheduler = policy;
+  options.preemption = true;
+  options.preemption_grace_s = 1.0;
+  ResourceManager rm(&cluster, options);
+  for (const RmQueueConfig& q : {RmQueueConfig{"q0", 0.4, 0.6, 2.0},
+                                 RmQueueConfig{"q1", 0.3, 1.0, 1.0},
+                                 RmQueueConfig{"q2", 0.2, 0.5, 1.0},
+                                 RmQueueConfig{"q3", 0.1, 1.0, 3.0}}) {
+    rm.ConfigureQueue(q);
+  }
+
+  std::mt19937 rng(seed ^ 0x9e3779b9u);
+  std::vector<double> durations;
+  for (int i = 0; i < 2048; ++i) {
+    durations.push_back(0.5 + static_cast<double>(rng() % 4500) / 1000.0);
+  }
+  std::vector<AllocationEvent> stream, losses;
+  size_t next_duration = 0;
+  std::vector<std::unique_ptr<StreamAm>> ams(31);
+  std::vector<ApplicationId> app_ids(31, -1);
+  for (auto& am : ams) {
+    am = std::make_unique<StreamAm>();
+    am->engine = &engine;
+    am->rm = &rm;
+    am->stream = &stream;
+    am->losses = &losses;
+    am->durations = &durations;
+    am->next_duration = &next_duration;
+  }
+  // The churn script (registrations, requests, unregistrations, node
+  // kills) with sized AM containers, plus container kills that sometimes
+  // hit an AM and every few seconds certainly do (failing the app).
+  for (const ChurnOp& op : MakeChurnScript(seed)) {
+    engine.ScheduleAt(op.at, [&, op] {
+      switch (op.kind) {
+        case ChurnOp::kRegister: {
+          auto app = rm.RegisterApplication(
+              StrFormat("app-%d", op.app_index), ams[op.app_index].get(), 1,
+              512.0, kInvalidNode, op.queue);
+          if (app.ok()) app_ids[op.app_index] = *app;
+          break;
+        }
+        case ChurnOp::kSubmit: {
+          if (app_ids[op.app_index] < 0) break;
+          // An AM kill may have failed the app since.
+          if (rm.AmNode(app_ids[op.app_index]).status().IsNotFound()) break;
+          ContainerRequest request;
+          request.vcores = op.vcores;
+          request.memory_mb = op.memory_mb;
+          request.priority = op.priority;
+          request.preferred_node = op.preferred;
+          rm.SubmitRequest(app_ids[op.app_index], request);
+          break;
+        }
+        case ChurnOp::kUnregister:
+          if (app_ids[op.app_index] >= 0) {
+            rm.UnregisterApplication(app_ids[op.app_index]);
+            app_ids[op.app_index] = -1;
+          }
+          break;
+        case ChurnOp::kKillNode:
+          rm.KillNode(op.node);
+          break;
+      }
+    });
+  }
+  for (int i = 0; i < 10; ++i) {
+    const bool am_only = i % 3 == 2;
+    engine.ScheduleAt(2.0 + 2.0 * i, [&rm, &rng, am_only] {
+      std::vector<Container> victims;
+      for (const Container& c : rm.RunningContainers()) {
+        if (!am_only || c.is_am) victims.push_back(c);
+      }
+      if (!victims.empty()) rm.KillContainer(victims[rng() % victims.size()].id);
+    });
+  }
+
+  AccountingRun run;
+  engine.RunUntilPredicate([&] {
+    if (rm.allocation_passes() == run.pass) return false;
+    run.pass = rm.allocation_passes();
+    ++run.checks;
+    run.violation = AccountingViolation(rm, cluster);
+    return !run.violation.empty();
+  });
+  run.allocations = stream.size();
+  run.counters = rm.counters();
+  return run;
+}
+
+class RmAccountingTest : public ::testing::TestWithParam<RmPolicy> {};
+
+TEST_P(RmAccountingTest, BooksMatchLiveContainersAfterEveryPass) {
+  RmCounters total;
+  for (uint32_t seed : {1u, 17u, 4242u}) {
+    AccountingRun run = RunAccountingChurn(GetParam(), seed);
+    ASSERT_EQ(run.violation, "")
+        << "seed " << seed << ", after allocation pass " << run.pass;
+    EXPECT_GT(run.checks, 20) << "seed " << seed;
+    EXPECT_GT(run.allocations, 100u) << "seed " << seed;
+    total.preempted_containers += run.counters.preempted_containers;
+    total.lost_containers += run.counters.lost_containers;
+    total.app_failures += run.counters.app_failures;
+    total.reclaimed_containers += run.counters.reclaimed_containers;
+  }
+  // The runs exercised every path that moves the books.
+  EXPECT_GT(total.preempted_containers, 0);
+  EXPECT_GT(total.lost_containers, 0);
+  EXPECT_GT(total.app_failures, 0);
+  EXPECT_GT(total.reclaimed_containers, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CapacityAndFair, RmAccountingTest,
+    ::testing::Values(RmPolicy::kCapacity, RmPolicy::kFair),
+    [](const ::testing::TestParamInfo<RmPolicy>& info) {
+      return std::string(ToString(info.param));
     });
 
 // ---- 1k-workflow admission smoke -----------------------------------------

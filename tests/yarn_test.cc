@@ -923,21 +923,17 @@ TEST(YarnPreemptionTest, DisabledPreemptionStillRecordsStarvation) {
 }
 
 TEST(YarnPreemptionTest, VictimSelectionOrdersAndExemptions) {
-  FlatHashMap<ApplicationId, TenantStats> app_stats;
-  FlatHashMap<std::string, TenantStats> queue_stats;
-  std::map<std::string, RmQueueConfig> queue_configs;
-  queue_configs["hog"] = RmQueueConfig{"hog", 0.2, 1.0, 1.0};
-  queue_configs["mild"] = RmQueueConfig{"mild", 0.3, 1.0, 1.0};
-  queue_configs["starved"] = RmQueueConfig{"starved", 0.5, 1.0, 1.0};
-  queue_stats["hog"].usage = {6, 6144.0};      // share 0.6, surplus 0.4
-  queue_stats["mild"].usage = {3, 3072.0};     // exactly at guarantee
-  queue_stats["starved"].usage = {1, 1024.0};  // far below guarantee
+  std::map<std::string, ResourceManager::QueueState> queues;
+  queues["hog"].config = RmQueueConfig{"hog", 0.2, 1.0, 1.0};
+  queues["mild"].config = RmQueueConfig{"mild", 0.3, 1.0, 1.0};
+  queues["starved"].config = RmQueueConfig{"starved", 0.5, 1.0, 1.0};
+  queues["hog"].stats.usage = {6, 6144.0};      // share 0.6, surplus 0.4
+  queues["mild"].stats.usage = {3, 3072.0};     // exactly at guarantee
+  queues["starved"].stats.usage = {1, 1024.0};  // far below guarantee
   RmTenancyView view;
   view.total_vcores = 10;
   view.total_memory_mb = 10240.0;
-  view.app_stats = &app_stats;
-  view.queue_stats = &queue_stats;
-  view.queue_configs = &queue_configs;
+  view.queues = &queues;
 
   std::string hog = "hog", mild = "mild", starved = "starved";
   auto cand = [](ContainerId id, const std::string* queue, bool is_am,
