@@ -21,6 +21,48 @@ int64_t StagingCache::CachedBytes(FileId file, uint64_t content_id,
   return eit->second.bytes;
 }
 
+void StagingCache::FreshCopies(
+    FileId file, uint64_t content_id,
+    std::vector<std::pair<NodeId, int64_t>>* out) const {
+  if (content_id == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [node, bucket] : nodes_) {
+    auto eit = bucket.entries.find(file);
+    if (eit != bucket.entries.end() && eit->second.content_id == content_id) {
+      out->emplace_back(node, eit->second.bytes);
+    }
+  }
+}
+
+void StagingCache::Watch(FileId file, Dfs::FileWatcher* watcher,
+                         uint64_t cookie) {
+  std::lock_guard<std::mutex> lock(mu_);
+  watches_.Add(file, watcher, cookie);
+}
+
+void StagingCache::Unwatch(FileId file, Dfs::FileWatcher* watcher,
+                           uint64_t cookie) {
+  std::lock_guard<std::mutex> lock(mu_);
+  watches_.Remove(file, watcher, cookie);
+}
+
+void StagingCache::NoteChangeLocked(FileId file, NodeId node) {
+  watches_.ForEach(file, [&](Dfs::FileWatcher* watcher, uint64_t cookie) {
+    notices_.push_back({watcher, cookie, file, node});
+  });
+}
+
+void StagingCache::Publish(std::unique_lock<std::mutex>* lock) {
+  if (notices_.empty()) return;  // the lock releases on scope exit
+  std::vector<Notice> notices;
+  notices.swap(notices_);
+  // A watcher reads the cache back (CachedBytes), which takes mu_.
+  lock->unlock();
+  for (const Notice& n : notices) {
+    n.watcher->OnFileChanged(n.file, n.node, n.cookie);
+  }
+}
+
 bool StagingCache::HitAndPin(NodeId node, FileId file, uint64_t content_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto nit = nodes_.find(node);
@@ -61,6 +103,7 @@ bool StagingCache::EvictToFit(NodeBucket* bucket, NodeId node,
     if (victim == bucket->entries.end()) return false;  // all pinned
     bucket->bytes -= victim->second.bytes;
     ++stats_.evictions;
+    NoteChangeLocked(victim->first, node);
     if (tracer_) {
       tracer_->Instant(SpanCategory::kCache, "staging_evict", -1, -1, -1,
                        node, 0.0, victim->second.bytes);
@@ -87,22 +130,24 @@ bool StagingCache::PutLocked(NodeBucket* bucket, NodeId node, FileId file,
   entry.tick = ++tick_;
   bucket->entries.emplace(file, entry);
   bucket->bytes += entry.bytes;
+  NoteChangeLocked(file, node);
   return true;
 }
 
 void StagingCache::InsertPinned(NodeId node, FileId file, uint64_t content_id,
                                 int64_t bytes) {
   if (bytes < 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   Entry e;
   e.content_id = content_id;
   e.bytes = bytes;
   e.pins = 1;
-  if (!PutLocked(&nodes_[node], node, file, e)) {
-    ++stats_.rejected;
-    return;
+  if (PutLocked(&nodes_[node], node, file, e)) {
+    ++stats_.insertions;
+  } else {
+    ++stats_.rejected;  // evictions on the way may still have happened
   }
-  ++stats_.insertions;
+  Publish(&lock);
 }
 
 void StagingCache::Unpin(NodeId node, FileId file) {
@@ -115,15 +160,19 @@ void StagingCache::Unpin(NodeId node, FileId file) {
 }
 
 void StagingCache::InvalidateNode(NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto nit = nodes_.find(node);
   if (nit == nodes_.end()) return;
   stats_.invalidated += static_cast<int64_t>(nit->second.entries.size());
+  for (const auto& [file, entry] : nit->second.entries) {
+    NoteChangeLocked(file, node);
+  }
   nodes_.erase(nit);
+  Publish(&lock);
 }
 
 int StagingCache::MigrateNode(NodeId from, const std::vector<NodeId>& targets) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto nit = nodes_.find(from);
   if (nit == nodes_.end() || targets.empty()) return 0;
   NodeBucket& source = nit->second;
@@ -165,8 +214,10 @@ int StagingCache::MigrateNode(NodeId from, const std::vector<NodeId>& targets) {
     }
     source.bytes -= entry.bytes;
     source.entries.erase(file);
+    NoteChangeLocked(file, from);
   }
   if (source.entries.empty()) nodes_.erase(from);
+  Publish(&lock);
   return moved;
 }
 

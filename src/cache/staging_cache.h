@@ -20,6 +20,12 @@
 //
 // Thread-safe (one mutex): the simulator is effectively single-threaded,
 // but stress suites touch deployments from multiple threads.
+//
+// Watchers (the data-aware scheduler's locality index) hear of every
+// staged copy of a watched file that appears, changes or goes away on a
+// node: inserts and replacements, evictions, invalidation and migration.
+// They are told after the mutex is released, so a watcher may query the
+// cache from its callback.
 
 #ifndef HIWAY_CACHE_STAGING_CACHE_H_
 #define HIWAY_CACHE_STAGING_CACHE_H_
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/common/flat_hash.h"
@@ -71,6 +78,19 @@ class StagingCache {
   /// given (current) content fingerprint; 0 when absent or stale. Does
   /// not touch LRU order — placement scans must not perturb recency.
   int64_t CachedBytes(FileId file, uint64_t content_id, NodeId node) const;
+
+  /// Appends (node, bytes) for every node holding a copy of `file` staged
+  /// from content `content_id` (none when 0), ascending by node. Does not
+  /// touch LRU order.
+  void FreshCopies(FileId file, uint64_t content_id,
+                   std::vector<std::pair<NodeId, int64_t>>* out) const;
+
+  /// Tells `watcher` whenever a staged copy of `file` appears, changes or
+  /// goes away on some node (Dfs::FileWatcher::OnFileChanged with that
+  /// node and `cookie`), as Dfs::Watch does for replicas.
+  void Watch(FileId file, Dfs::FileWatcher* watcher, uint64_t cookie);
+  /// Drops one watch made with the same arguments.
+  void Unwatch(FileId file, Dfs::FileWatcher* watcher, uint64_t cookie);
 
   /// Stage-in fast path: when `node` holds a fresh copy of `file`, pins
   /// it for the duration of the attempt and returns true (the transfer
@@ -126,6 +146,18 @@ class StagingCache {
   /// replaced, when pinned entries make that impossible. Caller holds
   /// mu_.
   bool PutLocked(NodeBucket* bucket, NodeId node, FileId file, Entry entry);
+  /// Queues word for `file`'s watchers that its copy on `node` changed.
+  /// Caller holds mu_.
+  void NoteChangeLocked(FileId file, NodeId node);
+  /// Releases `lock` (on mu_), then delivers the queued words.
+  void Publish(std::unique_lock<std::mutex>* lock);
+
+  struct Notice {
+    Dfs::FileWatcher* watcher;
+    uint64_t cookie;
+    FileId file;
+    NodeId node;
+  };
 
   StagingCacheOptions options_;
   Tracer* tracer_ = nullptr;
@@ -133,6 +165,8 @@ class StagingCache {
   std::map<NodeId, NodeBucket> nodes_;
   uint64_t tick_ = 0;
   StagingCacheStats stats_;
+  Dfs::WatchTable watches_;
+  std::vector<Notice> notices_;  // queued under mu_ until Publish
 };
 
 }  // namespace hiway

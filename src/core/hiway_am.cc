@@ -251,7 +251,8 @@ Status HiWayAm::AdmitTasks(std::vector<TaskSpec> tasks) {
     TaskId id = entry.spec.id;
     auto [it, inserted] = tasks_.emplace(id, std::move(entry));
     TaskEntry* e = &it->second;
-    std::vector<FileId> inputs;
+    std::vector<FileId>& inputs = e->inputs;
+    inputs.reserve(e->spec.input_files.size());
     for (const std::string& path : e->spec.input_files) {
       inputs.push_back(dfs_->Intern(path));
     }
@@ -315,6 +316,7 @@ bool HiWayAm::TryMemoise(TaskEntry* entry) {
 
 void HiWayAm::Complete(TaskEntry* entry, TaskResult result) {
   entry->state = TaskState::kDone;
+  entry->inputs = std::vector<FileId>();  // a done task never queues again
   ++report_.tasks_completed;
   completions_.push_back(std::move(result));
 }
@@ -433,7 +435,7 @@ void HiWayAm::MarkReady(TaskEntry* entry) {
                      /*container=*/-1, entry->spec.id, /*node=*/-1,
                      /*value=*/0.0, entry->attempts);
   }
-  scheduler_->EnqueueReady(entry->spec);
+  scheduler_->EnqueueReadyInterned(entry->spec, entry->inputs);
   ContainerRequest request = scheduler_->RequestFor(entry->spec);
   request.blacklist = entry->blacklist;
   request.cookie = entry->spec.id;

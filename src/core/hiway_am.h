@@ -215,6 +215,9 @@ class HiWayAm : public AmCallbacks {
     /// Attributed failures per node (feeds RetryPolicy::ShouldBlacklist;
     /// node losses and transient I/O errors are not attributed).
     std::map<NodeId, int> node_failures;
+    /// spec.input_files interned, in order (the scheduler reads them);
+    /// released once the task is done.
+    std::vector<FileId> inputs;
     int missing_inputs = 0;  // distinct input files not yet in DFS
     ContainerId container = kInvalidContainer;
     /// Virtual time the current attempt's container was handed to

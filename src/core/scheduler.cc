@@ -33,7 +33,41 @@ void FcfsScheduler::RemoveTask(TaskId id) {
 
 // ---------------------------------------------------------- data-aware ----
 
-std::vector<FileId> DataAwareScheduler::InternInputs(const TaskSpec& task) {
+namespace {
+
+// The scan's fraction, computed the one way the index and the pick share.
+double Fraction(int64_t local, int64_t total) {
+  return total > 0 ? static_cast<double>(local) / static_cast<double>(total)
+                   : 0.0;
+}
+
+// Bytes on `node` in a list sorted by node.
+int64_t BytesOn(const std::vector<std::pair<NodeId, int64_t>>& local,
+                NodeId node) {
+  auto it = std::lower_bound(
+      local.begin(), local.end(), node,
+      [](const std::pair<NodeId, int64_t>& e, NodeId n) { return e.first < n; });
+  return it != local.end() && it->first == node ? it->second : 0;
+}
+
+// The entry for `node` in a dense per-node scratch array, which grows on
+// demand and is all zero between uses.
+int64_t& Slot(std::vector<int64_t>* bytes, NodeId node) {
+  size_t n = static_cast<size_t>(node);
+  if (n >= bytes->size()) bytes->resize(n + 1, 0);
+  return (*bytes)[n];
+}
+
+}  // namespace
+
+DataAwareScheduler::~DataAwareScheduler() {
+  for (size_t i = head_; i < fifo_.size(); ++i) {
+    if (fifo_[i].live) WatchInputs(first_seq_ + i, false);
+  }
+}
+
+std::vector<FileId> DataAwareScheduler::InternInputs(
+    const TaskSpec& task) const {
   std::vector<FileId> ids;
   ids.reserve(task.input_files.size());
   for (const std::string& path : task.input_files) {
@@ -43,20 +77,195 @@ std::vector<FileId> DataAwareScheduler::InternInputs(const TaskSpec& task) {
 }
 
 void DataAwareScheduler::EnqueueReady(const TaskSpec& task) {
-  queue_.push_back({task.id, InternInputs(task)});
+  Enqueue(task.id, InternInputs(task));
 }
 
-int64_t DataAwareScheduler::EffectiveLocalBytes(FileId id,
-                                                NodeId node) const {
-  int64_t local = dfs_->LocalBytesOf(id, node);
-  if (staging_ != nullptr) {
-    // A staged copy only counts while it matches the file's current
-    // content; CachedBytes checks the fingerprint and never perturbs
-    // the cache's LRU order.
-    local = std::max(local,
-                     staging_->CachedBytes(id, dfs_->ContentIdOf(id), node));
+void DataAwareScheduler::EnqueueReadyInterned(
+    const TaskSpec& task, const std::vector<FileId>& inputs) {
+  Enqueue(task.id, inputs);
+}
+
+void DataAwareScheduler::Measure(const std::vector<FileId>& inputs,
+                                 int64_t* total,
+                                 std::vector<NodeBytes>* local) {
+  *total = 0;
+  for (FileId id : inputs) {
+    int64_t size = dfs_->SizeOf(id);
+    if (size >= 0) *total += size;
+    // The file's bytes per node: its block replicas, or a fresh staged
+    // copy where that is larger. A staged copy only counts while it
+    // matches the file's current content.
+    for (const DfsBlock& block : dfs_->BlocksOf(id)) {
+      for (NodeId node : block.replicas) {
+        int64_t& bytes = Slot(&file_bytes_, node);
+        if (bytes == 0 && block.size_bytes > 0) file_nodes_.push_back(node);
+        bytes += block.size_bytes;
+      }
+    }
+    if (staging_ != nullptr) {
+      staged_.clear();
+      staging_->FreshCopies(id, dfs_->ContentIdOf(id), &staged_);
+      for (const auto& [node, copy] : staged_) {
+        int64_t& bytes = Slot(&file_bytes_, node);
+        if (bytes == 0 && copy > 0) file_nodes_.push_back(node);
+        bytes = std::max(bytes, copy);
+      }
+    }
+    for (NodeId node : file_nodes_) {
+      int64_t& bytes = Slot(&task_bytes_, node);
+      if (bytes == 0) task_nodes_.push_back(node);
+      bytes += file_bytes_[static_cast<size_t>(node)];
+      file_bytes_[static_cast<size_t>(node)] = 0;
+    }
+    file_nodes_.clear();
+  }
+  local->clear();
+  local->reserve(task_nodes_.size());
+  for (NodeId node : task_nodes_) {
+    local->emplace_back(node, task_bytes_[static_cast<size_t>(node)]);
+    task_bytes_[static_cast<size_t>(node)] = 0;
+  }
+  task_nodes_.clear();
+  std::sort(local->begin(), local->end());
+}
+
+int64_t DataAwareScheduler::MeasureOn(const std::vector<FileId>& inputs,
+                                      NodeId node) const {
+  int64_t local = 0;
+  for (FileId id : inputs) {
+    int64_t bytes = dfs_->LocalBytesOf(id, node);
+    if (staging_ != nullptr) {
+      bytes = std::max(
+          bytes, staging_->CachedBytes(id, dfs_->ContentIdOf(id), node));
+    }
+    local += bytes;
   }
   return local;
+}
+
+void DataAwareScheduler::Enqueue(TaskId id, std::vector<FileId> inputs) {
+  uint64_t seq = first_seq_ + fifo_.size();
+  QueuedTask& task = fifo_.emplace_back();
+  task.id = id;
+  task.live = true;
+  task.inputs = std::move(inputs);
+  WatchInputs(seq, true);
+  Measure(task.inputs, &task.total, &task.local);
+  for (const auto& [node, bytes] : task.local) {
+    SetCandidate(seq, node, Fraction(bytes, task.total));
+  }
+  ++queued_;
+}
+
+void DataAwareScheduler::WatchInputs(uint64_t seq, bool watch) {
+  for (FileId file : At(seq).inputs) {
+    if (watch) {
+      dfs_->Watch(file, this, seq);
+      if (staging_ != nullptr) staging_->Watch(file, this, seq);
+    } else {
+      dfs_->Unwatch(file, this, seq);
+      if (staging_ != nullptr) staging_->Unwatch(file, this, seq);
+    }
+  }
+}
+
+void DataAwareScheduler::SetCandidate(uint64_t seq, NodeId node,
+                                      double fraction) {
+  size_t n = static_cast<size_t>(node);
+  if (n >= candidates_.size()) {
+    if (fraction <= 0.0) return;
+    candidates_.resize(n + 1);  // a node that joined at run time
+  }
+  NodeCandidates& list = candidates_[n];
+  std::vector<Candidate>& entries = list.entries;
+  auto it = !entries.empty() && entries.back().seq < seq
+                ? entries.end()  // enqueue appends
+                : std::lower_bound(entries.begin(), entries.end(), seq,
+                                   [](const Candidate& c, uint64_t s) {
+                                     return c.seq < s;
+                                   });
+  bool found = it != entries.end() && it->seq == seq;
+  if (fraction > 0.0) {
+    if (!found) {
+      if (entries.capacity() == 0) {  // most lists stay short
+        entries.reserve(4);
+        it = entries.begin();
+      }
+      entries.insert(it, Candidate{seq, fraction});
+    } else {
+      if (it->fraction < 0.0) --list.dead;
+      it->fraction = fraction;
+    }
+    return;
+  }
+  if (!found || it->fraction < 0.0) return;
+  it->fraction = -1.0;
+  if (++list.dead * 2 > entries.size()) {
+    std::erase_if(entries, [](const Candidate& c) { return c.fraction < 0.0; });
+    list.dead = 0;
+  }
+}
+
+std::optional<uint64_t> DataAwareScheduler::SeqOf(TaskId id) const {
+  for (size_t i = fifo_.size(); i-- > head_;) {
+    if (fifo_[i].live && fifo_[i].id == id) return first_seq_ + i;
+  }
+  return std::nullopt;
+}
+
+void DataAwareScheduler::Depart(uint64_t seq) {
+  QueuedTask& task = At(seq);
+  for (const auto& [node, bytes] : task.local) SetCandidate(seq, node, 0.0);
+  WatchInputs(seq, false);
+  task.live = false;
+  task.inputs = std::vector<FileId>();
+  task.local = std::vector<NodeBytes>();
+  --queued_;
+  while (head_ < fifo_.size() && !fifo_[head_].live) ++head_;
+  if (head_ * 2 > fifo_.size()) {  // compact the departed prefix
+    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<ptrdiff_t>(head_));
+    first_seq_ += head_;
+    head_ = 0;
+  }
+}
+
+void DataAwareScheduler::Remeasure(uint64_t seq) {
+  QueuedTask& task = At(seq);
+  std::vector<NodeBytes> before = std::move(task.local);
+  Measure(task.inputs, &task.total, &task.local);
+  for (const auto& [node, bytes] : before) {
+    if (BytesOn(task.local, node) == 0) SetCandidate(seq, node, 0.0);
+  }
+  for (const auto& [node, bytes] : task.local) {
+    SetCandidate(seq, node, Fraction(bytes, task.total));
+  }
+}
+
+void DataAwareScheduler::RemeasureOn(uint64_t seq, NodeId node) {
+  QueuedTask& task = At(seq);
+  int64_t bytes = MeasureOn(task.inputs, node);
+  auto it = std::lower_bound(
+      task.local.begin(), task.local.end(), node,
+      [](const NodeBytes& e, NodeId n) { return e.first < n; });
+  bool found = it != task.local.end() && it->first == node;
+  if (bytes > 0 && found) {
+    it->second = bytes;
+  } else if (bytes > 0) {
+    task.local.insert(it, NodeBytes(node, bytes));
+  } else if (found) {
+    task.local.erase(it);
+  }
+  SetCandidate(seq, node, Fraction(bytes, task.total));
+}
+
+void DataAwareScheduler::OnFileChanged(FileId file, NodeId node,
+                                       uint64_t seq) {
+  (void)file;  // the task's own inputs are re-read
+  if (node == kInvalidNode) {
+    Remeasure(seq);  // created, deleted or re-written
+  } else {
+    RemeasureOn(seq, node);
+  }
 }
 
 ContainerRequest DataAwareScheduler::RequestFor(const TaskSpec& task) {
@@ -65,55 +274,54 @@ ContainerRequest DataAwareScheduler::RequestFor(const TaskSpec& task) {
   r.memory_mb = task.memory_mb;
   // Prefer the node with the most input data, but allow any (relaxed
   // locality): the *selection* step re-optimises against the node YARN
-  // actually hands us.
-  std::vector<FileId> inputs = InternInputs(task);
-  int64_t best_bytes = -1;
-  NodeId best_node = kInvalidNode;
-  for (NodeId n = 0; n < dfs_->cluster()->num_nodes(); ++n) {
-    int64_t local = 0;
-    for (FileId id : inputs) local += EffectiveLocalBytes(id, n);
-    if (local > best_bytes) {
-      best_bytes = local;
-      best_node = n;
+  // actually hands us. The AM asks right after EnqueueReady, so the
+  // task's list is in the index; any other task is measured here.
+  std::vector<NodeBytes> measured;
+  const std::vector<NodeBytes>* local = &measured;
+  if (std::optional<uint64_t> seq = SeqOf(task.id)) {
+    local = &At(*seq).local;
+  } else {
+    int64_t total = 0;
+    Measure(InternInputs(task), &total, &measured);
+  }
+  int64_t best_bytes = 0;
+  for (const auto& [node, bytes] : *local) {
+    if (bytes > best_bytes) {  // ascending nodes: the lowest id wins ties
+      best_bytes = bytes;
+      r.preferred_node = node;
     }
   }
-  if (best_bytes > 0) r.preferred_node = best_node;
   return r;
 }
 
 std::optional<TaskId> DataAwareScheduler::SelectTask(NodeId node) {
-  if (queue_.empty()) return std::nullopt;
+  if (queued_ == 0) return std::nullopt;
   // "skims through all tasks pending execution, from which it selects the
   // task with the highest fraction of input data available locally"
-  // (Sec. 3.4). Ties resolve FIFO.
-  double best_fraction = -1.0;
-  size_t best_index = 0;
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    int64_t total = 0;
-    int64_t local = 0;
-    for (FileId id : queue_[i].inputs) {
-      int64_t size = dfs_->SizeOf(id);
-      if (size >= 0) total += size;
-      local += EffectiveLocalBytes(id, node);
-    }
-    double fraction =
-        total > 0 ? static_cast<double>(local) / static_cast<double>(total)
-                  : 0.0;
-    if (fraction > best_fraction + 1e-12) {
-      best_fraction = fraction;
-      best_index = i;
+  // (Sec. 3.4); ties resolve FIFO. Every fraction is >= 0, so the scan's
+  // first visit, the queue head, always becomes its best, and after that
+  // no task with fraction 0 can pass `> best + 1e-12`. Seeding with the
+  // head and folding over this node's candidates in FIFO order with the
+  // same rule therefore picks exactly what the scan picks.
+  uint64_t best_seq = first_seq_ + head_;
+  const QueuedTask& head = fifo_[head_];
+  double best_fraction = Fraction(BytesOn(head.local, node), head.total);
+  if (node >= 0 && static_cast<size_t>(node) < candidates_.size()) {
+    // Tombstones hold a negative fraction and never pass.
+    for (const Candidate& c : candidates_[static_cast<size_t>(node)].entries) {
+      if (c.fraction > best_fraction + 1e-12) {
+        best_fraction = c.fraction;
+        best_seq = c.seq;
+      }
     }
   }
-  TaskId id = queue_[best_index].id;
-  queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(best_index));
+  TaskId id = At(best_seq).id;
+  Depart(best_seq);
   return id;
 }
 
 void DataAwareScheduler::RemoveTask(TaskId id) {
-  queue_.erase(
-      std::remove_if(queue_.begin(), queue_.end(),
-                     [id](const QueuedTask& t) { return t.id == id; }),
-      queue_.end());
+  if (std::optional<uint64_t> seq = SeqOf(id)) Depart(*seq);
 }
 
 // ------------------------------------------------------ static policies ---
@@ -342,7 +550,7 @@ void OnlineMctScheduler::RemoveTask(TaskId id) {
 
 Result<std::unique_ptr<WorkflowScheduler>> MakeScheduler(
     const std::string& policy, Dfs* dfs, const RuntimeEstimator* estimator,
-    const StagingCache* staging) {
+    StagingCache* staging) {
   if (policy == "fcfs") {
     return std::unique_ptr<WorkflowScheduler>(new FcfsScheduler());
   }

@@ -60,6 +60,15 @@ class WorkflowScheduler {
   /// A task's data dependencies are met; it now awaits a container.
   virtual void EnqueueReady(const TaskSpec& task) = 0;
 
+  /// EnqueueReady from a caller that already interned the task's inputs
+  /// (`inputs[i]` is Dfs::Intern(task.input_files[i])), as the AM does at
+  /// admission. Only the data-aware policy reads the ids.
+  virtual void EnqueueReadyInterned(const TaskSpec& task,
+                                    const std::vector<FileId>& inputs) {
+    (void)inputs;
+    EnqueueReady(task);
+  }
+
   /// The container request the AM should submit on behalf of this ready
   /// task. Note the allocated container is matched to *some* queued task
   /// by SelectTask, not necessarily this one.
@@ -97,36 +106,99 @@ class FcfsScheduler : public WorkflowScheduler {
 /// too — a cached copy is as cheap as an HDFS block replica, so warm
 /// nodes attract the tasks whose inputs they already hold.
 ///
-/// A task's input paths are interned once, at enqueue; the per-grant scan
-/// then reads sizes, replicas and fingerprints by FileId
-/// (docs/scheduling-model.md). tests/oracles/locality_oracle.h keeps the
-/// path-based scan this must agree with pick for pick.
-class DataAwareScheduler : public WorkflowScheduler {
+/// The scan of Sec. 3.4 is answered from a per-node candidate index
+/// (docs/scheduling-model.md §9). Each queued task is measured once, at
+/// enqueue: its total input bytes and a sparse list of the nodes holding
+/// any of them. Each node keeps its candidates — the queued tasks with a
+/// positive local fraction there — in FIFO order. A grant on node n
+/// seeds the pick with the queue head and folds over n's candidates with
+/// the scan's own rule, so it costs O(candidates on n), not O(queue).
+/// Each queued task watches its inputs in the DFS and the staging cache,
+/// so a change to a file re-measures only the tasks that read it.
+/// tests/oracles/locality_oracle.h keeps the path-based scan this must
+/// agree with pick for pick.
+class DataAwareScheduler : public WorkflowScheduler,
+                           private Dfs::FileWatcher {
  public:
-  explicit DataAwareScheduler(Dfs* dfs,
-                              const StagingCache* staging = nullptr)
+  explicit DataAwareScheduler(Dfs* dfs, StagingCache* staging = nullptr)
       : dfs_(dfs), staging_(staging) {}
+  /// Drops the watches of the tasks still queued.
+  ~DataAwareScheduler() override;
+  DataAwareScheduler(const DataAwareScheduler&) = delete;
+  DataAwareScheduler& operator=(const DataAwareScheduler&) = delete;
+
   std::string name() const override { return "data-aware"; }
   void EnqueueReady(const TaskSpec& task) override;
+  void EnqueueReadyInterned(const TaskSpec& task,
+                            const std::vector<FileId>& inputs) override;
+  /// Prefers the node holding the most of the task's input bytes (lowest
+  /// id on ties; none when no node holds any).
   ContainerRequest RequestFor(const TaskSpec& task) override;
   std::optional<TaskId> SelectTask(NodeId node) override;
   void RemoveTask(TaskId id) override;
-  size_t QueuedCount() const override { return queue_.size(); }
+  size_t QueuedCount() const override { return queued_; }
 
  private:
+  /// (node, effective local bytes); a list holds only nodes with > 0
+  /// bytes, ascending by node.
+  using NodeBytes = std::pair<NodeId, int64_t>;
+
   struct QueuedTask {
-    TaskId id;
-    std::vector<FileId> inputs;
+    TaskId id = kInvalidTask;
+    bool live = false;
+    std::vector<FileId> inputs;  // each watched under the task's seq
+    int64_t total = 0;           // bytes of the inputs that exist
+    std::vector<NodeBytes> local;
+  };
+  /// A queued task's place among one node's candidates.
+  struct Candidate {
+    uint64_t seq;     // enqueue order
+    double fraction;  // local / total on the node; < 0: a tombstone
+  };
+  struct NodeCandidates {
+    std::vector<Candidate> entries;  // ascending seq
+    size_t dead = 0;                 // tombstones among them
   };
 
-  std::vector<FileId> InternInputs(const TaskSpec& task);
-  /// Bytes of file `id` effectively local to `node`: HDFS block replicas
-  /// or a fresh staging-cache copy, whichever is larger.
-  int64_t EffectiveLocalBytes(FileId id, NodeId node) const;
+  std::vector<FileId> InternInputs(const TaskSpec& task) const;
+  void Enqueue(TaskId id, std::vector<FileId> inputs);
+  /// Watches (`watch`) or unwatches the inputs of queued task `seq`.
+  void WatchInputs(uint64_t seq, bool watch);
+  /// Measures `inputs` from scratch: total bytes and the local list.
+  void Measure(const std::vector<FileId>& inputs, int64_t* total,
+               std::vector<NodeBytes>* local);
+  /// Effective local bytes of `inputs` on `node` alone.
+  int64_t MeasureOn(const std::vector<FileId>& inputs, NodeId node) const;
+  /// Re-measures queued task `seq` everywhere, or on `node` alone.
+  void Remeasure(uint64_t seq);
+  void RemeasureOn(uint64_t seq, NodeId node);
+  /// Makes `seq` a candidate on `node` with `fraction`, or drops it there
+  /// when `fraction` is 0.
+  void SetCandidate(uint64_t seq, NodeId node, double fraction);
+  /// Takes queued task `seq` out of the queue, the index and the watches.
+  void Depart(uint64_t seq);
+  /// The seq of queued task `id`, looked up from the newest: the AM asks
+  /// about the task it has just enqueued.
+  std::optional<uint64_t> SeqOf(TaskId id) const;
+  QueuedTask& At(uint64_t seq) { return fifo_[seq - first_seq_]; }
+
+  /// `seq` is the queued task that watched `file`.
+  void OnFileChanged(FileId file, NodeId node, uint64_t seq) override;
 
   Dfs* dfs_;
-  const StagingCache* staging_;
-  std::deque<QueuedTask> queue_;  // FIFO among locality ties
+  StagingCache* staging_;
+  /// Queued tasks in enqueue order with departed ones in between; seq s
+  /// lives at fifo_[s - first_seq_], the head at fifo_[head_].
+  std::vector<QueuedTask> fifo_;
+  uint64_t first_seq_ = 0;
+  size_t head_ = 0;
+  size_t queued_ = 0;
+  std::vector<NodeCandidates> candidates_;  // by node, grown on demand
+  /// Measure's scratch: bytes per node of one file and of the task, and
+  /// the nodes each has touched.
+  std::vector<int64_t> file_bytes_, task_bytes_;
+  std::vector<NodeId> file_nodes_, task_nodes_;
+  std::vector<NodeBytes> staged_;
 };
 
 /// Shared machinery of the static policies: BuildStaticSchedule fills
@@ -228,7 +300,7 @@ class OnlineMctScheduler : public WorkflowScheduler {
 /// copies alongside HDFS block locality.
 Result<std::unique_ptr<WorkflowScheduler>> MakeScheduler(
     const std::string& policy, Dfs* dfs, const RuntimeEstimator* estimator,
-    const StagingCache* staging = nullptr);
+    StagingCache* staging = nullptr);
 
 }  // namespace hiway
 

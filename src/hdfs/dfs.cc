@@ -97,8 +97,65 @@ uint64_t Dfs::ContentIdOf(FileId id) const {
   return slot.live ? slot.info.content_id : 0;
 }
 
+const std::vector<DfsBlock>& Dfs::BlocksOf(FileId id) const {
+  // Delete drops an absent slot's blocks, and a never-created slot has
+  // none.
+  return slots_[static_cast<size_t>(id)].info.blocks;
+}
+
+void Dfs::WatchTable::Add(FileId file, FileWatcher* watcher,
+                          uint64_t cookie) {
+  int32_t n = free_;
+  if (n >= 0) {
+    free_ = nodes_[static_cast<size_t>(n)].next;
+  } else {
+    n = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  int32_t& head = heads_.emplace(file, -1).first->second;
+  nodes_[static_cast<size_t>(n)] = Node{watcher, cookie, head};
+  head = n;
+}
+
+void Dfs::WatchTable::Remove(FileId file, FileWatcher* watcher,
+                             uint64_t cookie) {
+  auto it = heads_.find(file);
+  if (it == heads_.end()) return;
+  for (int32_t* link = &it->second; *link >= 0;
+       link = &nodes_[static_cast<size_t>(*link)].next) {
+    Node& node = nodes_[static_cast<size_t>(*link)];
+    if (node.watcher != watcher || node.cookie != cookie) continue;
+    int32_t n = *link;
+    *link = node.next;
+    node.next = free_;
+    free_ = n;
+    if (it->second < 0) heads_.erase(file);
+    return;
+  }
+}
+
+void Dfs::Watch(FileId id, FileWatcher* watcher, uint64_t cookie) {
+  watches_.Add(id, watcher, cookie);
+}
+
+void Dfs::Unwatch(FileId id, FileWatcher* watcher, uint64_t cookie) {
+  watches_.Remove(id, watcher, cookie);
+}
+
+void Dfs::Notify(FileId id, NodeId node) const {
+  watches_.ForEach(id, [id, node](FileWatcher* watcher, uint64_t cookie) {
+    watcher->OnFileChanged(id, node, cookie);
+  });
+}
+
+void Dfs::NotifyAll(
+    const std::vector<std::pair<FileId, NodeId>>& changes) const {
+  for (const auto& [id, node] : changes) Notify(id, node);
+}
+
 void Dfs::Create(const std::string& path, DfsFileInfo info) {
-  FileSlot& slot = slots_[static_cast<size_t>(Intern(path))];
+  FileId id = Intern(path);
+  FileSlot& slot = slots_[static_cast<size_t>(id)];
   ++slot.generation;
   uint64_t h = Fnv1a64(path);
   h = Fnv1a64(StrFormat("|%lld|%llu", static_cast<long long>(info.size_bytes),
@@ -110,6 +167,7 @@ void Dfs::Create(const std::string& path, DfsFileInfo info) {
   AccountReplicas(info, +1);
   slot.info = std::move(info);
   slot.live = true;
+  Notify(id, kInvalidNode);
 }
 
 bool Dfs::Exists(const std::string& path) const {
@@ -128,8 +186,10 @@ Result<DfsFileInfo> Dfs::Stat(const std::string& path) const {
 
 Status Dfs::Delete(const std::string& path) {
   ++counters_.metadata_ops;
-  FileSlot* slot = Find(path);
-  if (slot == nullptr) {
+  auto it = ids_.find(path);
+  FileSlot* slot =
+      it == ids_.end() ? nullptr : &slots_[static_cast<size_t>(it->second)];
+  if (slot == nullptr || !slot->live) {
     return Status::NotFound("no such file in DFS: " + path);
   }
   if (!slot->info.external) {
@@ -144,6 +204,7 @@ Status Dfs::Delete(const std::string& path) {
   slot->live = false;
   // The slot and its id stay; the block list and its storage go.
   slot->info.blocks = std::vector<DfsBlock>();
+  Notify(it->second, kInvalidNode);
   return Status::OK();
 }
 
@@ -205,6 +266,9 @@ Status Dfs::RegisterExternalFile(const std::string& path,
   if (!cluster_->has_s3()) {
     return Status::FailedPrecondition(
         "cluster has no S3 uplink for external file " + path);
+  }
+  if (size_bytes < 0) {
+    return Status::InvalidArgument("negative file size for " + path);
   }
   if (Find(path) != nullptr) {
     return Status::AlreadyExists("file already in DFS: " + path);
@@ -346,6 +410,12 @@ void Dfs::WriteFromNode(const std::string& path, int64_t size_bytes,
         0.0, [done = std::move(done), st] { done(st); });
     return;
   }
+  if (size_bytes < 0) {
+    Status st = Status::InvalidArgument("negative file size for " + path);
+    cluster_->engine()->ScheduleAfter(
+        0.0, [done = std::move(done), st] { done(st); });
+    return;
+  }
   if (Find(path) != nullptr) {
     Status st = Status::AlreadyExists("file already in DFS: " + path);
     cluster_->engine()->ScheduleAfter(
@@ -422,19 +492,25 @@ void Dfs::KillNode(NodeId node) {
     total_stored_bytes_ -= stored->second;
     stored->second = 0;
   }
+  std::vector<std::pair<FileId, NodeId>> changes;
   for (const auto& [path, id] : ids_) {
+    bool held = false;
     for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
-      block.replicas.erase(
-          std::remove(block.replicas.begin(), block.replicas.end(), node),
-          block.replicas.end());
+      auto gone =
+          std::remove(block.replicas.begin(), block.replicas.end(), node);
+      held |= gone != block.replicas.end();
+      block.replicas.erase(gone, block.replicas.end());
     }
+    if (held && watches_.Watched(id)) changes.emplace_back(id, node);
   }
+  NotifyAll(changes);
 }
 
 void Dfs::DecommissionNode(NodeId node) {
   if (dead_nodes_.find(node) != dead_nodes_.end()) return;
   // Rescue pass: every block whose only replica lives on the retiring
   // node gets a copy elsewhere before the replicas are dropped.
+  std::vector<std::pair<FileId, NodeId>> changes;
   for (const auto& [path, id] : ids_) {
     for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
       if (block.replicas.size() != 1 || block.replicas[0] != node) continue;
@@ -450,9 +526,11 @@ void Dfs::DecommissionNode(NodeId node) {
       AccountReplica(dst, block.size_bytes, +1);
       ++counters_.blocks_re_replicated;
       ++counters_.metadata_ops;
+      if (watches_.Watched(id)) changes.emplace_back(id, dst);
     }
   }
   KillNode(node);
+  NotifyAll(changes);
 }
 
 bool Dfs::AllFilesReadable() const {
@@ -478,6 +556,7 @@ bool Dfs::FileReadable(const std::string& path) const {
 
 void Dfs::ReReplicate() {
   int rep = EffectiveReplication();
+  std::vector<std::pair<FileId, NodeId>> changes;
   for (const auto& [path, id] : ids_) {
     for (DfsBlock& block : slots_[static_cast<size_t>(id)].info.blocks) {
       if (block.replicas.empty()) continue;  // unrecoverable
@@ -499,9 +578,11 @@ void Dfs::ReReplicate() {
         AccountReplica(dst, block.size_bytes, +1);
         ++counters_.blocks_re_replicated;
         ++counters_.metadata_ops;
+        if (watches_.Watched(id)) changes.emplace_back(id, dst);
       }
     }
   }
+  NotifyAll(changes);
 }
 
 int64_t Dfs::StoredBytes(NodeId node) const {

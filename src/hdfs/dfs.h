@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flat_hash.h"
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/sim/cluster.h"
@@ -98,6 +99,52 @@ struct DfsCounters {
 
 class Dfs {
  public:
+  /// Told when a watched file changes in a way that moves its locality:
+  /// it is created, deleted or re-written, or it gains or loses a
+  /// replica (Dfs::Watch) or a staged copy (StagingCache::Watch).
+  class FileWatcher {
+   public:
+    virtual ~FileWatcher() = default;
+    /// `file`, watched under `cookie`, changed on `node` alone; on any
+    /// node, and perhaps in size and content, when `node` is
+    /// kInvalidNode. A watcher must not watch or unwatch from inside
+    /// this call.
+    virtual void OnFileChanged(FileId file, NodeId node, uint64_t cookie) = 0;
+  };
+
+  /// Per-file watch lists threaded through one node pool, so watching
+  /// allocates nothing once the pool has grown. Dfs and StagingCache each
+  /// keep one; a file nobody watches costs one hash miss.
+  class WatchTable {
+   public:
+    void Add(FileId file, FileWatcher* watcher, uint64_t cookie);
+    /// Drops one watch added with the same arguments.
+    void Remove(FileId file, FileWatcher* watcher, uint64_t cookie);
+    bool Watched(FileId file) const { return heads_.contains(file); }
+    /// Calls fn(watcher, cookie) for each watch on `file`; fn must not
+    /// add or remove watches.
+    template <typename Fn>
+    void ForEach(FileId file, Fn&& fn) const {
+      auto it = heads_.find(file);
+      if (it == heads_.end()) return;
+      for (int32_t n = it->second; n >= 0;) {
+        const Node& node = nodes_[static_cast<size_t>(n)];
+        fn(node.watcher, node.cookie);
+        n = node.next;
+      }
+    }
+
+   private:
+    struct Node {
+      FileWatcher* watcher = nullptr;
+      uint64_t cookie = 0;
+      int32_t next = -1;  // the file's next watch, or the next free node
+    };
+    FlatHashMap<FileId, int32_t> heads_;  // watched files only
+    std::vector<Node> nodes_;
+    int32_t free_ = -1;
+  };
+
   Dfs(Cluster* cluster, DfsOptions options);
   Dfs(const Dfs&) = delete;
   Dfs& operator=(const Dfs&) = delete;
@@ -119,7 +166,7 @@ class Dfs {
 
   /// Registers an external (S3-hosted) object: readable from any node via
   /// the cluster's S3 uplink, never local to any node. Requires the
-  /// cluster to have an S3 resource.
+  /// cluster to have an S3 resource; a negative size is InvalidArgument.
   Status RegisterExternalFile(const std::string& path, int64_t size_bytes);
 
   /// Bytes of `path` that have a replica on `node` — the quantity the
@@ -134,12 +181,12 @@ class Dfs {
   /// All file paths currently in the namespace, sorted.
   std::vector<std::string> ListFiles() const;
 
-  // ---- Interned ids (uncounted; the data-aware scheduler's scan) -------
+  // ---- Interned ids (uncounted; the data-aware scheduler's index) ------
   //
-  // The id queries are array reads, not NameNode RPCs: the scheduler
-  // resolves a task's inputs once, when the task becomes ready, and then
-  // reads them on every container grant without a path lookup or a
-  // DfsFileInfo copy.
+  // The id queries are array reads, not NameNode RPCs: the AM interns a
+  // task's inputs once, at admission, and the scheduler measures them by
+  // id when the task becomes ready and again when a watched input
+  // changes, without a path lookup or a DfsFileInfo copy.
 
   /// The id of `path`, giving it an absent slot the first time it is
   /// seen. Not counted: it creates no file.
@@ -156,6 +203,25 @@ class Dfs {
 
   /// Content fingerprint of file `id` (0 while absent).
   uint64_t ContentIdOf(FileId id) const;
+
+  /// Blocks of file `id` with their replicas (empty while absent).
+  const std::vector<DfsBlock>& BlocksOf(FileId id) const;
+
+  // ---- Change notifications (uncounted) ---------------------------------
+  //
+  // Only watched files keep a watch list, so a change to any other file
+  // costs one hash miss. Create, Delete, KillNode, the rescue pass of
+  // DecommissionNode and ReReplicate notify, after their change is
+  // complete.
+
+  /// Tells `watcher` about every later change to file `id`, handing back
+  /// `cookie` (the data-aware scheduler watches once per queued task
+  /// that reads the file, with the task as cookie). Each watch is told
+  /// once per change; a watcher drops its watches before it is
+  /// destroyed.
+  void Watch(FileId id, FileWatcher* watcher, uint64_t cookie);
+  /// Drops one watch made with the same arguments.
+  void Unwatch(FileId id, FileWatcher* watcher, uint64_t cookie);
 
   // ---- Data operations (asynchronous; consume simulated bandwidth) -----
 
@@ -254,6 +320,11 @@ class Dfs {
   /// Bytes of `info` with a replica on `node`.
   static int64_t LocalBytesIn(const DfsFileInfo& info, NodeId node);
 
+  /// Tells `id`'s watchers it changed on `node` (kInvalidNode: anywhere).
+  void Notify(FileId id, NodeId node) const;
+  /// Notify for each (file, node) a replica walk collected.
+  void NotifyAll(const std::vector<std::pair<FileId, NodeId>>& changes) const;
+
   Cluster* cluster_;
   DfsOptions options_;
   mutable DfsCounters counters_;
@@ -273,6 +344,7 @@ class Dfs {
   /// namespace scans).
   std::map<NodeId, int64_t> stored_bytes_;
   int64_t total_stored_bytes_ = 0;
+  WatchTable watches_;
 };
 
 }  // namespace hiway

@@ -180,6 +180,64 @@ TEST(StagingCacheTest, InvalidateNodeDropsOnlyThatNode) {
   EXPECT_EQ(cache.stats().invalidated, 1);
 }
 
+// Records what the cache holds of a watched file on the node it was told
+// about, read back from inside the callback.
+struct ReadingWatcher : Dfs::FileWatcher {
+  const StagingCache* cache = nullptr;
+  std::vector<std::pair<NodeId, int64_t>> heard;
+  void OnFileChanged(FileId file, NodeId node, uint64_t cookie) override {
+    EXPECT_EQ(cookie, 42u);
+    heard.emplace_back(node, cache->CachedBytes(file, 0x1, node));
+  }
+};
+
+TEST(StagingCacheTest, WatchersHearEveryCopyOfTheirFileChange) {
+  StagingCache cache(StagingCacheOptions{.node_budget_bytes = 100});
+  const FileId a = Id("/watch/a");
+  const FileId other = Id("/watch/other");
+  ReadingWatcher watcher;
+  watcher.cache = &cache;
+  cache.Watch(a, &watcher, 42);
+  using Heard = std::vector<std::pair<NodeId, int64_t>>;
+
+  cache.InsertPinned(1, a, 0x1, 60);
+  cache.Unpin(1, a);  // pins and hits move no bytes
+  EXPECT_TRUE(cache.HitAndPin(1, a, 0x1));
+  cache.Unpin(1, a);
+  EXPECT_EQ(watcher.heard, (Heard{{1, 60}}));
+  cache.InsertPinned(1, other, 0x9, 50);  // evicts a's copy on node 1
+  cache.Unpin(1, other);
+  EXPECT_EQ(watcher.heard, (Heard{{1, 60}, {1, 0}}));
+  watcher.heard.clear();
+
+  cache.InsertPinned(2, a, 0x1, 30);
+  cache.Unpin(2, a);
+  cache.InsertPinned(2, a, 0x1, 40);  // replaced in place
+  cache.Unpin(2, a);
+  EXPECT_EQ(watcher.heard, (Heard{{2, 30}, {2, 40}}));
+  watcher.heard.clear();
+
+  // A drain puts the copy on the target, then drops it from the source.
+  EXPECT_EQ(cache.MigrateNode(2, {3}), 1);
+  EXPECT_EQ(watcher.heard, (Heard{{3, 40}, {2, 0}}));
+  watcher.heard.clear();
+  cache.InvalidateNode(3);
+  EXPECT_EQ(watcher.heard, (Heard{{3, 0}}));
+  watcher.heard.clear();
+
+  cache.Unwatch(a, &watcher, 42);
+  cache.InsertPinned(1, a, 0x1, 10);
+  EXPECT_TRUE(watcher.heard.empty());
+
+  std::vector<std::pair<NodeId, int64_t>> copies;
+  cache.InsertPinned(4, a, 0x2, 20);  // another node, other content
+  cache.FreshCopies(a, 0x1, &copies);
+  EXPECT_EQ(copies, (Heard{{1, 10}}));
+  copies.clear();
+  cache.FreshCopies(a, 0, &copies);  // the file no longer exists
+  EXPECT_TRUE(copies.empty());
+}
+
 // ---------------------------------------------------------------------
 // Result cache unit tests (a deployment supplies DFS + provenance).
 // ---------------------------------------------------------------------

@@ -268,6 +268,21 @@ TEST(DfsTest, ExternalFileRequiresS3Uplink) {
                   .IsFailedPrecondition());
 }
 
+TEST(DfsTest, NegativeSizesAreRejected) {
+  DfsRig rig(2, DfsOptions{}, /*s3_mbps=*/500.0);
+  // A negative external size used to register, and the first read of the
+  // file aborted the process on a negative flow demand.
+  EXPECT_TRUE(
+      rig.dfs->RegisterExternalFile("/s3/neg", -5).IsInvalidArgument());
+  EXPECT_FALSE(rig.dfs->Exists("/s3/neg"));
+  EXPECT_TRUE(rig.dfs->IngestFile("/neg", -1).IsInvalidArgument());
+  Status written;
+  rig.dfs->WriteFromNode("/neg", -1, 0, [&](Status st) { written = st; });
+  rig.engine.Run();
+  EXPECT_TRUE(written.IsInvalidArgument()) << written.ToString();
+  EXPECT_FALSE(rig.dfs->Exists("/neg"));
+}
+
 TEST(DfsTest, ListFilesSorted) {
   DfsRig rig(2);
   ASSERT_TRUE(rig.dfs->IngestFile("/b", 1).ok());
@@ -347,6 +362,109 @@ TEST(DfsFileIdTest, LocalBytesByIdFollowReplicaChurn) {
     }
   }
   EXPECT_EQ(on_survivors, rig.dfs->TotalStoredBytes());
+}
+
+TEST(DfsFileIdTest, BlocksByIdMatchStat) {
+  DfsOptions options;
+  options.block_size_bytes = 4 << 20;
+  DfsRig rig(4, options);
+  FileId id = rig.dfs->Intern("/b");
+  EXPECT_TRUE(rig.dfs->BlocksOf(id).empty());  // not yet written
+  ASSERT_TRUE(rig.dfs->IngestFile("/b", 10 << 20).ok());
+  const std::vector<DfsBlock>& blocks = rig.dfs->BlocksOf(id);
+  auto info = rig.dfs->Stat("/b");
+  ASSERT_EQ(blocks.size(), info->blocks.size());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(blocks[i].size_bytes, info->blocks[i].size_bytes);
+    EXPECT_EQ(blocks[i].replicas, info->blocks[i].replicas);
+  }
+  ASSERT_TRUE(rig.dfs->Delete("/b").ok());
+  EXPECT_TRUE(rig.dfs->BlocksOf(id).empty());
+}
+
+// Records every notification its watches receive.
+struct RecordingWatcher : Dfs::FileWatcher {
+  std::vector<std::pair<FileId, NodeId>> heard;
+  std::vector<uint64_t> cookies;
+  void OnFileChanged(FileId file, NodeId node, uint64_t cookie) override {
+    heard.emplace_back(file, node);
+    cookies.push_back(cookie);
+  }
+};
+
+TEST(DfsWatchTest, EveryLocalityChangeOfAWatchedFileNotifies) {
+  DfsOptions options;
+  options.replication = 1;  // a kill strands blocks; decommission rescues
+  DfsRig rig(4, options);
+  ASSERT_TRUE(rig.dfs->IngestFile("/w", 1 << 20, NodeId{1}).ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/quiet", 1 << 20, NodeId{1}).ok());
+  FileId w = rig.dfs->Intern("/w");
+  RecordingWatcher watcher;
+  rig.dfs->Watch(w, &watcher, 7);
+  using Heard = std::vector<std::pair<FileId, NodeId>>;
+
+  rig.dfs->DecommissionNode(1);  // rescue to some node, then drop node 1
+  ASSERT_EQ(watcher.heard.size(), 2u);
+  EXPECT_EQ(watcher.heard[0], std::make_pair(w, NodeId{1}));
+  NodeId rescued = watcher.heard[1].second;
+  EXPECT_EQ(rig.dfs->LocalBytesOf(w, rescued), 1 << 20);
+  watcher.heard.clear();
+
+  rig.dfs->KillNode(rescued);
+  EXPECT_EQ(watcher.heard, (Heard{{w, rescued}}));
+  watcher.heard.clear();
+  rig.dfs->ReReplicate();  // the only replica is gone: nothing to copy
+  EXPECT_TRUE(watcher.heard.empty());
+
+  ASSERT_TRUE(rig.dfs->Delete("/w").ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/w", 2 << 20).ok());
+  EXPECT_EQ(watcher.heard, (Heard{{w, kInvalidNode}, {w, kInvalidNode}}));
+  watcher.heard.clear();
+
+  // Unwatched files and writes of other paths stay silent.
+  ASSERT_TRUE(rig.dfs->Delete("/quiet").ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/other", 1).ok());
+  EXPECT_TRUE(watcher.heard.empty());
+
+  // Each watch hears each change once, under its own cookie.
+  rig.dfs->Watch(w, &watcher, 8);
+  watcher.cookies.clear();
+  ASSERT_TRUE(rig.dfs->Delete("/w").ok());
+  std::sort(watcher.cookies.begin(), watcher.cookies.end());
+  EXPECT_EQ(watcher.cookies, (std::vector<uint64_t>{7, 8}));
+  rig.dfs->Unwatch(w, &watcher, 7);
+  rig.dfs->Unwatch(w, &watcher, 8);
+  watcher.heard.clear();
+  ASSERT_TRUE(rig.dfs->IngestFile("/w", 1).ok());
+  EXPECT_TRUE(watcher.heard.empty());
+}
+
+TEST(DfsWatchTest, ReReplicationNotifiesEachGainingNode) {
+  DfsOptions options;
+  options.replication = 2;
+  options.block_size_bytes = 1 << 20;
+  DfsRig rig(5, options);
+  ASSERT_TRUE(rig.dfs->IngestFile("/r", 6 << 20, NodeId{0}).ok());
+  FileId r = rig.dfs->Intern("/r");
+  RecordingWatcher watcher;
+  rig.dfs->Watch(r, &watcher, 0);
+  rig.dfs->KillNode(0);  // every block loses its first replica
+  ASSERT_EQ(watcher.heard.size(), 1u);
+  watcher.heard.clear();
+  rig.dfs->ReReplicate();
+  std::set<NodeId> gained;
+  for (const DfsBlock& block : rig.dfs->BlocksOf(r)) {
+    ASSERT_EQ(block.replicas.size(), 2u);
+    gained.insert(block.replicas.back());
+  }
+  std::set<NodeId> heard;
+  for (const auto& [file, node] : watcher.heard) {
+    EXPECT_EQ(file, r);
+    EXPECT_NE(node, kInvalidNode);
+    heard.insert(node);
+  }
+  EXPECT_EQ(heard, gained);
+  rig.dfs->Unwatch(r, &watcher, 0);
 }
 
 TEST(DfsFileIdTest, ListFilesSortedWithoutAbsentSlots) {

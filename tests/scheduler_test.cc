@@ -139,15 +139,65 @@ TEST(DataAwareSchedulerTest, TasksWithoutInputsStillSchedulable) {
   EXPECT_EQ(*scheduler.SelectTask(1), 1);
 }
 
+// One data-aware scheduler, the path-scan oracle it must agree with, and
+// the tasks both hold.
+struct LockstepQueue {
+  std::unique_ptr<DataAwareScheduler> scheduler;
+  std::unique_ptr<PathScanLocalityOracle> oracle;
+  std::vector<TaskSpec> queued;
+
+  LockstepQueue(Dfs* dfs, StagingCache* staging)
+      : scheduler(std::make_unique<DataAwareScheduler>(dfs, staging)),
+        oracle(std::make_unique<PathScanLocalityOracle>(dfs, staging)) {}
+
+  void Enqueue(const TaskSpec& task) {
+    scheduler->EnqueueReady(task);
+    oracle->EnqueueReady(task);
+    queued.push_back(task);
+  }
+
+  // A container on `node`: both pick the same task (or none).
+  void Grant(NodeId node) {
+    std::optional<TaskId> picked = scheduler->SelectTask(node);
+    ASSERT_EQ(picked, oracle->SelectTask(node)) << "node " << node;
+    if (picked.has_value()) {
+      queued.erase(std::find_if(
+          queued.begin(), queued.end(),
+          [&picked](const TaskSpec& t) { return t.id == *picked; }));
+    }
+  }
+
+  void Remove(size_t i) {
+    scheduler->RemoveTask(queued[i].id);
+    oracle->RemoveTask(queued[i].id);
+    queued.erase(queued.begin() + static_cast<ptrdiff_t>(i));
+  }
+
+  // Same queue length, and the same preferred node for every task.
+  void ExpectAgree() {
+    ASSERT_EQ(scheduler->QueuedCount(), oracle->QueuedCount());
+    for (const TaskSpec& task : queued) {
+      ASSERT_EQ(scheduler->RequestFor(task).preferred_node,
+                oracle->RequestFor(task).preferred_node)
+          << "task " << task.id;
+    }
+  }
+};
+
 // Random enqueue, select and remove while replicas and staged copies churn
 // underneath: node kills and drains, re-replication, deletes and re-writes
-// at a new size, staging inserts, evictions, invalidation and content
-// drift. The id-keyed scheduler and the path-scan oracle must agree on
-// every pick and every preferred node.
+// at a new size, staging inserts, evictions, invalidation, migration and
+// content drift, and nodes joining. Two schedulers share the DFS and the
+// staging cache, each checked against its own oracle; the second is
+// destroyed halfway, and the files it watched keep churning after it. The
+// index and the path-scan oracle must agree on every pick and every
+// preferred node.
 void RunLockstep(uint64_t seed) {
   SimEngine engine;
   FlowNetwork net{&engine};
   constexpr int kNodes = 10;
+  constexpr int kMaxNodes = 13;
+  constexpr int kSteps = 600;
   Cluster cluster(&engine, &net,
                   ClusterSpec::Uniform(kNodes, NodeSpec{}, 1000.0));
   DfsOptions options;
@@ -158,8 +208,9 @@ void RunLockstep(uint64_t seed) {
   StagingCacheOptions cache_options;
   cache_options.node_budget_bytes = 48 << 20;  // small enough to evict
   StagingCache staging(cache_options);
-  DataAwareScheduler scheduler(&dfs, &staging);
-  PathScanLocalityOracle oracle(&dfs, &staging);
+  std::vector<std::unique_ptr<LockstepQueue>> queues;
+  queues.push_back(std::make_unique<LockstepQueue>(&dfs, &staging));
+  queues.push_back(std::make_unique<LockstepQueue>(&dfs, &staging));
 
   Rng rng(seed);
   constexpr int kPaths = 16;
@@ -169,8 +220,12 @@ void RunLockstep(uint64_t seed) {
   auto random_size = [&rng] {
     return static_cast<int64_t>(rng.UniformInt(40)) << 20;  // 0..39 MiB
   };
-  auto random_node = [&rng] {
-    return static_cast<NodeId>(rng.UniformInt(kNodes));
+  auto random_node = [&rng, &cluster] {
+    return static_cast<NodeId>(
+        rng.UniformInt(static_cast<uint64_t>(cluster.num_nodes())));
+  };
+  auto random_queue = [&rng, &queues]() -> LockstepQueue& {
+    return *queues[static_cast<size_t>(rng.UniformInt(queues.size()))];
   };
   // A quarter of the paths start absent: tasks may name them before
   // they are first written.
@@ -179,43 +234,45 @@ void RunLockstep(uint64_t seed) {
       ASSERT_TRUE(dfs.IngestFile(path(i), random_size(), random_node()).ok());
     }
   }
-  std::vector<TaskSpec> queued;
   TaskId next_id = 1;
+  // Up to three inputs; one in five tasks lists an input twice.
+  auto random_task = [&] {
+    std::vector<std::string> inputs;
+    for (uint64_t k = rng.UniformInt(4); k > 0; --k) {
+      inputs.push_back(path(rng.UniformInt(kPaths)));
+    }
+    if (!inputs.empty() && rng.UniformInt(5) == 0) {
+      inputs.push_back(inputs[rng.UniformInt(inputs.size())]);
+    }
+    return Task(next_id++, "t", inputs);
+  };
   int lost_nodes = 0;
-  for (int step = 0; step < 500; ++step) {
+  for (int step = 0; step < kSteps; ++step) {
     SCOPED_TRACE(StrFormat("step %d", step));
-    switch (rng.UniformInt(12)) {
+    if (step == kSteps / 2) {
+      // The second scheduler goes away with tasks still queued; its
+      // watches must go with it.
+      queues.pop_back();
+    }
+    if (step == kSteps / 4) {
+      // A long queue: candidate lists grow past 100 and compact as
+      // the picks drain them.
+      for (int i = 0; i < 110; ++i) random_queue().Enqueue(random_task());
+    }
+    switch (rng.UniformInt(16)) {
       case 0:
       case 1:
-      case 2: {  // a task becomes ready
-        std::vector<std::string> inputs;
-        for (uint64_t k = rng.UniformInt(4); k > 0; --k) {
-          inputs.push_back(path(rng.UniformInt(kPaths)));
-        }
-        TaskSpec task = Task(next_id++, "t", inputs);
-        scheduler.EnqueueReady(task);
-        oracle.EnqueueReady(task);
-        queued.push_back(task);
+      case 2:  // a task becomes ready
+        random_queue().Enqueue(random_task());
         break;
-      }
       case 3:
-      case 4: {  // a container is granted
-        NodeId node = random_node();
-        std::optional<TaskId> picked = scheduler.SelectTask(node);
-        ASSERT_EQ(picked, oracle.SelectTask(node)) << "node " << node;
-        if (picked.has_value()) {
-          queued.erase(std::find_if(
-              queued.begin(), queued.end(),
-              [&picked](const TaskSpec& t) { return t.id == *picked; }));
-        }
+      case 4:  // a container is granted
+        random_queue().Grant(random_node());
         break;
-      }
       case 5: {  // workflow abort drops a queued task
-        if (queued.empty()) break;
-        size_t i = static_cast<size_t>(rng.UniformInt(queued.size()));
-        scheduler.RemoveTask(queued[i].id);
-        oracle.RemoveTask(queued[i].id);
-        queued.erase(queued.begin() + static_cast<ptrdiff_t>(i));
+        LockstepQueue& q = random_queue();
+        if (q.queued.empty()) break;
+        q.Remove(static_cast<size_t>(rng.UniformInt(q.queued.size())));
         break;
       }
       case 6:
@@ -253,22 +310,43 @@ void RunLockstep(uint64_t seed) {
       case 11:  // NodeManager disk loss
         staging.InvalidateNode(random_node());
         break;
+      case 12: {  // graceful drain moves staged copies to other nodes
+        std::vector<NodeId> targets;
+        for (uint64_t k = 1 + rng.UniformInt(3); k > 0; --k) {
+          targets.push_back(random_node());
+        }
+        staging.MigrateNode(random_node(), targets);
+        break;
+      }
+      case 13:  // a node joins; later placements and stage-ins reach it
+        if (cluster.num_nodes() < kMaxNodes) cluster.AddNode(NodeSpec{});
+        break;
+      case 14:  // a burst of ready tasks
+        for (int i = 0; i < 8; ++i) random_queue().Enqueue(random_task());
+        break;
+      case 15: {  // a burst of grants
+        LockstepQueue& q = random_queue();
+        for (int i = 0; i < 12; ++i) {
+          q.Grant(random_node());
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        break;
+      }
     }
-    ASSERT_EQ(scheduler.QueuedCount(), oracle.QueuedCount());
-    for (const TaskSpec& task : queued) {
-      ASSERT_EQ(scheduler.RequestFor(task).preferred_node,
-                oracle.RequestFor(task).preferred_node)
-          << "task " << task.id;
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const auto& q : queues) {
+      q->ExpectAgree();
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
   // Drain: the remaining picks agree too.
-  for (NodeId node = 0; !queued.empty(); node = (node + 1) % kNodes) {
-    std::optional<TaskId> picked = scheduler.SelectTask(node);
-    ASSERT_EQ(picked, oracle.SelectTask(node));
-    ASSERT_TRUE(picked.has_value());
-    queued.erase(std::find_if(
-        queued.begin(), queued.end(),
-        [&picked](const TaskSpec& t) { return t.id == *picked; }));
+  LockstepQueue& q = *queues.front();
+  for (NodeId node = 0; !q.queued.empty();
+       node = (node + 1) % cluster.num_nodes()) {
+    size_t before = q.queued.size();
+    q.Grant(node);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_EQ(q.queued.size(), before - 1);
   }
 }
 
@@ -278,6 +356,92 @@ TEST(DataAwareLockstepTest, MatchesPathScanOracleUnderReplicaChurn) {
     RunLockstep(seed);
     if (HasFatalFailure()) return;
   }
+}
+
+// The scan's first visit, the queue head, becomes its best even at
+// fraction 0, and a later task must beat it by more than 1e-12. A 1-byte
+// staged copy of a 2 TiB single-block file is a candidate on its node at
+// a fraction of about 4.5e-13, and must still lose to the head; so must
+// a 3-byte copy when the head is that 1-byte candidate.
+TEST(DataAwareLockstepTest, HeadBeatsCandidateWithinEpsilon) {
+  SimEngine engine;
+  FlowNetwork net{&engine};
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(3, NodeSpec{}, 1000.0));
+  DfsOptions options;
+  options.replication = 1;
+  options.block_size_bytes = int64_t{4} << 40;
+  Dfs dfs(&cluster, options);
+  StagingCache staging;
+  const int64_t kHuge = int64_t{2} << 40;
+  ASSERT_TRUE(dfs.IngestFile("/huge", kHuge, NodeId{0}).ok());
+  ASSERT_TRUE(dfs.IngestFile("/small", 1 << 20, NodeId{0}).ok());
+  staging.InsertPinned(2, dfs.Intern("/huge"), dfs.ContentId("/huge"), 1);
+  DataAwareScheduler scheduler(&dfs, &staging);
+  PathScanLocalityOracle oracle(&dfs, &staging);
+  for (const TaskSpec& task :
+       {Task(1, "head", {"/small"}), Task(2, "tiny", {"/huge"})}) {
+    scheduler.EnqueueReady(task);
+    oracle.EnqueueReady(task);
+  }
+  EXPECT_EQ(scheduler.RequestFor(Task(2, "tiny", {"/huge"})).preferred_node,
+            0);
+  std::optional<TaskId> picked = scheduler.SelectTask(2);
+  EXPECT_EQ(picked, oracle.SelectTask(2));
+  EXPECT_EQ(picked, std::optional<TaskId>(1));
+
+  // Now the head itself sits at about 4.5e-13. A task behind it at
+  // about 1.4e-12 clears 1e-12 but not head + 1e-12: the head still
+  // wins, which only a pick seeded with the head's fraction gets right.
+  ASSERT_TRUE(dfs.IngestFile("/huge2", kHuge, NodeId{0}).ok());
+  staging.InsertPinned(2, dfs.Intern("/huge2"), dfs.ContentId("/huge2"), 3);
+  TaskSpec behind = Task(3, "less-tiny", {"/huge2"});
+  scheduler.EnqueueReady(behind);
+  oracle.EnqueueReady(behind);
+  picked = scheduler.SelectTask(2);
+  EXPECT_EQ(picked, oracle.SelectTask(2));
+  EXPECT_EQ(picked, std::optional<TaskId>(2));
+  EXPECT_EQ(scheduler.SelectTask(2), std::optional<TaskId>(3));
+}
+
+// Bytes on a node count only against input bytes that exist: a staged
+// copy of an empty file (local > 0, total 0) and of a deleted one make no
+// candidate, so the head wins.
+TEST(DataAwareLockstepTest, StagedCopiesWithoutInputBytesMakeNoCandidate) {
+  SimEngine engine;
+  FlowNetwork net{&engine};
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(3, NodeSpec{}, 1000.0));
+  DfsOptions options;
+  options.replication = 1;
+  Dfs dfs(&cluster, options);
+  StagingCache staging;
+  ASSERT_TRUE(dfs.IngestFile("/empty", 0, NodeId{0}).ok());
+  ASSERT_TRUE(dfs.IngestFile("/gone", 4 << 20, NodeId{2}).ok());
+  ASSERT_TRUE(dfs.IngestFile("/head", 4 << 20, NodeId{0}).ok());
+  staging.InsertPinned(1, dfs.Intern("/empty"), dfs.ContentId("/empty"),
+                       8 << 20);
+  staging.InsertPinned(1, dfs.Intern("/gone"), dfs.ContentId("/gone"),
+                       4 << 20);
+  DataAwareScheduler scheduler(&dfs, &staging);
+  PathScanLocalityOracle oracle(&dfs, &staging);
+  std::vector<TaskSpec> tasks = {Task(1, "head", {"/head"}),
+                                 Task(2, "empty", {"/empty", "/empty"}),
+                                 Task(3, "gone", {"/gone"})};
+  for (const TaskSpec& task : tasks) {
+    scheduler.EnqueueReady(task);
+    oracle.EnqueueReady(task);
+  }
+  // Task 3's input is as large on node 1 (staged) as on node 2
+  // (replica): the lower id is preferred until the input goes away.
+  EXPECT_EQ(scheduler.RequestFor(tasks[2]).preferred_node, 1);
+  ASSERT_TRUE(dfs.Delete("/gone").ok());
+  for (const TaskSpec& task : tasks) {
+    EXPECT_EQ(scheduler.RequestFor(task).preferred_node,
+              oracle.RequestFor(task).preferred_node)
+        << "task " << task.id;
+  }
+  std::optional<TaskId> picked = scheduler.SelectTask(1);
+  EXPECT_EQ(picked, oracle.SelectTask(1));
+  EXPECT_EQ(picked, std::optional<TaskId>(1));
 }
 
 // ------------------------------------------------------------ round-robin --
